@@ -5,6 +5,7 @@ Two problems, both solved exactly over rational arithmetic:
 * fixed fleet, minimize the worst coverage-capacity ratio (solve_lr);
 * unlimited robots with per-type costs, minimize total cost (solve_mc).
 """
+from types import ModuleType as _ModuleType
 
 from .errors import (
     CountMismatch,
@@ -86,4 +87,4 @@ from .render import render_svg
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [n for n in dir() if not n.startswith("_") and not isinstance(globals()[n], _ModuleType)]

@@ -13,8 +13,12 @@ skip over gaps for free.  The optimum is located by bisection on ell and
 snapped to the exact rational answer, which always has denominator at
 most the fleet's total capability.
 
-Everything here is exact: geometry is Fraction-valued, and the bisection
-hot path rescales to plain integers rather than ever touching floats.
+The DP runs on integers only.  Lengths are scaled once by the lcm of
+their denominators; at a candidate ratio p/d in those units the bounds
+are multiplied by d and a robot of capability a steps exactly a * p.  The
+search, the public decision functions, the tables and the reconstruction
+all share that one engine; Fractions appear only at the edges, where a
+ratio comes in and reaches, arcs and the objective go out.
 """
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ from typing import Iterable, Sequence
 
 from .errors import IndexOutOfRange, ReconstructionMismatch, ValidationError
 from .perimeter import Arc, Perimeter, covers_all_segments, trim_tail
-from .rationals import common_denominator, simplest_between
+from .rationals import common_denominator, scaled_ints, simplest_between
 
 # -- fleet ------------------------------------------------------------------
 
@@ -83,7 +87,49 @@ def build_fleet_lr(pairs: Iterable[tuple[int, int]]) -> FleetLR:
 AllocationVector = tuple[int, ...]
 
 
-# -- allocation-vector tables -------------------------------------------------
+# -- integer geometry -------------------------------------------------------------
+
+
+def _unit(perimeters: Sequence[Perimeter]) -> int:
+    """lcm of every length's denominator: times it, all geometry is integral."""
+    return common_denominator(x for per in perimeters for x in (*per.segments, *per.gaps))
+
+
+def _bounds(per: Perimeter, anchor: int, unit: int) -> tuple[list[int], list[int]]:
+    """One anchor's unrolled (starts, ends) times unit; raises if unit leaves a fraction."""
+    starts, ends = per.unrolled(anchor)
+    return scaled_ints(starts, unit), scaled_ints(ends, unit)
+
+
+def _scale(perimeters: Sequence[Perimeter]):
+    """(unit, per-perimeter lists of every anchor's integer bounds)."""
+    unit = _unit(perimeters)
+    return unit, [[_bounds(per, a, unit) for a in range(per.q)] for per in perimeters]
+
+
+def _at(scaled, capabilities: Sequence[int], ratio: Fraction):
+    """Integer bounds and steps at a scaled ratio p/d (ratio = ell * unit).
+
+    In units of 1/(unit * d), bounds are multiplied by d and a robot of
+    capability a steps exactly a * p.  Scaling by a positive constant keeps
+    every comparison and tie-break, so the DP decides exactly as it would
+    over the rationals.
+    """
+    p, d = ratio.numerator, ratio.denominator
+    grids = [
+        [([s * d for s in starts], [e * d for e in ends]) for starts, ends in anchors]
+        for anchors in scaled
+    ]
+    return grids, [a * p for a in capabilities]
+
+
+def _at_ell(perimeters: Sequence[Perimeter], fleet: FleetLR, ell: Fraction):
+    """_at for an unscaled ratio ell, as the public decision functions take it."""
+    unit, scaled = _scale(perimeters)
+    return _at(scaled, fleet.capabilities, Fraction(ell) * unit)
+
+
+# -- the reach DP -----------------------------------------------------------------
 
 
 def _strides(sizes: Sequence[int]) -> tuple[list[int], int]:
@@ -95,16 +141,17 @@ def _strides(sizes: Sequence[int]) -> tuple[list[int], int]:
     return strides, strides[0] * sizes[0]
 
 
-def _fill_table(starts, ends, required, steps, bounds, early_exit: bool):
+def _fill_table(starts, ends, steps, bounds, early_exit: bool):
     """Reach DP over all allocation vectors, in lexicographic cell order.
 
-    Works for any exactly ordered numeric domain (ints or Fractions).
-    Cell x holds the furthest normalized reach from offset 0 using x_tau
-    robots per type, capped at `required`; ties between types resolve to
-    the smallest type index.  Returns (values, backptr, hit) with hit the
-    first feasible cell index, -1 if none (values/backptr are partial when
-    early_exit stops the sweep).
+    starts, ends and steps are integers on one grid (see _at).  Cell x
+    holds the furthest normalized reach from offset 0 using x_tau robots
+    per type, capped at the working range ends[-1]; ties between types
+    resolve to the smallest type index.  Returns (values, backptr, hit)
+    with hit the first feasible cell index, -1 if none (values/backptr are
+    partial when early_exit stops the sweep).
     """
+    required = ends[-1]
     sizes = [n + 1 for n in bounds]
     strides, total = _strides(sizes)
     values = [0] * total
@@ -140,8 +187,48 @@ def _fill_table(starts, ends, required, steps, bounds, early_exit: bool):
     return values, backptr, hit
 
 
+def _first_anchor(anchors, steps, counts, order) -> int | None:
+    """First anchor in `order` from which the whole fleet reaches the working range."""
+    for anchor in order:
+        starts, ends = anchors[anchor]
+        if _fill_table(starts, ends, steps, counts, True)[2] >= 0:
+            return anchor
+    return None
+
+
+def _pareto_layer(anchors, counts, steps) -> list[tuple[AllocationVector, int]]:
+    """Antichain of minimal feasible allocation vectors for one perimeter.
+
+    anchors holds every anchor's integer (starts, ends).  Returns
+    lex-sorted (vector, witness_anchor) pairs; witness_anchor is the
+    smallest anchor at which that vector reaches the working range.
+    """
+    sizes = [n + 1 for n in counts]
+    strides, total = _strides(sizes)
+    feas = bytearray(total)
+    wit = [-1] * total
+    for anchor, (starts, ends) in enumerate(anchors):
+        values, _, hit = _fill_table(starts, ends, steps, counts, False)
+        if hit < 0:
+            continue
+        required = ends[-1]
+        for idx in range(total):
+            if not feas[idx] and values[idx] >= required:
+                feas[idx] = 1
+                wit[idx] = anchor
+    # The feasible set is upward closed: keep the cells with no feasible predecessor.
+    return [
+        (x, wit[idx])
+        for idx, x in enumerate(product(*map(range, sizes)))
+        if feas[idx] and not any(cnt and feas[idx - strides[tau]] for tau, cnt in enumerate(x))
+    ]
+
+
 class CoverageTable:
-    """Full reach table for one (perimeter, anchor, fleet, ell) combination."""
+    """Full reach table for one (perimeter, anchor, fleet, ell) combination.
+
+    The DP runs on integers in units of 1/_unit; value() scales back out.
+    """
 
     def __init__(self, per: Perimeter, anchor: int, fleet: FleetLR, ell: Fraction):
         self.per = per
@@ -149,13 +236,15 @@ class CoverageTable:
         self.fleet = fleet
         self.ell = Fraction(ell)
         self.bounds = fleet.counts
-        self._starts, self._ends = per.unrolled(anchor)
-        self.required: Fraction = self._ends[-1]
-        steps = [a * self.ell for a in fleet.capabilities]
-        sizes = [n + 1 for n in self.bounds]
-        self._stride_list, self._total = _strides(sizes)
+        unit = _unit([per])
+        ratio = self.ell * unit
+        self._unit = unit * ratio.denominator
+        self._starts, self._ends = _bounds(per, anchor, self._unit)
+        self._steps = [a * ratio.numerator for a in fleet.capabilities]
+        self.required = Fraction(self._ends[-1], self._unit)
+        self._stride_list, _ = _strides([n + 1 for n in self.bounds])
         self._values, self._backptr, _ = _fill_table(
-            self._starts, self._ends, self.required, steps, self.bounds, False
+            self._starts, self._ends, self._steps, self.bounds, False
         )
 
     def _index(self, allocation: AllocationVector) -> int:
@@ -172,7 +261,7 @@ class CoverageTable:
 
     def value(self, allocation: AllocationVector) -> Fraction:
         """Furthest normalized reach using the given robots."""
-        return Fraction(self._values[self._index(allocation)])
+        return Fraction(self._values[self._index(allocation)], self._unit)
 
     def backpointer(self, allocation: AllocationVector) -> int | None:
         """Type index placed last on the path to this cell (None at origin)."""
@@ -180,7 +269,7 @@ class CoverageTable:
         return None if bt < 0 else bt
 
     def feasible_at(self, allocation: AllocationVector) -> bool:
-        return self._values[self._index(allocation)] >= self.required
+        return self._values[self._index(allocation)] >= self._ends[-1]
 
 
 def inc(per: Perimeter, anchor: int, reach: Fraction, ell: Fraction) -> Fraction:
@@ -204,60 +293,15 @@ def feasible(per: Perimeter, fleet: FleetLR, ell: Fraction) -> tuple[bool, int |
 
     Returns (ok, witness_anchor) with the smallest witness anchor index.
     """
-    ell = Fraction(ell)
-    steps = [a * ell for a in fleet.capabilities]
-    for anchor in range(per.q):
-        starts, ends = per.unrolled(anchor)
-        _, _, hit = _fill_table(starts, ends, ends[-1], steps, fleet.counts, True)
-        if hit >= 0:
-            return True, anchor
-    return False, None
-
-
-def _minimal_vectors(feas: bytearray, sizes, strides) -> list[AllocationVector]:
-    """Minimal elements of an upward-closed vector set, in lexicographic order."""
-    out = []
-    for idx, x in enumerate(product(*map(range, sizes))):
-        if feas[idx] and not any(
-            cnt and feas[idx - strides[tau]] for tau, cnt in enumerate(x)
-        ):
-            out.append(x)
-    return out
-
-
-def _pareto_layer(per, counts, ell_steps, witnesses: bool):
-    """Antichain of minimal feasible allocation vectors for one perimeter.
-
-    ell_steps[tau] is the (possibly rescaled) arc length of type tau.
-    Returns a list of (vector, witness_anchor); witness_anchor is the
-    smallest anchor at which that vector reaches the working range, or
-    None when witnesses is False.
-    """
-    starts_ends = [per.unrolled(anchor) for anchor in range(per.q)]
-    sizes = [n + 1 for n in counts]
-    strides, total = _strides(sizes)
-    feas = bytearray(total)
-    wit = [-1] * total
-    for anchor, (starts, ends) in enumerate(starts_ends):
-        values, _, hit = _fill_table(starts, ends, ends[-1], ell_steps, counts, False)
-        if hit < 0:
-            continue
-        required = ends[-1]
-        for idx in range(total):
-            if not feas[idx] and values[idx] >= required:
-                feas[idx] = 1
-                wit[idx] = anchor
-    minimal = _minimal_vectors(feas, sizes, strides)
-    if witnesses:
-        return [(v, wit[sum(c * s for c, s in zip(v, strides))]) for v in minimal]
-    return [(v, None) for v in minimal]
+    (anchors,), steps = _at_ell([per], fleet, ell)
+    anchor = _first_anchor(anchors, steps, fleet.counts, range(per.q))
+    return anchor is not None, anchor
 
 
 def pareto_feasible_vectors(per: Perimeter, fleet: FleetLR, ell: Fraction) -> list[AllocationVector]:
     """All minimal allocation vectors that cover the perimeter at ratio ell."""
-    ell = Fraction(ell)
-    steps = [a * ell for a in fleet.capabilities]
-    return [v for v, _ in _pareto_layer(per, fleet.counts, steps, False)]
+    (anchors,), steps = _at_ell([per], fleet, ell)
+    return [v for v, _ in _pareto_layer(anchors, fleet.counts, steps)]
 
 
 def _fold_step(prev, layer, sizes, strides):
@@ -295,18 +339,20 @@ def _fold_step(prev, layer, sizes, strides):
     return minimal, cand
 
 
-def _fold_layers(layers, counts):
-    """Fold per-perimeter antichains into global minimal totals.
+def _fold_layers(grids, steps, counts):
+    """Fold the perimeters' Pareto layers into global minimal totals.
 
-    Returns (final_minimal_totals, parents_per_level); empty totals means
-    no simultaneous assignment fits the fleet.
+    A layer is built only when the fold reaches it, so an infeasible
+    perimeter ends the work.  Returns (final_minimal_totals,
+    parents_per_level); empty totals means no simultaneous assignment fits
+    the fleet.
     """
     sizes = [n + 1 for n in counts]
     strides, _ = _strides(sizes)
-    t = len(counts)
-    prev: list[AllocationVector] = [tuple([0] * t)]
+    prev: list[AllocationVector] = [tuple([0] * len(counts))]
     parents: list[dict] = []
-    for layer in layers:
+    for anchors in grids:
+        layer = _pareto_layer(anchors, counts, steps)
         if not layer:
             return [], parents
         prev, cand = _fold_step(prev, layer, sizes, strides)
@@ -322,13 +368,10 @@ def partition_feasible(
     """Can the fleet be split so every perimeter is covered at ratio ell?"""
     if not perimeters:
         raise ValidationError("need at least one perimeter")
-    ell = Fraction(ell)
-    steps = [a * ell for a in fleet.capabilities]
     if len(perimeters) == 1:
         return feasible(perimeters[0], fleet, ell)[0]
-    layers = [_pareto_layer(per, fleet.counts, steps, False) for per in perimeters]
-    final, _ = _fold_layers(layers, fleet.counts)
-    return bool(final)
+    grids, steps = _at_ell(perimeters, fleet, ell)
+    return bool(_fold_layers(grids, steps, fleet.counts)[0])
 
 
 # -- reconstruction -------------------------------------------------------------
@@ -342,49 +385,46 @@ def reconstruct_lr(
     Walks the table's backpointers from `allocation`, places each robot at
     the reach recorded for its predecessor cell, trims arc tails off gaps,
     and drops robots that add nothing (their arc would have zero length).
-    Raises ReconstructionMismatch if the rebuilt arcs fail the coverage or
-    capacity re-check.
+    Raises ReconstructionMismatch if a backpointer names no placed robot or
+    the rebuilt arcs fail the coverage or capacity re-check.
     """
     if not table.feasible_at(allocation):
         raise ReconstructionMismatch(
             f"allocation {allocation} does not reach the working range at ell={table.ell}"
         )
     x = list(allocation)
-    chain: list[tuple[int, Fraction]] = []
+    chain: list[tuple[int, int]] = []
     while any(x):
         tau = table.backpointer(tuple(x))
-        assert tau is not None and x[tau] > 0
+        if tau is None or x[tau] <= 0:
+            raise ReconstructionMismatch(f"backpointer at {tuple(x)} names no placed robot")
         x[tau] -= 1
-        chain.append((tau, table.value(tuple(x))))
+        chain.append((tau, table._values[table._index(tuple(x))]))
     chain.reverse()
-    starts, ends = table._starts, table._ends
-    required = table.required
-    capabilities = table.fleet.capabilities
-    per = table.per
-    rel_arcs: list[tuple[Fraction, Fraction, int]] = []
+    starts, ends, steps = table._starts, table._ends, table._steps
+    required = ends[-1]
+    rel_arcs: list[tuple[int, int, int]] = []
     for tau, start in chain:
-        e = start + capabilities[tau] * table.ell
-        if e > required:
-            e = required
-        e = trim_tail(starts, ends, e)
+        e = trim_tail(starts, ends, min(start + steps[tau], required))
         if e > start:
             rel_arcs.append((start, e, tau))
     if not covers_all_segments(starts, ends, [(s, e) for s, e, _ in rel_arcs]):
         raise ReconstructionMismatch("rebuilt arcs do not cover every segment")
     for s, e, tau in rel_arcs:
-        if e - s > capabilities[tau] * table.ell:
+        if e - s > steps[tau]:
             raise ReconstructionMismatch("rebuilt arc exceeds its robot's reach")
     for (_, e1, _), (s2, _, _) in zip(rel_arcs, rel_arcs[1:]):
         if s2 < e1:
             raise ReconstructionMismatch("rebuilt arcs overlap")
+    per = table.per
     anchor_pos = per.seg_start(table.anchor)
     c = per.circumference
     out = []
     for s, e, tau in rel_arcs:
-        g = anchor_pos + s
+        g = anchor_pos + Fraction(s, table._unit)
         if g >= c:
             g -= c
-        out.append(Arc(perimeter_index, tau, g, e - s))
+        out.append(Arc(perimeter_index, tau, g, Fraction(e - s, table._unit)))
     return out
 
 
@@ -401,84 +441,6 @@ class LrSolution:
     anchors: list[int]                   # witness anchor per perimeter
     unused: AllocationVector             # robots left idle
     feasibility_calls: int = 0
-
-
-class _ScaledView:
-    """Integer rescaling of the geometry for the bisection hot path.
-
-    Multiplying every length by the lcm of the denominators (and later by
-    a candidate ratio's denominator) keeps the reach DP on plain ints.
-    """
-
-    def __init__(self, perimeters: Sequence[Perimeter]):
-        everything = [x for per in perimeters for x in (*per.segments, *per.gaps)]
-        self.scale = common_denominator(everything)
-        self.perimeters = perimeters
-        self._cache: dict[tuple[int, int, int], tuple[list[int], list[int]]] = {}
-
-    def unrolled(self, k: int, anchor: int, mult: int) -> tuple[list[int], list[int]]:
-        key = (k, anchor, mult)
-        got = self._cache.get(key)
-        if got is None:
-            starts, ends = self.perimeters[k].unrolled(anchor)
-            m = self.scale * mult
-            got = ([int(s * m) for s in starts], [int(e * m) for e in ends])
-            self._cache[key] = got
-        return got
-
-    def prune_cache(self):
-        # Candidate denominators churn during bisection; keep memory flat.
-        if len(self._cache) > 4096:
-            self._cache.clear()
-
-
-def _feasible_scaled(
-    view: _ScaledView,
-    fleet: FleetLR,
-    ell_scaled: Fraction,
-    hints: list[int],
-) -> bool:
-    """Exact feasibility of a candidate ratio, entirely in integers.
-
-    ell_scaled is the ratio in rescaled units; geometry gets multiplied by
-    its denominator so each robot step is the integer a_tau * numerator.
-    """
-    p, d = ell_scaled.numerator, ell_scaled.denominator
-    steps = [a * p for a in fleet.capabilities]
-    counts = fleet.counts
-    perimeters = view.perimeters
-    view.prune_cache()
-    if len(perimeters) == 1:
-        per = perimeters[0]
-        order = [hints[0]] + [a for a in range(per.q) if a != hints[0]]
-        for anchor in order:
-            starts, ends = view.unrolled(0, anchor, d)
-            _, _, hit = _fill_table(starts, ends, ends[-1], steps, counts, True)
-            if hit >= 0:
-                hints[0] = anchor
-                return True
-        return False
-    layers = []
-    for k, per in enumerate(perimeters):
-        sizes = [n + 1 for n in counts]
-        strides, total = _strides(sizes)
-        feas = bytearray(total)
-        any_hit = False
-        for anchor in range(per.q):
-            starts, ends = view.unrolled(k, anchor, d)
-            values, _, hit = _fill_table(starts, ends, ends[-1], steps, counts, False)
-            if hit < 0:
-                continue
-            any_hit = True
-            required = ends[-1]
-            for idx in range(total):
-                if not feas[idx] and values[idx] >= required:
-                    feas[idx] = 1
-        if not any_hit:
-            return False
-        layers.append([(v, None) for v in _minimal_vectors(feas, sizes, strides)])
-    final, _ = _fold_layers(layers, counts)
-    return bool(final)
 
 
 def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrSolution:
@@ -499,28 +461,31 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
         raise ValidationError(
             f"{fleet.total_count} robots cannot guard {len(perimeters)} perimeters"
         )
-    view = _ScaledView(perimeters)
-    scale = view.scale
+    unit, scaled = _scale(perimeters)
+    counts = fleet.counts
     a_min = min(fleet.capabilities)
     a_total = fleet.total_capability
 
-    # Scaled bounds: every segment must be physically covered, so ell is at
-    # least (total guarded length)/A; one robot from the best anchor always
-    # suffices at the upper bound.
-    lo = max(
-        Fraction(sum(int(s * scale) for s in per.segments), a_total) for per in perimeters
-    )
-    hi = max(
-        Fraction(min(int(per.required_span(i) * scale) for i in range(per.q)), a_min)
-        for per in perimeters
-    )
+    # Ratios here are scaled (ell * unit).  Every segment must be physically
+    # covered, so ell is at least (total guarded length)/A; one robot from
+    # the best anchor always suffices at the upper bound.
+    lo = max(Fraction(sum(scaled_ints(per.segments, unit)), a_total) for per in perimeters)
+    hi = max(Fraction(min(ends[-1] for _, ends in anchors), a_min) for anchors in scaled)
     calls = 0
-    hints = [0] * len(perimeters)
+    hint = 0  # a single perimeter's last witness anchor is tried first
 
-    def check(candidate: Fraction) -> bool:
-        nonlocal calls
+    def check(ratio: Fraction) -> bool:
+        nonlocal calls, hint
         calls += 1
-        return _feasible_scaled(view, fleet, candidate, hints)
+        grids, steps = _at(scaled, fleet.capabilities, ratio)
+        if len(grids) > 1:
+            return bool(_fold_layers(grids, steps, counts)[0])
+        order = [hint] + [a for a in range(len(grids[0])) if a != hint]
+        anchor = _first_anchor(grids[0], steps, counts, order)
+        if anchor is None:
+            return False
+        hint = anchor
+        return True
 
     if check(lo):
         best = lo
@@ -540,12 +505,9 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
         if not check(best):
             raise AssertionError("snapped ratio is not feasible")
 
-    ell_star = best / scale
-
-    # Reconstruction runs once, back in Fraction land.
-    steps = [a * ell_star for a in fleet.capabilities]
-    layers = [_pareto_layer(per, fleet.counts, steps, True) for per in perimeters]
-    final, parents = _fold_layers(layers, fleet.counts)
+    ell_star = best / unit
+    grids, steps = _at(scaled, fleet.capabilities, best)
+    final, parents = _fold_layers(grids, steps, counts)
     if not final:
         raise AssertionError("optimal ratio lost feasibility during reconstruction")
     totals = final[0]

@@ -4,12 +4,19 @@ Every numeric comparison is exact rational equality; the only tolerances
 anywhere are the wall-clock bounds in criterion 8.
 """
 import functools
+import hashlib
+import json
 import time
 from fractions import Fraction
 from itertools import product
 
 from perimeterguard.bench import time_cell
-from perimeterguard.documents import InstanceDocument, solution_from_lr, solution_from_mc
+from perimeterguard.documents import (
+    InstanceDocument,
+    solution_from_lr,
+    solution_from_mc,
+    write_solution,
+)
 from perimeterguard.generate import SplitMix64
 from perimeterguard.oracle import (
     SubsetSumSpec,
@@ -72,6 +79,21 @@ def lr_corpus():
     for _ in range(500):
         per, fleet = _rand_lr(rng)
         out.append((per, fleet, solve_lr([per], fleet)))
+    return out
+
+
+@functools.cache
+def lr_pair_corpus():
+    """50 solved two-perimeter ratio instances with robots to spare."""
+    rng = SplitMix64(999)
+    out = []
+    for _ in range(50):
+        per_a, fleet_a = _rand_lr(rng, max_robots=3)
+        per_b, _ = _rand_lr(rng, max_robots=3)
+        fleet = build_fleet_lr(
+            (a, n + 2) for a, n in zip(fleet_a.capabilities, fleet_a.counts)
+        )
+        out.append(((per_a, per_b), fleet, solve_lr([per_a, per_b], fleet)))
     return out
 
 
@@ -244,19 +266,28 @@ def test_criterion_09_independent_validation():
         doc = InstanceDocument(problem="mc", perimeters=(per,), types=types)
         validate_solution(doc, solution_from_mc(sol))
         validated += 1
-    rng = SplitMix64(999)
-    for _ in range(50):
-        per_a, fleet_a = _rand_lr(rng, max_robots=3)
-        per_b, _ = _rand_lr(rng, max_robots=3)
-        fleet = build_fleet_lr(
-            (a, n + 2) for a, n in zip(fleet_a.capabilities, fleet_a.counts)
-        )
-        sol = solve_lr([per_a, per_b], fleet)
-        doc = InstanceDocument(problem="lr", perimeters=(per_a, per_b), fleet=fleet)
+    for perimeters, fleet, sol in lr_pair_corpus():
+        doc = InstanceDocument(problem="lr", perimeters=perimeters, fleet=fleet)
         validate_solution(doc, solution_from_lr(sol))
         validated += 1
     print(f"criterion 9: PASS ({validated} solver outputs re-validated for coverage, "
           f"capacity, disjointness, and objective)")
+
+
+# sha256 over the objective, arcs and counts of every criterion 1 and 9 solution.
+LR_WITNESS_DIGEST = "cfb03462c74e3cd39c94092656b38d9df8b9152b58b3607b5356bf0a5b20e80f"
+
+
+def test_lr_witnesses_unchanged():
+    digest = hashlib.sha256()
+    for _, _, sol in lr_corpus() + lr_pair_corpus():
+        body = json.loads(write_solution(solution_from_lr(sol)))
+        pinned = {key: body[key] for key in ("objective", "arcs", "counts")}
+        digest.update(json.dumps(pinned, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == LR_WITNESS_DIGEST, (
+        "an lr witness deployment changed; if on purpose, say why and re-pin"
+    )
+    print("lr witnesses: PASS (criterion 1 and 9 solutions match the pinned digest)")
 
 
 def test_criterion_10_reported_cost_identities():

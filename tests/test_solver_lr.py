@@ -1,5 +1,6 @@
 """Fixed-fleet ratio solver: tables, feasibility, optimum, reconstruction."""
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -126,6 +127,16 @@ def test_reconstruct_rejects_infeasible_allocation():
         reconstruct_lr(table, (1,))
 
 
+def test_reconstruct_rejects_corrupt_backpointer():
+    per = per_2seg()
+    table = coverage_table(per, 0, build_fleet_lr([(3, 2), (1, 1)]), F(1))
+    assert table.feasible_at((2, 0))
+    # Point the cell at type 1, of which it holds no robot.
+    table._backptr[table._index((2, 0))] = 1
+    with pytest.raises(ReconstructionMismatch):
+        reconstruct_lr(table, (2, 0))
+
+
 def test_solution_max_ratio_equals_objective():
     per = per_2seg()
     fleet = build_fleet_lr([(2, 2), (3, 1)])
@@ -153,14 +164,17 @@ small_lengths = st.integers(min_value=1, max_value=12)
 @st.composite
 def small_instances(draw, max_m=1):
     m = draw(st.integers(min_value=1, max_value=max_m))
+    # Lengths are multiples of 1/den, so the solver's integer scaling is exercised.
+    den = draw(st.integers(min_value=1, max_value=3))
     perimeters = []
     for _ in range(m):
         q = draw(st.integers(min_value=1, max_value=3))
-        segs = [draw(small_lengths) for _ in range(q)]
+        segs = [F(draw(small_lengths), den) for _ in range(q)]
         if q == 1 and draw(st.booleans()):
             perimeters.append(build_perimeter(segs, []))
         else:
-            perimeters.append(build_perimeter(segs, [draw(small_lengths) for _ in range(q)]))
+            gaps = [F(draw(small_lengths), den) for _ in range(q)]
+            perimeters.append(build_perimeter(segs, gaps))
     t = draw(st.integers(min_value=1, max_value=2))
     caps = [draw(st.integers(min_value=1, max_value=6)) for _ in range(t)]
     total = draw(st.integers(min_value=max(m, 1), max_value=4))
@@ -173,15 +187,40 @@ def small_instances(draw, max_m=1):
     return perimeters, fleet
 
 
+small_ratios = st.fractions(min_value=F(1, 4), max_value=F(8), max_denominator=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_instances(), small_ratios, st.data())
+def test_coverage_table_follows_recurrence(inst, ell, data):
+    """value(x) = max over placed types of inc(value(x - e_tau), a_tau * ell);
+    the backpointer is the smallest type attaining it."""
+    (per,), fleet = inst
+    anchor = data.draw(st.integers(min_value=0, max_value=per.q - 1))
+    table = coverage_table(per, anchor, fleet, ell)
+    assert table.value(tuple(0 for _ in fleet.counts)) == 0
+    for x in product(*(range(n + 1) for n in fleet.counts)):
+        if not any(x):
+            continue
+        reach = {
+            tau: inc(per, anchor, table.value(x[:tau] + (c - 1,) + x[tau + 1:]), a * ell)
+            for tau, (a, c) in enumerate(zip(fleet.capabilities, x))
+            if c
+        }
+        best = max(reach.values())
+        assert table.value(x) == best
+        assert table.backpointer(x) == min(tau for tau, v in reach.items() if v == best)
+
+
 @settings(max_examples=60, deadline=None)
-@given(small_instances(), st.fractions(min_value=F(1, 4), max_value=F(8), max_denominator=4))
+@given(small_instances(), small_ratios)
 def test_feasible_agrees_with_brute(inst, ell):
     (per,), fleet = inst
     assert feasible(per, fleet, ell)[0] == brute_feasible_lr(per, fleet, ell)
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_instances(max_m=2), st.fractions(min_value=F(1, 4), max_value=F(8), max_denominator=4))
+@given(small_instances(max_m=2), small_ratios)
 def test_partition_feasible_agrees_with_brute(inst, ell):
     perimeters, fleet = inst
     assert partition_feasible(perimeters, fleet, ell) == brute_feasible_lr_multi(
