@@ -16,8 +16,7 @@ rows += time_cell("table1", "lr", t=3, q=20, m=1, L=None, seeds=[0, 1, 2])
 rows += time_cell("table3", "mc", t=10, q=20, m=1, L=10_000, seeds=[0, 1, 2])
 
 for row in rows:
-    label = row.seed if row.seed is not None else "mean"
-    print(f"{row.suite} t={row.t} q={row.q} seed={label}: {row.seconds:.4f}s")
+    print(f"{row.suite} t={row.t} q={row.q} seed={row.seed}: {row.seconds:.4f}s")
 
 # CSV output starts with '#' comments pinning the instance
 # distributions, so a results file is reproducible on its own.

@@ -80,12 +80,16 @@ def _rational(value, path: str) -> Fraction:
 
 
 def _load_json(data: bytes | str, what: str) -> dict:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{what}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{what}: arrays or objects nested too deeply") from exc
     return _as_dict(doc, what)
 
 

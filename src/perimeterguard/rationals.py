@@ -14,16 +14,21 @@ RationalLike = int | str | Fraction
 
 
 def to_fraction(value: RationalLike, where: str = "value") -> Fraction:
-    """Coerce an int, Fraction, or string ("3", "5/4", "2.25") to a Fraction.
+    """Coerce an int, Fraction, or string to a Fraction.
 
-    Floats are rejected: callers that want a float quantized must do so
-    explicitly (see perimeter.from_polygon).
+    Strings hold an integer ("3"), a ratio ("5/4") or a decimal ("2.25").
+    Exponent forms ("1e5") are rejected: a few characters of exponent can
+    ask for an integer of unbounded size.  Floats are rejected too: callers
+    that want a float quantized must do so explicitly (see
+    perimeter.from_polygon).
     """
     if isinstance(value, bool):
         raise ParseError(f"{where}: expected a rational, got a bool")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise ParseError(f"{where}: exponent forms are not accepted, got {value!r}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

@@ -5,7 +5,8 @@ of each may be hired.  The solver covers every guarded segment at minimum
 total cost in two stages:
 
 * presolve: an unbounded covering knapsack giving the cheapest way to
-  cover each integer length up to the circumference;
+  cover each integer length up to the circumference, over undominated types
+  and periodic past a short base; sol() walks witnesses back out lazily;
 * an interval DP over cyclic segment ranges choosing where coverage
   blocks start and end, so gaps that are expensive to bridge get skipped.
 
@@ -65,57 +66,57 @@ def build_types_mc(pairs: Iterable[tuple[int, int]]) -> TypesMC:
 # -- presolve: cheapest cover of every integer length --------------------------
 
 
+@dataclass(slots=True)
 class CostLookup:
-    """costs[L] = cheapest robot multiset whose lengths sum to at least L.
+    """costs[L] = cheapest robot multiset whose lengths sum to at least L, for
+    every L in 0..max_len (interval_table reads any ceiled span).  presolve
+    drops dominated types and fills past a short base by the knapsack period."""
 
-    choice[L] records the type of one robot in an optimal multiset (the
-    smallest type index among optimal choices), allowing sol() to walk the
-    whole multiset back out.
-    """
-
-    __slots__ = ("types", "max_len", "costs", "choice")
-
-    def __init__(self, types: TypesMC, max_len: int, costs: list[int], choice: list[int]):
-        self.types = types
-        self.max_len = max_len
-        self.costs = costs
-        self.choice = choice
+    types: TypesMC
+    max_len: int
+    costs: list[int]
 
 
 def presolve(types: TypesMC, max_len: int) -> CostLookup:
-    """Unbounded covering knapsack over all lengths 0..max_len."""
+    """Unbounded covering knapsack over all lengths 0..max_len.
+
+    Only undominated types (no other at least as long and no dearer; one copy
+    of duplicates) enter costs[L] = min c + costs[max(0, L - l)].  Let (lb, cb)
+    be a kept type of least cost per length, lmax the longest kept length.  If
+    an optimum has lb or more other robots, pigeonhole on their prefix sums mod
+    lb finds some summing to k*lb; k best robots cover as much for no more.  So
+    some optimum has under lb others, reaching at most (lb - 1)*lmax; past that
+    it holds a best robot: costs[L] = costs[L - lb] + cb (Gilmore & Gomory 1966; Hu 1969).
+    """
     if max_len < 0:
         raise ValidationError("max_len must be >= 0")
-    lengths = types.lengths
-    tcosts = types.costs
-    costs = [0] * (max_len + 1)
-    choice = [-1] * (max_len + 1)
-    for length in range(1, max_len + 1):
-        best = -1
-        bt = -1
-        for tau in range(len(lengths)):
-            l = lengths[tau]
-            v = tcosts[tau] if l >= length else costs[length - l] + tcosts[tau]
-            if best < 0 or v < best:
-                best = v
-                bt = tau
-        costs[length] = best
-        choice[length] = bt
-    return CostLookup(types, max_len, costs, choice)
+    kept: list[tuple[int, int]] = []   # longest first, each strictly cheaper
+    for l, c in sorted(zip(types.lengths, types.costs), key=lambda lc: (-lc[0], lc[1])):
+        if not kept or c < kept[-1][1]:
+            kept.append((l, c))
+    lb, cb = min(reversed(kept), key=lambda lc: Fraction(lc[1], lc[0]))  # shortest on ties
+    base = (lb - 1) * kept[0][0]
+    costs = [0]
+    for n in range(1, max_len + 1):
+        costs.append(min([c + costs[n - l] if l < n else c for l, c in kept])
+                     if n <= base else costs[n - lb] + cb)
+    return CostLookup(types, max_len, costs)
 
 
 def sol(lookup: CostLookup, length: int) -> tuple[int, tuple[int, ...]]:
-    """Cheapest cover of an integer length: (cost, robot counts per type)."""
+    """Cheapest cover of an integer length: (cost, robot counts per type); each robot
+    is the smallest type tau with c_tau + costs[max(0, rem - l_tau)] == costs[rem]."""
     if not 0 <= length <= lookup.max_len:
         raise OutOfTableRange(f"length {length} outside 0..{lookup.max_len}")
-    counts = [0] * lookup.types.t
-    lengths = lookup.types.lengths
+    lengths, tcosts, costs = lookup.types.lengths, lookup.types.costs, lookup.costs
+    counts = [0] * len(lengths)
     rem = length
     while rem > 0:
-        tau = lookup.choice[rem]
+        tau = next(k for k, l in enumerate(lengths)
+                   if tcosts[k] + (costs[rem - l] if l < rem else 0) == costs[rem])
         counts[tau] += 1
         rem -= lengths[tau]
-    return lookup.costs[length], tuple(counts)
+    return costs[length], tuple(counts)
 
 
 # -- interval DP over cyclic segment ranges ------------------------------------
@@ -248,15 +249,13 @@ def reconstruct_mc(
 
 
 def solve_mc(
-    per: Perimeter, types: TypesMC, perimeter_index: int = 0
+    per: Perimeter, types: TypesMC, perimeter_index: int = 0, lookup: CostLookup | None = None
 ) -> McSolution:
     """Cover one perimeter at minimum cost with unlimited robots per type.
-
-    For a gapless perimeter the interval table degenerates to the single
-    cell Sol(ceil(circumference)); no special casing is needed.
-    """
-    i_max = ceil_fraction(per.circumference)
-    lookup = presolve(types, i_max)
+    `lookup`, if given, is a presolve of `types` to ceil(circumference) or
+    beyond; a gapless perimeter needs no special case."""
+    if lookup is None:
+        lookup = presolve(types, ceil_fraction(per.circumference))
     q = per.q
     table = interval_table(per, lookup)
     anchor = 0
@@ -278,12 +277,13 @@ def solve_mc_multi(perimeters: Sequence[Perimeter], types: TypesMC) -> McSolutio
     """Independent minimum-cost covers, one per perimeter, summed."""
     if not perimeters:
         raise ValidationError("need at least one perimeter")
+    lookup = presolve(types, max(ceil_fraction(per.circumference) for per in perimeters))
     total = 0
     counts = [0] * types.t
     arcs: list[Arc] = []
     anchor = 0
     for k, per in enumerate(perimeters):
-        part = solve_mc(per, types, perimeter_index=k)
+        part = solve_mc(per, types, perimeter_index=k, lookup=lookup)
         total += part.total_cost
         arcs.extend(part.arcs)
         for tau, cnt in enumerate(part.counts):

@@ -33,7 +33,7 @@ from perimeterguard.solver_lr import (
     ratio_certificate,
     solve_lr,
 )
-from perimeterguard.solver_mc import build_types_mc, presolve, solve_mc
+from perimeterguard.solver_mc import build_types_mc, presolve, solve_mc, solve_mc_multi
 from perimeterguard.validate import validate_solution
 
 F = Fraction
@@ -105,6 +105,18 @@ def mc_corpus():
     for _ in range(500):
         per, types = _rand_mc(rng)
         out.append((per, types, solve_mc(per, types)))
+    return out
+
+
+@functools.cache
+def mc_pair_corpus():
+    """50 solved two-perimeter cost instances sharing one type catalog."""
+    rng = SplitMix64(998)
+    out = []
+    for _ in range(50):
+        per_a, types = _rand_mc(rng)
+        per_b, _ = _rand_mc(rng)
+        out.append(((per_a, per_b), types, solve_mc_multi([per_a, per_b], types)))
     return out
 
 
@@ -288,6 +300,24 @@ def test_lr_witnesses_unchanged():
         "an lr witness deployment changed; if on purpose, say why and re-pin"
     )
     print("lr witnesses: PASS (criterion 1 and 9 solutions match the pinned digest)")
+
+
+# sha256 over the objective, arcs and counts of every criterion 2 and 9
+# solution, then of every two-perimeter solution in mc_pair_corpus.
+MC_WITNESS_DIGEST = "b97b391ccfc4d566b855ce6e09125444df0e23d5e81a40beb28dcfb62e164faf"
+
+
+def test_mc_witnesses_unchanged():
+    digest = hashlib.sha256()
+    for _, _, sol in mc_corpus() + mc_pair_corpus():
+        body = json.loads(write_solution(solution_from_mc(sol)))
+        pinned = {key: body[key] for key in ("objective", "arcs", "counts")}
+        digest.update(json.dumps(pinned, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == MC_WITNESS_DIGEST, (
+        "an mc witness deployment changed; if on purpose, say why and re-pin"
+    )
+    print("mc witnesses: PASS (criterion 2 and 9 solutions and the two-perimeter "
+          "corpus match the pinned digest)")
 
 
 def test_criterion_10_reported_cost_identities():

@@ -77,6 +77,11 @@ def test_invalid_document_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_deeply_nested_document_exits_2(tmp_path, capsys):
+    assert main(["solve", "--input", put(tmp_path, "i.json", "[" * 100_000)]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 def test_oracle_matches_solver(tmp_path, capsys):
     inp = put(tmp_path, "i.json", LR_TEXT)
     assert main(["oracle", "--input", inp]) == 0

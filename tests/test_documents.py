@@ -87,6 +87,30 @@ def test_parse_error_paths():
         )
 
 
+def test_deep_nesting_is_a_parse_error():
+    for text in ("[" * 100_000, "[" * 100_000 + "]" * 100_000, '{"a":' * 50_000):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_instance(text)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_solution("[" * 100_000)
+
+
+def test_non_utf8_bytes_are_a_parse_error():
+    with pytest.raises(ParseError, match="not UTF-8"):
+        parse_instance(b"\xff\xfe{}")
+
+
+def test_exponent_strings_are_rejected():
+    for text in ("1e5000", "2E3", "1.5e-2"):
+        doc = json.loads(MC_DOC)
+        doc["perimeters"][0]["segments"][0] = text
+        with pytest.raises(ParseError, match="exponent"):
+            parse_instance(json.dumps(doc))
+    doc = json.loads(MC_DOC)
+    doc["perimeters"][0]["segments"] = ["9/4", "2.25"]
+    assert parse_instance(json.dumps(doc)).perimeters[0].segments == (F(9, 4), F(9, 4))
+
+
 def test_validation_error_paths():
     with pytest.raises(ValidationError, match="problem"):
         parse_instance('{"problem": "xx", "perimeters": [], "types": []}')

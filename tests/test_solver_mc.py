@@ -3,9 +3,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from perimeterguard import solver_mc
 from perimeterguard.errors import OutOfTableRange
 from perimeterguard.oracle import brute_solve_mc
 from perimeterguard.perimeter import build_perimeter
@@ -51,6 +52,86 @@ def test_sol_counts_match_cost_and_length():
         cost, counts = sol(lookup, length)
         assert sum(c * t for c, t in zip(counts, lookup.types.costs)) == cost
         assert sum(c * l for c, l in zip(counts, lookup.types.lengths)) >= length
+
+
+# -- presolve against a naive reference ------------------------------------------
+
+
+def naive_lookup(pairs, max_len):
+    """O(L*t) covering knapsack over every type; choice[L] is the smallest
+    type index among the optimal last robots at L."""
+    costs, choice = [0], [-1]
+    for n in range(1, max_len + 1):
+        best = pick = None
+        for k, (l, c) in enumerate(pairs):
+            v = c + costs[max(0, n - l)]
+            if best is None or v < best:
+                best, pick = v, k
+        costs.append(best)
+        choice.append(pick)
+    return costs, choice
+
+
+def naive_counts(pairs, choice, n):
+    counts = [0] * len(pairs)
+    while n > 0:
+        counts[choice[n]] += 1
+        n -= pairs[choice[n]][0]
+    return tuple(counts)
+
+
+@st.composite
+def knapsack_types(draw):
+    """Short types, so 400 lengths run far past the periodic bound, with
+    duplicates, equal cost-per-length pairs and dominated types placed
+    ahead of a type that beats them."""
+    pairs = draw(st.lists(
+        st.tuples(st.integers(1, 12), st.integers(1, 30)), min_size=1, max_size=5
+    ))
+    if draw(st.booleans()):
+        pairs.append(draw(st.sampled_from(pairs)))
+    if draw(st.booleans()):
+        l, c = draw(st.sampled_from(pairs))
+        k = draw(st.integers(2, 3))
+        if l * k <= 12:
+            pairs.insert(draw(st.integers(0, len(pairs))), (l * k, c * k))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(pairs) - 1))
+        l, c = pairs[at]
+        pairs.insert(at, (draw(st.integers(1, l)), c + draw(st.integers(0, 5))))
+    return pairs
+
+
+@settings(max_examples=120, deadline=None)
+@given(knapsack_types())
+@example([(3, 5), (5, 5)])             # the dominated type wins the tie at L <= 3
+@example([(4, 6), (2, 3), (4, 6)])     # equal ratios and a duplicate
+@example([(12, 24), (1, 3), (7, 17)])  # best ratio is the longest type
+def test_presolve_and_sol_match_naive_reference(pairs):
+    max_len = 400
+    want_costs, choice = naive_lookup(pairs, max_len)
+    lookup = presolve(build_types_mc(pairs), max_len)
+    assert lookup.costs == want_costs
+    for n in range(max_len + 1):
+        assert sol(lookup, n) == (want_costs[n], naive_counts(pairs, choice, n))
+
+
+def test_multi_presolves_once(monkeypatch):
+    types = types_example()
+    pers = [build_perimeter([7], [3]), build_perimeter([2, 3], [1, 2]), build_perimeter([20], [])]
+    separate = [solve_mc(per, types, perimeter_index=k) for k, per in enumerate(pers)]
+    calls = []
+    real = solver_mc.presolve
+
+    def counting(types, max_len):
+        calls.append(max_len)
+        return real(types, max_len)
+
+    monkeypatch.setattr(solver_mc, "presolve", counting)
+    joint = solve_mc_multi(pers, types)
+    assert calls == [20]
+    assert joint.arcs == [a for part in separate for a in part.arcs]
+    assert joint.total_cost == sum(part.total_cost for part in separate)
 
 
 def test_solve_examples():
