@@ -34,7 +34,6 @@ from .solver_lr import (
     CoverageTable,
     FleetLR,
     LrSolution,
-    RobotTypeLR,
     build_fleet_lr,
     coverage_table,
     feasible,
@@ -50,7 +49,6 @@ from .solver_mc import (
     CostLookup,
     IntervalCostTable,
     McSolution,
-    RobotTypeMC,
     TypesMC,
     build_types_mc,
     interval_table,

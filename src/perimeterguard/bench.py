@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from .errors import ValidationError
 from .generate import gen_random
 from .solver_lr import solve_lr
-from .solver_mc import solve_mc
+from .solver_mc import solve_mc_multi
 
 DEFAULT_SEEDS = 10
 
@@ -72,8 +72,7 @@ def time_cell(
         if problem == "lr":
             solve_lr(doc.perimeters, doc.fleet)
         else:
-            for per in doc.perimeters:
-                solve_mc(per, doc.types)
+            solve_mc_multi(doc.perimeters, doc.types)
         rows.append(BenchRow(suite, t, q, m, L, seed, time.perf_counter() - tick))
     mean = sum(r.seconds for r in rows) / len(rows)
     rows.append(BenchRow(suite, t, q, m, L, "mean", mean))

@@ -11,7 +11,10 @@ Positions come in two flavors:
   segment 0;
 * anchored offsets, measured along the circle from a chosen segment start.
 
-All arithmetic is on fractions.Fraction; no floats.
+Perimeter's own geometry is exact fractions.Fraction arithmetic, never
+floats; the validator, the oracles and solver_lr.inc use it.
+integer_anchors is the solvers' view of the same geometry: every length
+times the lcm of the denominators, so their dynamic programs run on ints.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ from .errors import (
     NoGuardedEdge,
     NonPositiveLength,
 )
-from .rationals import RationalLike, to_fraction
+from .rationals import RationalLike, common_denominator, scaled_ints, to_fraction
 
 QUANTIZATION_DENOMINATOR = 10**6
 
@@ -188,6 +191,39 @@ class Perimeter:
 
     def __repr__(self) -> str:
         return f"Perimeter(segments={list(self.segments)}, gaps={list(self.gaps)})"
+
+
+def integer_anchors(perimeters: Sequence[Perimeter]):
+    """(unit, per perimeter: every anchor's unrolled (starts, ends) times unit).
+
+    unit is the lcm of every length's denominator, so each bound is an int:
+    view[k][a] is perimeters[k].unrolled(a) scaled by unit.
+    """
+    unit = common_denominator(x for per in perimeters for x in (*per.segments, *per.gaps))
+    view = []
+    for per in perimeters:
+        segments = scaled_ints(per.segments, unit)
+        gaps = scaled_ints(per.gaps, unit) or [0]   # gapless circles have q == 1
+        anchors = []
+        for a in range(per.q):
+            starts, ends, pos = [], [], 0
+            for i in (*range(a, per.q), *range(a)):
+                starts.append(pos)
+                ends.append(pos := pos + segments[i])
+                pos += gaps[i]
+            anchors.append((starts, ends))
+        view.append(anchors)
+    return unit, view
+
+
+def anchored_arc(per: Perimeter, anchor: int, unit: int, s: int, e: int,
+                 perimeter_index: int, robot_type: int) -> Arc:
+    """The Arc over integer anchored offsets s..e (in units of 1/unit from
+    segment `anchor`'s start), its start wrapped into [0, circumference)."""
+    g = per.seg_start(anchor) + Fraction(s, unit)
+    if g >= per.circumference:
+        g -= per.circumference
+    return Arc(perimeter_index, robot_type, g, Fraction(e - s, unit))
 
 
 def trim_tail(starts, ends, e):

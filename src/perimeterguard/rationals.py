@@ -5,6 +5,7 @@ All solver-facing quantities are Fractions; floats never enter here.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -12,15 +13,19 @@ from .errors import ParseError
 
 RationalLike = int | str | Fraction
 
+# An optional minus, ASCII digits, then an optional nonzero "/den" or ".digits".
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*|\.[0-9]+)?")
+
 
 def to_fraction(value: RationalLike, where: str = "value") -> Fraction:
     """Coerce an int, Fraction, or string to a Fraction.
 
-    Strings hold an integer ("3"), a ratio ("5/4") or a decimal ("2.25").
-    Exponent forms ("1e5") are rejected: a few characters of exponent can
-    ask for an integer of unbounded size.  Floats are rejected too: callers
-    that want a float quantized must do so explicitly (see
-    perimeter.from_polygon).
+    Strings hold an integer ("3"), a ratio ("5/4") or a decimal ("2.25"),
+    each with an optional leading "-", in ASCII digits and nothing else: no
+    "+", spaces, underscores, bare-dot decimals (".5", "5.") or exponent
+    forms ("1e5"; a few characters of exponent can ask for an integer of
+    unbounded size).  Floats are rejected too: callers that want a float
+    quantized must do so explicitly (see perimeter.from_polygon).
     """
     if isinstance(value, bool):
         raise ParseError(f"{where}: expected a rational, got a bool")
@@ -29,10 +34,9 @@ def to_fraction(value: RationalLike, where: str = "value") -> Fraction:
     if isinstance(value, str):
         if "e" in value or "E" in value:
             raise ParseError(f"{where}: exponent forms are not accepted, got {value!r}")
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"{where}: cannot parse rational from {value!r}") from exc
+        if not _RATIONAL.fullmatch(value):
+            raise ParseError(f"{where}: cannot parse rational from {value!r}")
+        return Fraction(value)
     raise ParseError(f"{where}: expected int or 'num/den' string, got {type(value).__name__}")
 
 
@@ -73,14 +77,6 @@ def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
     f = n - 1  # common integer part
     inner = simplest_between(1 / (hi - f), 1 / (lo - f))
     return f + 1 / inner
-
-
-def parse_positive_int(value: object, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{where}: expected a positive integer, got {value!r}")
-    if value <= 0:
-        raise ParseError(f"{where}: expected a positive integer, got {value}")
-    return value
 
 
 def scaled_ints(values: Sequence[Fraction], scale: int) -> list[int]:

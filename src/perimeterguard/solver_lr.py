@@ -13,12 +13,13 @@ skip over gaps for free.  The optimum is located by bisection on ell and
 snapped to the exact rational answer, which always has denominator at
 most the fleet's total capability.
 
-The DP runs on integers only.  Lengths are scaled once by the lcm of
-their denominators; at a candidate ratio p/d in those units the bounds
-are multiplied by d and a robot of capability a steps exactly a * p.  The
-search, the public decision functions, the tables and the reconstruction
-all share that one engine; Fractions appear only at the edges, where a
-ratio comes in and reaches, arcs and the objective go out.
+The DP runs on integers only.  perimeter.integer_anchors scales lengths
+once by the lcm of their denominators; at a candidate ratio p/d in those
+units the bounds are multiplied by d and a robot of capability a steps
+exactly a * p.  The search, the public decision functions, the tables
+and the reconstruction all share that one engine; Fractions appear only
+at the edges, where a ratio comes in and reaches, arcs and the objective
+go out.
 """
 from __future__ import annotations
 
@@ -30,58 +31,52 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import IndexOutOfRange, ReconstructionMismatch, ValidationError
-from .perimeter import Arc, Perimeter, covers_all_segments, trim_tail
-from .rationals import common_denominator, scaled_ints, simplest_between
+from .perimeter import (
+    Arc, Perimeter, anchored_arc, covers_all_segments, integer_anchors, trim_tail,
+)
+from .rationals import simplest_between
 
 # -- fleet ------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class RobotTypeLR:
-    """A robot model: covers at most `capability * ell` at ratio ell."""
-
-    capability: int
-    count: int
-
-
-@dataclass(frozen=True)
 class FleetLR:
-    types: tuple[RobotTypeLR, ...]
+    """Robot models by column: type k covers at most `capabilities[k] * ell`
+    at ratio ell, and `counts[k]` robots of it are available."""
+
+    capabilities: tuple[int, ...]
+    counts: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.types:
+        if not self.capabilities:
             raise ValidationError("fleet needs at least one robot type")
-        for k, rt in enumerate(self.types):
-            if not isinstance(rt.capability, int) or isinstance(rt.capability, bool) \
-                    or rt.capability <= 0:
+        if len(self.counts) != len(self.capabilities):
+            raise ValidationError(
+                f"{len(self.capabilities)} capabilities but {len(self.counts)} counts"
+            )
+        for k, (a, n) in enumerate(zip(self.capabilities, self.counts)):
+            if not isinstance(a, int) or isinstance(a, bool) or a <= 0:
                 raise ValidationError(f"type {k}: capability must be a positive integer")
-            if not isinstance(rt.count, int) or isinstance(rt.count, bool) or rt.count <= 0:
+            if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
                 raise ValidationError(f"type {k}: count must be a positive integer")
 
     @property
     def t(self) -> int:
-        return len(self.types)
-
-    @property
-    def capabilities(self) -> tuple[int, ...]:
-        return tuple(rt.capability for rt in self.types)
-
-    @property
-    def counts(self) -> tuple[int, ...]:
-        return tuple(rt.count for rt in self.types)
+        return len(self.capabilities)
 
     @property
     def total_capability(self) -> int:
         """Sum of capability * count: bounds the objective's denominator."""
-        return sum(rt.capability * rt.count for rt in self.types)
+        return sum(a * n for a, n in zip(self.capabilities, self.counts))
 
     @property
     def total_count(self) -> int:
-        return sum(rt.count for rt in self.types)
+        return sum(self.counts)
 
 
 def build_fleet_lr(pairs: Iterable[tuple[int, int]]) -> FleetLR:
-    return FleetLR(tuple(RobotTypeLR(a, n) for a, n in pairs))
+    pairs = list(pairs)
+    return FleetLR(tuple(a for a, _ in pairs), tuple(n for _, n in pairs))
 
 
 AllocationVector = tuple[int, ...]
@@ -90,26 +85,10 @@ AllocationVector = tuple[int, ...]
 # -- integer geometry -------------------------------------------------------------
 
 
-def _unit(perimeters: Sequence[Perimeter]) -> int:
-    """lcm of every length's denominator: times it, all geometry is integral."""
-    return common_denominator(x for per in perimeters for x in (*per.segments, *per.gaps))
-
-
-def _bounds(per: Perimeter, anchor: int, unit: int) -> tuple[list[int], list[int]]:
-    """One anchor's unrolled (starts, ends) times unit; raises if unit leaves a fraction."""
-    starts, ends = per.unrolled(anchor)
-    return scaled_ints(starts, unit), scaled_ints(ends, unit)
-
-
-def _scale(perimeters: Sequence[Perimeter]):
-    """(unit, per-perimeter lists of every anchor's integer bounds)."""
-    unit = _unit(perimeters)
-    return unit, [[_bounds(per, a, unit) for a in range(per.q)] for per in perimeters]
-
-
 def _at(scaled, capabilities: Sequence[int], ratio: Fraction):
     """Integer bounds and steps at a scaled ratio p/d (ratio = ell * unit).
 
+    scaled holds integer_anchors' bounds (per perimeter, a list of anchors).
     In units of 1/(unit * d), bounds are multiplied by d and a robot of
     capability a steps exactly a * p.  Scaling by a positive constant keeps
     every comparison and tie-break, so the DP decides exactly as it would
@@ -125,7 +104,7 @@ def _at(scaled, capabilities: Sequence[int], ratio: Fraction):
 
 def _at_ell(perimeters: Sequence[Perimeter], fleet: FleetLR, ell: Fraction):
     """_at for an unscaled ratio ell, as the public decision functions take it."""
-    unit, scaled = _scale(perimeters)
+    unit, scaled = integer_anchors(perimeters)
     return _at(scaled, fleet.capabilities, Fraction(ell) * unit)
 
 
@@ -227,7 +206,7 @@ def _pareto_layer(anchors, counts, steps) -> list[tuple[AllocationVector, int]]:
 class CoverageTable:
     """Full reach table for one (perimeter, anchor, fleet, ell) combination.
 
-    The DP runs on integers in units of 1/_unit; value() scales back out.
+    The DP runs on _at's integers, in units of 1/_unit; value() scales back out.
     """
 
     def __init__(self, per: Perimeter, anchor: int, fleet: FleetLR, ell: Fraction):
@@ -236,11 +215,11 @@ class CoverageTable:
         self.fleet = fleet
         self.ell = Fraction(ell)
         self.bounds = fleet.counts
-        unit = _unit([per])
+        unit, (anchors,) = integer_anchors([per])
         ratio = self.ell * unit
         self._unit = unit * ratio.denominator
-        self._starts, self._ends = _bounds(per, anchor, self._unit)
-        self._steps = [a * ratio.numerator for a in fleet.capabilities]
+        grids, self._steps = _at([anchors[anchor:anchor + 1]], fleet.capabilities, ratio)
+        self._starts, self._ends = grids[0][0]
         self.required = Fraction(self._ends[-1], self._unit)
         self._stride_list, _ = _strides([n + 1 for n in self.bounds])
         self._values, self._backptr, _ = _fill_table(
@@ -416,16 +395,10 @@ def reconstruct_lr(
     for (_, e1, _), (s2, _, _) in zip(rel_arcs, rel_arcs[1:]):
         if s2 < e1:
             raise ReconstructionMismatch("rebuilt arcs overlap")
-    per = table.per
-    anchor_pos = per.seg_start(table.anchor)
-    c = per.circumference
-    out = []
-    for s, e, tau in rel_arcs:
-        g = anchor_pos + Fraction(s, table._unit)
-        if g >= c:
-            g -= c
-        out.append(Arc(perimeter_index, tau, g, Fraction(e - s, table._unit)))
-    return out
+    return [
+        anchored_arc(table.per, table.anchor, table._unit, s, e, perimeter_index, tau)
+        for s, e, tau in rel_arcs
+    ]
 
 
 # -- the solver ----------------------------------------------------------------
@@ -461,7 +434,7 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
         raise ValidationError(
             f"{fleet.total_count} robots cannot guard {len(perimeters)} perimeters"
         )
-    unit, scaled = _scale(perimeters)
+    unit, scaled = integer_anchors(perimeters)
     counts = fleet.counts
     a_min = min(fleet.capabilities)
     a_total = fleet.total_capability
@@ -469,7 +442,7 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
     # Ratios here are scaled (ell * unit).  Every segment must be physically
     # covered, so ell is at least (total guarded length)/A; one robot from
     # the best anchor always suffices at the upper bound.
-    lo = max(Fraction(sum(scaled_ints(per.segments, unit)), a_total) for per in perimeters)
+    lo = max(Fraction(sum(e - s for s, e in zip(*anchors[0])), a_total) for anchors in scaled)
     hi = max(Fraction(min(ends[-1] for _, ends in anchors), a_min) for anchors in scaled)
     calls = 0
     hint = 0  # a single perimeter's last witness anchor is tried first

@@ -10,9 +10,10 @@ total cost in two stages:
 * an interval DP over cyclic segment ranges choosing where coverage
   blocks start and end, so gaps that are expensive to bridge get skipped.
 
-Costs and lengths are integers throughout; span lengths are rational and
-only their ceilings enter the knapsack (covering a span of length x costs
-exactly as much as covering ceil(x) because robot lengths are integers).
+Both stages run on integers.  The interval DP and the block layout read
+lengths through perimeter.integer_anchors, in units of 1/unit; a span x
+enters the knapsack as ceil(x), which costs exactly as much to cover since
+robot lengths are integers.  Fractions appear only in the emitted arcs.
 """
 from __future__ import annotations
 
@@ -21,46 +22,40 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import OutOfTableRange, ReconstructionMismatch, ValidationError
-from .perimeter import Arc, Perimeter, covers_all_segments, trim_tail
+from .perimeter import (
+    Arc, Perimeter, anchored_arc, covers_all_segments, integer_anchors, trim_tail,
+)
 from .rationals import ceil_fraction
 
 # -- types --------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class RobotTypeMC:
-    length: int
-    cost: int
-
-
-@dataclass(frozen=True)
 class TypesMC:
-    types: tuple[RobotTypeMC, ...]
+    """Robot catalog by column: type k covers an arc of `lengths[k]` for `costs[k]`."""
+
+    lengths: tuple[int, ...]
+    costs: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.types:
+        if not self.lengths:
             raise ValidationError("need at least one robot type")
-        for k, rt in enumerate(self.types):
-            if not isinstance(rt.length, int) or isinstance(rt.length, bool) or rt.length <= 0:
+        if len(self.costs) != len(self.lengths):
+            raise ValidationError(f"{len(self.lengths)} lengths but {len(self.costs)} costs")
+        for k, (l, c) in enumerate(zip(self.lengths, self.costs)):
+            if not isinstance(l, int) or isinstance(l, bool) or l <= 0:
                 raise ValidationError(f"type {k}: length must be a positive integer")
-            if not isinstance(rt.cost, int) or isinstance(rt.cost, bool) or rt.cost <= 0:
+            if not isinstance(c, int) or isinstance(c, bool) or c <= 0:
                 raise ValidationError(f"type {k}: cost must be a positive integer")
 
     @property
     def t(self) -> int:
-        return len(self.types)
-
-    @property
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(rt.length for rt in self.types)
-
-    @property
-    def costs(self) -> tuple[int, ...]:
-        return tuple(rt.cost for rt in self.types)
+        return len(self.lengths)
 
 
 def build_types_mc(pairs: Iterable[tuple[int, int]]) -> TypesMC:
-    return TypesMC(tuple(RobotTypeMC(l, c) for l, c in pairs))
+    pairs = list(pairs)
+    return TypesMC(tuple(l for l, _ in pairs), tuple(c for _, c in pairs))
 
 
 # -- presolve: cheapest cover of every integer length --------------------------
@@ -127,10 +122,13 @@ class IntervalCostTable:
     """cost[i][k]: cheapest cover of segments i..i+k (cyclic), all gaps inside
     bridged or the range split into cheaper sub-blocks; split[i][k] is -1 for
     a direct single-block cover, else the offset d where the range splits
-    into i..i+d and i+d+1..i+k."""
+    into i..i+d and i+d+1..i+k.  unit and bounds are the perimeter's
+    integer_anchors view the table was built on."""
 
     cost: list[list[int]]
     split: list[list[int]]
+    unit: int
+    bounds: list[tuple[list[int], list[int]]]
 
 
 def interval_table(per: Perimeter, lookup: CostLookup) -> IntervalCostTable:
@@ -141,11 +139,12 @@ def interval_table(per: Perimeter, lookup: CostLookup) -> IntervalCostTable:
     sub-ranges; direct covers win ties, then smaller split offsets.
     """
     q = per.q
+    unit, (bounds,) = integer_anchors([per])
     cost = [[0] * q for _ in range(q)]
     split = [[-1] * q for _ in range(q)]
     for k in range(q):
         for i in range(q):
-            best = lookup.costs[ceil_fraction(per.span_length(i, (i + k) % q))]
+            best = lookup.costs[-(-bounds[i][1][k] // unit)]
             bs = -1
             for d in range(k):
                 v = cost[i][d] + cost[(i + d + 1) % q][k - d - 1]
@@ -154,7 +153,7 @@ def interval_table(per: Perimeter, lookup: CostLookup) -> IntervalCostTable:
                     bs = d
             cost[i][k] = best
             split[i][k] = bs
-    return IntervalCostTable(cost, split)
+    return IntervalCostTable(cost, split, unit, bounds)
 
 
 @dataclass
@@ -177,47 +176,40 @@ def _direct_blocks(split, i: int, k: int, q: int) -> list[tuple[int, int]]:
     return left + right
 
 
-def _lay_block(
-    per: Perimeter,
-    lookup: CostLookup,
-    i: int,
-    k: int,
-    perimeter_index: int,
-) -> tuple[list[Arc], int]:
+def _lay_block(table: IntervalCostTable, lookup: CostLookup, per: Perimeter,
+               i: int, k: int, perimeter_index: int) -> tuple[list[Arc], int]:
     """Place an optimal robot multiset over segments i..i+k as concrete arcs.
 
-    Robots go down longest-first from the block's start; only the final arc
-    can overrun the block, and it shrinks to the block length; arc tails
-    ending inside a gap pull back to the gap's start.  Returns (arcs, cost).
+    Runs on anchor i's integer bounds in the table, where a robot of length
+    l steps l * unit.  Robots go down longest-first from the block's start;
+    only the final arc can overrun the block, and it shrinks to the block
+    length; arc tails ending inside a gap pull back to the gap's start.
+    Returns (arcs, cost).
     """
-    span = per.span_length(i, (i + k) % per.q)
-    cost, counts = sol(lookup, ceil_fraction(span))
-    starts, ends = per.unrolled(i)
+    unit = table.unit
+    starts, ends = table.bounds[i]
     starts, ends = starts[: k + 1], ends[: k + 1]
+    span = ends[k]
+    cost, counts = sol(lookup, -(-span // unit))
+    lengths = lookup.types.lengths
     robots: list[int] = []
     for tau, cnt in enumerate(counts):
         robots.extend([tau] * cnt)
-    robots.sort(key=lambda tau: (-lookup.types.lengths[tau], tau))
-    anchor_pos = per.seg_start(i)
-    c = per.circumference
+    robots.sort(key=lambda tau: (-lengths[tau], tau))
     arcs: list[Arc] = []
-    rel: list[tuple[Fraction, Fraction]] = []
-    pos = Fraction(0)
+    rel: list[tuple[int, int]] = []
+    pos = 0
     for tau in robots:
-        e = pos + lookup.types.lengths[tau]
-        if e > span:
-            e = span
-        e = trim_tail(starts, ends, e)
+        step = lengths[tau] * unit
+        e = trim_tail(starts, ends, min(pos + step, span))
         if e <= pos:
             raise ReconstructionMismatch(
-                f"robot of type {tau} contributes nothing at offset {pos} in block {(i, k)}"
+                f"robot of type {tau} contributes nothing at offset {Fraction(pos, unit)} "
+                f"in block {(i, k)}"
             )
         rel.append((pos, e))
-        g = anchor_pos + pos
-        if g >= c:
-            g -= c
-        arcs.append(Arc(perimeter_index, tau, g, e - pos))
-        pos += lookup.types.lengths[tau]
+        arcs.append(anchored_arc(per, i, unit, pos, e, perimeter_index, tau))
+        pos += step
     if not covers_all_segments(starts, ends, rel):
         raise ReconstructionMismatch(f"block {(i, k)} leaves segment content uncovered")
     return arcs, cost
@@ -239,7 +231,7 @@ def reconstruct_mc(
     arcs: list[Arc] = []
     spent = 0
     for i, k in blocks:
-        b_arcs, b_cost = _lay_block(per, lookup, i, k, perimeter_index)
+        b_arcs, b_cost = _lay_block(table, lookup, per, i, k, perimeter_index)
         arcs.extend(b_arcs)
         spent += b_cost
     want = table.cost[anchor][per.q - 1]

@@ -71,6 +71,19 @@ def _rand_mc(rng: SplitMix64, max_q=4, max_t=3, max_len=25):
     return per, types
 
 
+def _rand_frac(rng: SplitMix64, max_len: int) -> Fraction:
+    den = rng.randint(1, 3)
+    return F(rng.randint(1, max_len * den), den)
+
+
+def _rand_frac_perimeter(rng: SplitMix64, max_q=4, max_len=15):
+    q = rng.randint(1, max_q)
+    segments = [_rand_frac(rng, max_len) for _ in range(q)]
+    if q == 1 and rng.randint(0, 2) == 0:
+        return build_perimeter(segments, [])
+    return build_perimeter(segments, [_rand_frac(rng, max_len) for _ in range(q)])
+
+
 @functools.cache
 def lr_corpus():
     """500 solved ratio instances within the brute-force caps."""
@@ -318,6 +331,29 @@ def test_mc_witnesses_unchanged():
     )
     print("mc witnesses: PASS (criterion 2 and 9 solutions and the two-perimeter "
           "corpus match the pinned digest)")
+
+
+# sha256 over the objective, arcs and counts of 200 one- and two-perimeter
+# mc solutions whose lengths have denominators 1 to 3.
+MC_FRACTIONAL_WITNESS_DIGEST = "1fb11b608d3a28b48502e5c450aa1de3bf23e8a16dc8537a85e03189a37a182f"
+
+
+def test_mc_fractional_witnesses_unchanged():
+    rng = SplitMix64(997)
+    digest = hashlib.sha256()
+    for k in range(200):
+        perimeters = [_rand_frac_perimeter(rng) for _ in range(1 + k % 2)]
+        types = build_types_mc(
+            (rng.randint(1, 15), rng.randint(1, 20)) for _ in range(rng.randint(1, 3))
+        )
+        body = json.loads(write_solution(solution_from_mc(solve_mc_multi(perimeters, types))))
+        pinned = {key: body[key] for key in ("objective", "arcs", "counts")}
+        digest.update(json.dumps(pinned, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == MC_FRACTIONAL_WITNESS_DIGEST, (
+        "an mc witness deployment on fractional geometry changed; if on purpose, "
+        "say why and re-pin"
+    )
+    print("mc fractional witnesses: PASS (200 solutions match the pinned digest)")
 
 
 def test_criterion_10_reported_cost_identities():

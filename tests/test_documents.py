@@ -106,9 +106,17 @@ def test_exponent_strings_are_rejected():
         doc["perimeters"][0]["segments"][0] = text
         with pytest.raises(ParseError, match="exponent"):
             parse_instance(json.dumps(doc))
+    # Fraction() takes these too, but the documented syntax does not.
+    for text in ("1_000", " 3 ", "+3", ".5", "5.", "٣", "3\n", "1/0", "-", "1/-2"):
+        doc = json.loads(MC_DOC)
+        doc["perimeters"][0]["segments"][0] = text
+        with pytest.raises(ParseError, match="cannot parse"):
+            parse_instance(json.dumps(doc))
     doc = json.loads(MC_DOC)
     doc["perimeters"][0]["segments"] = ["9/4", "2.25"]
-    assert parse_instance(json.dumps(doc)).perimeters[0].segments == (F(9, 4), F(9, 4))
+    doc["perimeters"][0]["gaps"] = ["007/2", "1.0"]
+    per = parse_instance(json.dumps(doc)).perimeters[0]
+    assert (per.segments, per.gaps) == ((F(9, 4), F(9, 4)), (F(7, 2), F(1)))
 
 
 def test_validation_error_paths():

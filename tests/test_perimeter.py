@@ -2,7 +2,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perimeterguard.errors import (
@@ -18,6 +18,7 @@ from perimeterguard.perimeter import (
     build_perimeter,
     build_polygon_spec,
     from_polygon,
+    integer_anchors,
 )
 
 F = Fraction
@@ -207,6 +208,35 @@ def test_span_matches_linear_scan(per):
         if per.gaps:
             assert per.span_length(i, (i - 1) % per.q) + per.gaps[(i - 1) % per.q] \
                 == per.circumference
+
+
+@st.composite
+def thirds_perimeters(draw):
+    """Lengths over denominators 1 to 3; a single segment may be a gapless circle."""
+    def length():
+        den = draw(st.integers(min_value=1, max_value=3))
+        return F(draw(st.integers(min_value=1, max_value=12 * den)), den)
+
+    q = draw(st.integers(min_value=1, max_value=4))
+    segs = [length() for _ in range(q)]
+    if q == 1 and draw(st.booleans()):
+        return Perimeter(segs, [])
+    return Perimeter(segs, [length() for _ in range(q)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(thirds_perimeters(), min_size=1, max_size=3))
+@example([build_perimeter(["1/2", 2], [1, "1/3"]), build_perimeter([5], [])])  # unit 6
+def test_integer_anchors_scale_unrolled(pers):
+    unit, view = integer_anchors(pers)
+    assert len(view) == len(pers)
+    for per, anchors in zip(pers, view):
+        assert len(anchors) == per.q
+        for a, (starts, ends) in enumerate(anchors):
+            want_starts, want_ends = per.unrolled(a)
+            assert all(type(v) is int for v in starts + ends)
+            assert starts == [s * unit for s in want_starts]
+            assert ends == [e * unit for e in want_ends]
 
 
 # -- polygons ---------------------------------------------------------------

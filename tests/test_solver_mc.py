@@ -180,14 +180,17 @@ def test_counts_match_total_cost():
 
 @st.composite
 def mc_instances(draw, max_q=4, max_t=3, max_len=18):
+    """Segment and gap lengths over denominators 1 to 3; robot lengths are integers."""
+    def length():
+        den = draw(st.integers(min_value=1, max_value=3))
+        return F(draw(st.integers(min_value=1, max_value=max_len * den)), den)
+
     q = draw(st.integers(min_value=1, max_value=max_q))
-    segs = [draw(st.integers(min_value=1, max_value=max_len)) for _ in range(q)]
+    segs = [length() for _ in range(q)]
     if q == 1 and draw(st.booleans()):
         per = build_perimeter(segs, [])
     else:
-        per = build_perimeter(
-            segs, [draw(st.integers(min_value=1, max_value=max_len)) for _ in range(q)]
-        )
+        per = build_perimeter(segs, [length() for _ in range(q)])
     t = draw(st.integers(min_value=1, max_value=max_t))
     types = build_types_mc(
         (
