@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -79,24 +78,16 @@ def time_cell(
     return rows
 
 
-def _cell_task(args) -> list[BenchRow]:
-    return time_cell(*args)
-
-
-def run_suite(
-    suite: str, seeds: int = DEFAULT_SEEDS, full: bool = False, jobs: int = 1
-) -> list[BenchRow]:
-    """Run a whole suite; cells can run in parallel worker processes."""
+def run_suite(suite: str, seeds: int = DEFAULT_SEEDS, full: bool = False) -> list[BenchRow]:
+    """Run a whole suite, timing its cells one after another."""
     if seeds < 1:
         raise ValidationError("need at least one seed")
     seed_list = list(range(seeds))
-    tasks = [
-        (suite, problem, t, q, m, L, seed_list) for problem, t, q, m, L in _grid(suite, full)
+    return [
+        row
+        for problem, t, q, m, L in _grid(suite, full)
+        for row in time_cell(suite, problem, t, q, m, L, seed_list)
     ]
-    if jobs <= 1:
-        return [row for task in tasks for row in _cell_task(task)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return [row for rows in pool.map(_cell_task, tasks) for row in rows]
 
 
 def write_csv(rows: Iterable[BenchRow], path: str, comments: Sequence[str] = ()) -> None:

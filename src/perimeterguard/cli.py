@@ -117,7 +117,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    rows = run_suite(args.suite, seeds=args.seeds, full=args.full, jobs=args.jobs)
+    rows = run_suite(args.suite, seeds=args.seeds, full=args.full)
     scale = "full" if args.full else "desk"
     write_csv(rows, args.out, comments=(f"suite: {args.suite} ({scale} scale)",))
     means = [r for r in rows if r.seed == "mean"]
@@ -167,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--seeds", type=int, default=DEFAULT_SEEDS)
     p.add_argument("--full", action="store_true", help="run the full-size grid")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("render", help="draw an instance plus solution as SVG")

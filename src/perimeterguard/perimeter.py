@@ -13,8 +13,12 @@ Positions come in two flavors:
 
 Perimeter's own geometry is exact fractions.Fraction arithmetic, never
 floats; the validator, the oracles and solver_lr.inc use it.
-integer_anchors is the solvers' view of the same geometry: every length
-times the lcm of the denominators, so their dynamic programs run on ints.
+
+The solvers instead work on an integer view, and this module owns both of
+its edges.  integer_anchors scales in: every length times the lcm of the
+denominators, so the dynamic programs run on ints.  place_arcs scales
+out: it lays robots on one anchor's integer bounds, re-checks the
+deployment and emits the Arcs.
 """
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     CountMismatch,
@@ -31,6 +35,7 @@ from .errors import (
     IndexOutOfRange,
     NoGuardedEdge,
     NonPositiveLength,
+    ReconstructionMismatch,
 )
 from .rationals import RationalLike, common_denominator, scaled_ints, to_fraction
 
@@ -119,21 +124,6 @@ class Perimeter:
         gap just before the anchor (the whole circle when gapless)."""
         return self.span_length(anchor, (anchor - 1) % self.q)
 
-    def locate(self, position: Fraction) -> tuple[str, int]:
-        """Classify a global position in [0, circumference] as ("segment", i)
-        or ("gap", i).  Boundary points resolve to the piece they begin:
-        a segment end that starts gap i reports ("gap", i)."""
-        if position < 0 or position > self.circumference:
-            raise IndexOutOfRange(f"position {position} outside the circle")
-        if not self.gaps:
-            return ("segment", 0)
-        if position == self.circumference:
-            return ("segment", 0)
-        k = bisect_right(self._bounds, position) - 1
-        if k % 2 == 0:
-            return ("segment", k // 2)
-        return ("gap", k // 2)
-
     # -- anchored coordinates -------------------------------------------
 
     def unrolled(self, anchor: int) -> tuple[list[Fraction], list[Fraction]]:
@@ -216,36 +206,46 @@ def integer_anchors(perimeters: Sequence[Perimeter]):
     return unit, view
 
 
-def anchored_arc(per: Perimeter, anchor: int, unit: int, s: int, e: int,
-                 perimeter_index: int, robot_type: int) -> Arc:
-    """The Arc over integer anchored offsets s..e (in units of 1/unit from
-    segment `anchor`'s start), its start wrapped into [0, circumference)."""
-    g = per.seg_start(anchor) + Fraction(s, unit)
-    if g >= per.circumference:
-        g -= per.circumference
-    return Arc(perimeter_index, robot_type, g, Fraction(e - s, unit))
+def place_arcs(per: Perimeter, anchor: int, unit: int, starts: Sequence[int],
+               ends: Sequence[int], robots: Iterable[tuple[int, int, int]],
+               perimeter_index: int) -> list[Arc]:
+    """Lay robots out on one anchor's integer view and emit their Arcs.
 
-
-def trim_tail(starts, ends, e):
-    """Pull an arc end off a gap: anything in (segment_end, next_start] snaps
-    back to that segment end.  starts/ends are unrolled segment bounds in any
-    exactly ordered numeric domain (ints or Fractions)."""
-    j = bisect_left(starts, e) - 1
-    return e if e <= ends[j] else ends[j]
-
-
-def covers_all_segments(starts, ends, rel_arcs) -> bool:
-    """Do closed arcs (relative (start, end) pairs) cover every segment interval?"""
-    merged: list[list] = []
-    for s, e in sorted(rel_arcs):
-        if merged and s <= merged[-1][1]:
-            if e > merged[-1][1]:
-                merged[-1][1] = e
+    starts/ends are the anchor's unrolled segment bounds times unit (all of
+    them, or a prefix for a block); robots holds (type, start, reach) in
+    placement order, on the same grid.  Each arc ends at min(start + reach,
+    ends[-1]); a tail ending in a gap pulls back to the gap's start, and an
+    arc left empty is dropped.  Raises ReconstructionMismatch if the arcs
+    overlap, exceed a reach or leave a segment uncovered.
+    """
+    required = ends[-1]
+    base, circ = scaled_ints([per.seg_start(anchor), per.circumference], unit)
+    arcs: list[Arc] = []
+    run_starts: list[int] = []   # maximal runs of touching arcs
+    run_ends: list[int] = []
+    for tau, s, reach in robots:
+        e = min(s + reach, required)
+        j = bisect_left(starts, e) - 1
+        if e > ends[j]:
+            e = ends[j]
+        if e <= s:
+            continue
+        if e - s > reach:
+            raise ReconstructionMismatch("rebuilt arc exceeds its robot's reach")
+        if run_ends and s < run_ends[-1]:
+            raise ReconstructionMismatch("rebuilt arcs overlap")
+        if run_ends and s == run_ends[-1]:
+            run_ends[-1] = e
         else:
-            merged.append([s, e])
-    return all(
-        any(ms <= s and e <= me for ms, me in merged) for s, e in zip(starts, ends)
-    )
+            run_starts.append(s)
+            run_ends.append(e)
+        arcs.append(Arc(perimeter_index, tau, Fraction((base + s) % circ, unit),
+                        Fraction(e - s, unit)))
+    for a, b in zip(starts, ends):
+        r = bisect_right(run_starts, a) - 1
+        if r < 0 or b > run_ends[r]:
+            raise ReconstructionMismatch("rebuilt arcs do not cover every segment")
+    return arcs
 
 
 def build_perimeter(

@@ -13,13 +13,15 @@ skip over gaps for free.  The optimum is located by bisection on ell and
 snapped to the exact rational answer, which always has denominator at
 most the fleet's total capability.
 
-The DP runs on integers only.  perimeter.integer_anchors scales lengths
-once by the lcm of their denominators; at a candidate ratio p/d in those
-units the bounds are multiplied by d and a robot of capability a steps
-exactly a * p.  The search, the public decision functions, the tables
-and the reconstruction all share that one engine; Fractions appear only
-at the edges, where a ratio comes in and reaches, arcs and the objective
-go out.
+The DP runs on integers only, and perimeter.py owns both ways across the
+edge.  perimeter.integer_anchors scales lengths in once, by the lcm of
+their denominators; at a candidate ratio p/d in those units the bounds
+are multiplied by d and a robot of capability a steps exactly a * p.
+One decision routine, _decide, answers the bisection and the public
+decision functions; the tables, the Pareto fold and the reconstruction
+share the same DP.  perimeter.place_arcs scales the witness deployment
+back out as Arcs.  Otherwise Fraction appears only where a ratio comes
+in and where table reaches and the objective go out.
 """
 from __future__ import annotations
 
@@ -31,9 +33,7 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import IndexOutOfRange, ReconstructionMismatch, ValidationError
-from .perimeter import (
-    Arc, Perimeter, anchored_arc, covers_all_segments, integer_anchors, trim_tail,
-)
+from .perimeter import Arc, Perimeter, integer_anchors, place_arcs
 from .rationals import simplest_between
 
 # -- fleet ------------------------------------------------------------------
@@ -166,9 +166,18 @@ def _fill_table(starts, ends, steps, bounds, early_exit: bool):
     return values, backptr, hit
 
 
-def _first_anchor(anchors, steps, counts, order) -> int | None:
-    """First anchor in `order` from which the whole fleet reaches the working range."""
-    for anchor in order:
+def _decide(grids, steps, counts, first: int = 0) -> int | None:
+    """Can the fleet cover every perimeter in grids?  None if not.
+
+    With one perimeter, returns the witness anchor: `first` if the whole
+    fleet reaches the working range from it, else the smallest one that
+    does.  With several, the perimeters' Pareto layers are folded and the
+    answer is 0.
+    """
+    if len(grids) > 1:
+        return 0 if _fold_layers(grids, steps, counts)[0] else None
+    anchors = grids[0]
+    for anchor in (first, *(a for a in range(len(anchors)) if a != first)):
         starts, ends = anchors[anchor]
         if _fill_table(starts, ends, steps, counts, True)[2] >= 0:
             return anchor
@@ -220,7 +229,6 @@ class CoverageTable:
         self._unit = unit * ratio.denominator
         grids, self._steps = _at([anchors[anchor:anchor + 1]], fleet.capabilities, ratio)
         self._starts, self._ends = grids[0][0]
-        self.required = Fraction(self._ends[-1], self._unit)
         self._stride_list, _ = _strides([n + 1 for n in self.bounds])
         self._values, self._backptr, _ = _fill_table(
             self._starts, self._ends, self._steps, self.bounds, False
@@ -272,8 +280,7 @@ def feasible(per: Perimeter, fleet: FleetLR, ell: Fraction) -> tuple[bool, int |
 
     Returns (ok, witness_anchor) with the smallest witness anchor index.
     """
-    (anchors,), steps = _at_ell([per], fleet, ell)
-    anchor = _first_anchor(anchors, steps, fleet.counts, range(per.q))
+    anchor = _decide(*_at_ell([per], fleet, ell), fleet.counts)
     return anchor is not None, anchor
 
 
@@ -347,10 +354,7 @@ def partition_feasible(
     """Can the fleet be split so every perimeter is covered at ratio ell?"""
     if not perimeters:
         raise ValidationError("need at least one perimeter")
-    if len(perimeters) == 1:
-        return feasible(perimeters[0], fleet, ell)[0]
-    grids, steps = _at_ell(perimeters, fleet, ell)
-    return bool(_fold_layers(grids, steps, fleet.counts)[0])
+    return _decide(*_at_ell(perimeters, fleet, ell), fleet.counts) is not None
 
 
 # -- reconstruction -------------------------------------------------------------
@@ -361,44 +365,28 @@ def reconstruct_lr(
 ) -> list[Arc]:
     """Turn a feasible table cell into concrete arcs.
 
-    Walks the table's backpointers from `allocation`, places each robot at
-    the reach recorded for its predecessor cell, trims arc tails off gaps,
-    and drops robots that add nothing (their arc would have zero length).
-    Raises ReconstructionMismatch if a backpointer names no placed robot or
-    the rebuilt arcs fail the coverage or capacity re-check.
+    Walks the table's backpointers from `allocation` to the chain of robots
+    that built it, each starting at the reach of its predecessor cell, and
+    hands the chain to perimeter.place_arcs, which trims tails off gaps,
+    drops robots that add nothing and re-checks the deployment.  Raises
+    ReconstructionMismatch if the cell is not feasible, a backpointer names
+    no placed robot, or the re-check fails.
     """
     if not table.feasible_at(allocation):
         raise ReconstructionMismatch(
             f"allocation {allocation} does not reach the working range at ell={table.ell}"
         )
     x = list(allocation)
-    chain: list[tuple[int, int]] = []
+    chain: list[tuple[int, int, int]] = []
     while any(x):
         tau = table.backpointer(tuple(x))
         if tau is None or x[tau] <= 0:
             raise ReconstructionMismatch(f"backpointer at {tuple(x)} names no placed robot")
         x[tau] -= 1
-        chain.append((tau, table._values[table._index(tuple(x))]))
+        chain.append((tau, table._values[table._index(tuple(x))], table._steps[tau]))
     chain.reverse()
-    starts, ends, steps = table._starts, table._ends, table._steps
-    required = ends[-1]
-    rel_arcs: list[tuple[int, int, int]] = []
-    for tau, start in chain:
-        e = trim_tail(starts, ends, min(start + steps[tau], required))
-        if e > start:
-            rel_arcs.append((start, e, tau))
-    if not covers_all_segments(starts, ends, [(s, e) for s, e, _ in rel_arcs]):
-        raise ReconstructionMismatch("rebuilt arcs do not cover every segment")
-    for s, e, tau in rel_arcs:
-        if e - s > steps[tau]:
-            raise ReconstructionMismatch("rebuilt arc exceeds its robot's reach")
-    for (_, e1, _), (s2, _, _) in zip(rel_arcs, rel_arcs[1:]):
-        if s2 < e1:
-            raise ReconstructionMismatch("rebuilt arcs overlap")
-    return [
-        anchored_arc(table.per, table.anchor, table._unit, s, e, perimeter_index, tau)
-        for s, e, tau in rel_arcs
-    ]
+    return place_arcs(table.per, table.anchor, table._unit, table._starts, table._ends,
+                      chain, perimeter_index)
 
 
 # -- the solver ----------------------------------------------------------------
@@ -450,11 +438,7 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
     def check(ratio: Fraction) -> bool:
         nonlocal calls, hint
         calls += 1
-        grids, steps = _at(scaled, fleet.capabilities, ratio)
-        if len(grids) > 1:
-            return bool(_fold_layers(grids, steps, counts)[0])
-        order = [hint] + [a for a in range(len(grids[0])) if a != hint]
-        anchor = _first_anchor(grids[0], steps, counts, order)
+        anchor = _decide(*_at(scaled, fleet.capabilities, ratio), counts, hint)
         if anchor is None:
             return False
         hint = anchor

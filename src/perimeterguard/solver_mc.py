@@ -10,10 +10,12 @@ total cost in two stages:
 * an interval DP over cyclic segment ranges choosing where coverage
   blocks start and end, so gaps that are expensive to bridge get skipped.
 
-Both stages run on integers.  The interval DP and the block layout read
-lengths through perimeter.integer_anchors, in units of 1/unit; a span x
-enters the knapsack as ceil(x), which costs exactly as much to cover since
-robot lengths are integers.  Fractions appear only in the emitted arcs.
+Both stages run on integers.  The interval DP reads lengths through
+perimeter.integer_anchors, in units of 1/unit; a span x enters the
+knapsack as ceil(x), which costs exactly as much to cover since robot
+lengths are integers.  Each block's robots are stepped out on the same
+integer bounds and handed to perimeter.place_arcs, which trims, re-checks
+and emits them as Arcs.
 """
 from __future__ import annotations
 
@@ -22,9 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import OutOfTableRange, ReconstructionMismatch, ValidationError
-from .perimeter import (
-    Arc, Perimeter, anchored_arc, covers_all_segments, integer_anchors, trim_tail,
-)
+from .perimeter import Arc, Perimeter, integer_anchors, place_arcs
 from .rationals import ceil_fraction
 
 # -- types --------------------------------------------------------------------
@@ -180,38 +180,28 @@ def _lay_block(table: IntervalCostTable, lookup: CostLookup, per: Perimeter,
                i: int, k: int, perimeter_index: int) -> tuple[list[Arc], int]:
     """Place an optimal robot multiset over segments i..i+k as concrete arcs.
 
-    Runs on anchor i's integer bounds in the table, where a robot of length
-    l steps l * unit.  Robots go down longest-first from the block's start;
-    only the final arc can overrun the block, and it shrinks to the block
-    length; arc tails ending inside a gap pull back to the gap's start.
+    The multiset is sol()'s cover of the block's ceiled span.  On anchor i's
+    integer bounds in the table, robots go down longest first (ties by
+    type) from the block's start, a robot of length l stepping l * unit;
+    perimeter.place_arcs shrinks the last arc to the block, pulls tails out
+    of gaps and re-checks the block.  Every robot must keep an arc.
     Returns (arcs, cost).
     """
     unit = table.unit
     starts, ends = table.bounds[i]
     starts, ends = starts[: k + 1], ends[: k + 1]
-    span = ends[k]
-    cost, counts = sol(lookup, -(-span // unit))
+    cost, counts = sol(lookup, -(-ends[k] // unit))
     lengths = lookup.types.lengths
-    robots: list[int] = []
-    for tau, cnt in enumerate(counts):
-        robots.extend([tau] * cnt)
-    robots.sort(key=lambda tau: (-lengths[tau], tau))
-    arcs: list[Arc] = []
-    rel: list[tuple[int, int]] = []
+    robots: list[tuple[int, int, int]] = []
     pos = 0
-    for tau in robots:
+    for tau in sorted(range(len(counts)), key=lambda tau: (-lengths[tau], tau)):
         step = lengths[tau] * unit
-        e = trim_tail(starts, ends, min(pos + step, span))
-        if e <= pos:
-            raise ReconstructionMismatch(
-                f"robot of type {tau} contributes nothing at offset {Fraction(pos, unit)} "
-                f"in block {(i, k)}"
-            )
-        rel.append((pos, e))
-        arcs.append(anchored_arc(per, i, unit, pos, e, perimeter_index, tau))
-        pos += step
-    if not covers_all_segments(starts, ends, rel):
-        raise ReconstructionMismatch(f"block {(i, k)} leaves segment content uncovered")
+        for _ in range(counts[tau]):
+            robots.append((tau, pos, step))
+            pos += step
+    arcs = place_arcs(per, i, unit, starts, ends, robots, perimeter_index)
+    if len(arcs) < len(robots):
+        raise ReconstructionMismatch(f"a robot in block {(i, k)} contributes nothing")
     return arcs, cost
 
 

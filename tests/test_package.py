@@ -1,7 +1,14 @@
-"""The package's top-level namespace."""
+"""The package's top-level namespace, import cost and module boundaries."""
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import ModuleType
 
 import perimeterguard
+
+PACKAGE = Path(perimeterguard.__file__).parent
 
 
 def test_all_exports_public_names_not_submodules():
@@ -11,3 +18,34 @@ def test_all_exports_public_names_not_submodules():
     assert {"solve_lr", "solve_mc", "validate_solution", "GuardingError"} <= set(
         perimeterguard.__all__
     )
+
+
+def test_references_share_no_solver_code():
+    # The oracles and the validator check the solvers, so they may take only
+    # the fleet and catalog types from them, and neither integer view edge.
+    allowed = {"FleetLR", "TypesMC", "build_fleet_lr", "build_types_mc"}
+    solvers = {"solver_lr", "solver_mc"}
+    banned = {"integer_anchors", "place_arcs"}
+    for name in ("oracle.py", "validate.py"):
+        for node in ast.walk(ast.parse((PACKAGE / name).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith(tuple(solvers)):
+                imported = {alias.name for alias in node.names}
+                assert imported <= allowed, (name, imported - allowed)
+            elif isinstance(node, ast.alias):
+                assert node.name.rpartition(".")[2] not in solvers | banned, (name, node.name)
+            elif isinstance(node, ast.Name):
+                assert node.id not in banned, (name, node.id)
+            elif isinstance(node, ast.Attribute):
+                assert node.attr not in banned, (name, node.attr)
+
+
+def test_import_loads_no_process_pools():
+    code = (
+        "import sys, perimeterguard; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=60
+    )
+    assert out.stdout.strip() == "[]"

@@ -12,13 +12,16 @@ from perimeterguard.errors import (
     IndexOutOfRange,
     NoGuardedEdge,
     NonPositiveLength,
+    ReconstructionMismatch,
 )
 from perimeterguard.perimeter import (
+    Arc,
     Perimeter,
     build_perimeter,
     build_polygon_spec,
     from_polygon,
     integer_anchors,
+    place_arcs,
 )
 
 F = Fraction
@@ -116,13 +119,31 @@ def test_build_errors():
         per.normalize_position(0, F(-1))
 
 
-def test_locate_boundaries():
-    per = two_segment_example()
-    assert per.locate(F(1)) == ("segment", 0)
-    assert per.locate(F(2)) == ("gap", 0)       # segment end = gap start
-    assert per.locate(F(3)) == ("segment", 1)   # gap end = next segment start
-    assert per.locate(F(13, 2)) == ("gap", 1)
-    assert per.locate(F(8)) == ("segment", 0)   # full wrap
+def test_place_arcs():
+    # unit 2; from anchor 1 the integer view is segments [0, 5] and [9, 13],
+    # and anchor 1 sits at global 3 (6 units) on a 15/2-long (15-unit) circle.
+    per = build_perimeter([2, "5/2"], [1, 2])
+    unit, (anchors,) = integer_anchors([per])
+    assert unit == 2
+    starts, ends = anchors[1]
+    assert (starts, ends) == ([0, 9], [5, 13])
+    robots = [
+        (0, 0, 7),    # ends inside the gap: pulled back to its start, 5
+        (1, 5, 4),    # starts at the gap: nothing left, dropped
+        (0, 9, 1),    # global 15 units wraps to 0
+        (1, 10, 6),   # global 1/2, past 0; shrinks to the working range
+    ]
+    assert place_arcs(per, 1, unit, starts, ends, robots, 3) == [
+        Arc(3, 0, F(3), F(5, 2)),
+        Arc(3, 0, F(0), F(1, 2)),
+        Arc(3, 1, F(1, 2), F(3, 2)),
+    ]
+    with pytest.raises(ReconstructionMismatch, match="overlap"):
+        place_arcs(per, 1, unit, starts, ends, [(0, 0, 7), (1, 4, 10)], 0)
+    with pytest.raises(ReconstructionMismatch, match="cover"):
+        place_arcs(per, 1, unit, starts, ends, [(0, 0, 5), (1, 10, 3)], 0)
+    with pytest.raises(ValueError, match="denominator"):
+        place_arcs(per, 1, 1, [0, 4], [2, 6], [(0, 0, 6)], 0)
 
 
 # -- randomized properties -------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perimeterguard import solver_mc
-from perimeterguard.errors import OutOfTableRange
+from perimeterguard.errors import OutOfTableRange, ReconstructionMismatch
 from perimeterguard.oracle import brute_solve_mc
 from perimeterguard.perimeter import build_perimeter
 from perimeterguard.rationals import ceil_fraction
@@ -166,6 +166,20 @@ def test_reconstruction_examples():
     ]
     got = solve_mc(build_perimeter([4], []), build_types_mc([(4, 1)]))
     assert [(a.robot_type, a.start, a.length) for a in got.arcs] == [(0, F(0), F(4))]
+
+
+def test_surplus_robot_is_a_reconstruction_mismatch(monkeypatch):
+    # One more robot of the shortest type at the same cost: it lands past the
+    # block, so only the robot-count guard in the block layout can catch it.
+    real_sol = solver_mc.sol
+
+    def surplus(lookup, length):
+        cost, counts = real_sol(lookup, length)
+        return cost, (counts[0] + 1, *counts[1:])
+
+    monkeypatch.setattr(solver_mc, "sol", surplus)
+    with pytest.raises(ReconstructionMismatch, match="contributes nothing"):
+        solve_mc(build_perimeter([2, 3], [1, 2]), types_example())
 
 
 def test_counts_match_total_cost():
