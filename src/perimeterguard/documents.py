@@ -90,6 +90,8 @@ def _load_json(data: bytes | str, what: str) -> dict:
         raise ParseError(f"{what}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     except RecursionError as exc:
         raise ParseError(f"{what}: arrays or objects nested too deeply") from exc
+    except ValueError as exc:   # an integer literal past CPython's digit limit
+        raise ParseError(f"{what}: {exc}") from exc
     return _as_dict(doc, what)
 
 
@@ -268,8 +270,7 @@ def parse_solution(data: bytes | str) -> SolutionDocument:
         _as_int(c, f"counts[{k}]")
         for k, c in enumerate(_as_list(_require(doc, "counts", "solution"), "solution.counts"))
     )
-    stats = doc.get("stats", {})
-    stats = _as_dict(stats, "solution.stats") if stats else {}
+    stats = _as_dict(doc.get("stats", {}), "solution.stats")
     return SolutionDocument(
         problem=problem,
         objective=objective,

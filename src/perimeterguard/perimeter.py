@@ -14,11 +14,12 @@ Positions come in two flavors:
 Perimeter's own geometry is exact fractions.Fraction arithmetic, never
 floats; the validator, the oracles and solver_lr.inc use it.
 
-The solvers instead work on an integer view, and this module owns both of
+The solvers instead work on an integer line, and this module owns both of
 its edges.  integer_anchors scales in: every length times the lcm of the
-denominators, so the dynamic programs run on ints.  place_arcs scales
-out: it lays robots on one anchor's integer bounds, re-checks the
-deployment and emits the Arcs.
+denominators, laid out in global positions over two laps, so anchor a's
+view is a plain slice and the dynamic programs run on ints.  place_arcs
+scales out: it lays robots on a slice of the line, re-checks the
+deployment and wraps each arc's start back into the first lap.
 """
 from __future__ import annotations
 
@@ -184,42 +185,36 @@ class Perimeter:
 
 
 def integer_anchors(perimeters: Sequence[Perimeter]):
-    """(unit, per perimeter: every anchor's unrolled (starts, ends) times unit).
+    """(unit, per perimeter: its integer line (starts, ends)).
 
-    unit is the lcm of every length's denominator, so each bound is an int:
-    view[k][a] is perimeters[k].unrolled(a) scaled by unit.
+    unit is the lcm of every length's denominator, so each bound is an int.
+    A line holds the segment bounds times unit in global positions, from
+    the start of segment 0 and running two laps: 2q entries each, with the
+    circumference at starts[q].  Anchor a's view is the slice a:a+q, which
+    less starts[a] is perimeters[k].unrolled(a) scaled by unit.
     """
     unit = common_denominator(x for per in perimeters for x in (*per.segments, *per.gaps))
-    view = []
+    lines = []
     for per in perimeters:
-        segments = scaled_ints(per.segments, unit)
-        gaps = scaled_ints(per.gaps, unit) or [0]   # gapless circles have q == 1
-        anchors = []
-        for a in range(per.q):
-            starts, ends, pos = [], [], 0
-            for i in (*range(a, per.q), *range(a)):
-                starts.append(pos)
-                ends.append(pos := pos + segments[i])
-                pos += gaps[i]
-            anchors.append((starts, ends))
-        view.append(anchors)
-    return unit, view
+        bounds = scaled_ints(per._bounds, unit)   # S0 G0 S1 G1 ... (gapless: just S0)
+        starts, ends, circ = bounds[:-1:2], bounds[1::2], bounds[-1]
+        lines.append((starts + [s + circ for s in starts], ends + [e + circ for e in ends]))
+    return unit, lines
 
 
-def place_arcs(per: Perimeter, anchor: int, unit: int, starts: Sequence[int],
-               ends: Sequence[int], robots: Iterable[tuple[int, int, int]],
-               perimeter_index: int) -> list[Arc]:
-    """Lay robots out on one anchor's integer view and emit their Arcs.
+def place_arcs(unit: int, circ: int, starts: Sequence[int], ends: Sequence[int],
+               robots: Iterable[tuple[int, int, int]], perimeter_index: int) -> list[Arc]:
+    """Lay robots out on a slice of an integer line and emit their Arcs.
 
-    starts/ends are the anchor's unrolled segment bounds times unit (all of
-    them, or a prefix for a block); robots holds (type, start, reach) in
-    placement order, on the same grid.  Each arc ends at min(start + reach,
-    ends[-1]); a tail ending in a gap pulls back to the gap's start, and an
-    arc left empty is dropped.  Raises ReconstructionMismatch if the arcs
+    starts/ends are consecutive segment bounds from integer_anchors' line
+    (an anchor's lap or a block of it), circ its circumference; robots
+    holds (type, start, reach) in placement order, on the same grid.  Each
+    arc ends at min(start + reach, ends[-1]); a tail ending in a gap pulls
+    back to the gap's start, an arc left empty is dropped, and an arc
+    starts at start % circ.  Raises ReconstructionMismatch if the arcs
     overlap, exceed a reach or leave a segment uncovered.
     """
     required = ends[-1]
-    base, circ = scaled_ints([per.seg_start(anchor), per.circumference], unit)
     arcs: list[Arc] = []
     run_starts: list[int] = []   # maximal runs of touching arcs
     run_ends: list[int] = []
@@ -239,8 +234,7 @@ def place_arcs(per: Perimeter, anchor: int, unit: int, starts: Sequence[int],
         else:
             run_starts.append(s)
             run_ends.append(e)
-        arcs.append(Arc(perimeter_index, tau, Fraction((base + s) % circ, unit),
-                        Fraction(e - s, unit)))
+        arcs.append(Arc(perimeter_index, tau, Fraction(s % circ, unit), Fraction(e - s, unit)))
     for a, b in zip(starts, ends):
         r = bisect_right(run_starts, a) - 1
         if r < 0 or b > run_ends[r]:

@@ -36,7 +36,10 @@ def to_fraction(value: RationalLike, where: str = "value") -> Fraction:
             raise ParseError(f"{where}: exponent forms are not accepted, got {value!r}")
         if not _RATIONAL.fullmatch(value):
             raise ParseError(f"{where}: cannot parse rational from {value!r}")
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ValueError as exc:   # more digits than CPython converts
+            raise ParseError(f"{where}: {exc}") from exc
     raise ParseError(f"{where}: expected int or 'num/den' string, got {type(value).__name__}")
 
 

@@ -13,15 +13,17 @@ skip over gaps for free.  The optimum is located by bisection on ell and
 snapped to the exact rational answer, which always has denominator at
 most the fleet's total capability.
 
-The DP runs on integers only, and perimeter.py owns both ways across the
-edge.  perimeter.integer_anchors scales lengths in once, by the lcm of
-their denominators; at a candidate ratio p/d in those units the bounds
-are multiplied by d and a robot of capability a steps exactly a * p.
-One decision routine, _decide, answers the bisection and the public
-decision functions; the tables, the Pareto fold and the reconstruction
-share the same DP.  perimeter.place_arcs scales the witness deployment
-back out as Arcs.  Otherwise Fraction appears only where a ratio comes
-in and where table reaches and the objective go out.
+The DP runs on integers only.  perimeter.integer_anchors scales lengths
+in once, by the lcm of their denominators, as one line of global
+positions per perimeter over two laps; at a candidate ratio p/d in those
+units the line is multiplied by d and a robot of capability a steps
+exactly a * p.  An anchor's table runs on its lap, the slice of the line
+from the anchor: a shift keeps every comparison and tie-break.  _decide
+answers the bisection and the public decision functions; the tables, the
+Pareto fold and the reconstruction share the same DP, and
+perimeter.place_arcs scales the witness deployment back out as Arcs.
+Otherwise Fraction appears only where a ratio comes in and where table
+reaches and the objective go out.
 """
 from __future__ import annotations
 
@@ -88,17 +90,14 @@ AllocationVector = tuple[int, ...]
 def _at(scaled, capabilities: Sequence[int], ratio: Fraction):
     """Integer bounds and steps at a scaled ratio p/d (ratio = ell * unit).
 
-    scaled holds integer_anchors' bounds (per perimeter, a list of anchors).
+    scaled holds integer_anchors' lines, one (starts, ends) per perimeter.
     In units of 1/(unit * d), bounds are multiplied by d and a robot of
     capability a steps exactly a * p.  Scaling by a positive constant keeps
     every comparison and tie-break, so the DP decides exactly as it would
     over the rationals.
     """
     p, d = ratio.numerator, ratio.denominator
-    grids = [
-        [([s * d for s in starts], [e * d for e in ends]) for starts, ends in anchors]
-        for anchors in scaled
-    ]
+    grids = [([s * d for s in starts], [e * d for e in ends]) for starts, ends in scaled]
     return grids, [a * p for a in capabilities]
 
 
@@ -123,17 +122,17 @@ def _strides(sizes: Sequence[int]) -> tuple[list[int], int]:
 def _fill_table(starts, ends, steps, bounds, early_exit: bool):
     """Reach DP over all allocation vectors, in lexicographic cell order.
 
-    starts, ends and steps are integers on one grid (see _at).  Cell x
-    holds the furthest normalized reach from offset 0 using x_tau robots
-    per type, capped at the working range ends[-1]; ties between types
-    resolve to the smallest type index.  Returns (values, backptr, hit)
-    with hit the first feasible cell index, -1 if none (values/backptr are
-    partial when early_exit stops the sweep).
+    starts, ends and steps are integers on one grid (see _at), the bounds
+    one anchor's lap.  Cell x holds the furthest normalized reach from
+    starts[0] using x_tau robots per type, capped at the working range's
+    end ends[-1]; ties between types resolve to the smallest type index.
+    Returns (values, backptr, hit) with hit the first feasible cell index,
+    -1 if none (values/backptr are partial when early_exit stops the sweep).
     """
     required = ends[-1]
     sizes = [n + 1 for n in bounds]
     strides, total = _strides(sizes)
-    values = [0] * total
+    values = [starts[0]] * total
     backptr = [-1] * total
     hit = -1
     br = bisect_right
@@ -176,18 +175,38 @@ def _decide(grids, steps, counts, first: int = 0) -> int | None:
     """
     if len(grids) > 1:
         return 0 if _fold_layers(grids, steps, counts)[0] else None
-    anchors = grids[0]
-    for anchor in (first, *(a for a in range(len(anchors)) if a != first)):
-        starts, ends = anchors[anchor]
-        if _fill_table(starts, ends, steps, counts, True)[2] >= 0:
-            return anchor
+    starts, ends = grids[0]
+    q = len(starts) // 2
+    for a in (first, *(a for a in range(q) if a != first)):
+        if _fill_table(starts[a:a + q], ends[a:a + q], steps, counts, True)[2] >= 0:
+            return a
     return None
 
 
-def _pareto_layer(anchors, counts, steps) -> list[tuple[AllocationVector, int]]:
+def _minimal(marked, sizes, strides) -> list[tuple[int, AllocationVector]]:
+    """Minimal cells of the upward closure of `marked`, a bytearray over the grid.
+
+    Walks the grid once in lex order, closing `marked` upward in place; a
+    cell is minimal if it is marked and no cell one robot below it is.
+    Returns lex-sorted (index, cell) pairs.
+    """
+    axes = list(enumerate(strides))
+    out = []
+    for idx, x in enumerate(product(*map(range, sizes))):
+        for tau, stride in axes:
+            if x[tau] and marked[idx - stride]:
+                marked[idx] = 1
+                break
+        else:
+            if marked[idx]:
+                out.append((idx, x))
+    return out
+
+
+def _pareto_layer(line, counts, steps) -> list[tuple[AllocationVector, int]]:
     """Antichain of minimal feasible allocation vectors for one perimeter.
 
-    anchors holds every anchor's integer (starts, ends).  Returns
+    line is the perimeter's integer (starts, ends) over two laps.  Returns
     lex-sorted (vector, witness_anchor) pairs; witness_anchor is the
     smallest anchor at which that vector reaches the working range.
     """
@@ -195,27 +214,25 @@ def _pareto_layer(anchors, counts, steps) -> list[tuple[AllocationVector, int]]:
     strides, total = _strides(sizes)
     feas = bytearray(total)
     wit = [-1] * total
-    for anchor, (starts, ends) in enumerate(anchors):
-        values, _, hit = _fill_table(starts, ends, steps, counts, False)
+    starts, ends = line
+    q = len(starts) // 2
+    for a in range(q):
+        values, _, hit = _fill_table(starts[a:a + q], ends[a:a + q], steps, counts, False)
         if hit < 0:
             continue
-        required = ends[-1]
+        required = ends[a + q - 1]
         for idx in range(total):
             if not feas[idx] and values[idx] >= required:
                 feas[idx] = 1
-                wit[idx] = anchor
-    # The feasible set is upward closed: keep the cells with no feasible predecessor.
-    return [
-        (x, wit[idx])
-        for idx, x in enumerate(product(*map(range, sizes)))
-        if feas[idx] and not any(cnt and feas[idx - strides[tau]] for tau, cnt in enumerate(x))
-    ]
+                wit[idx] = a
+    return [(x, wit[idx]) for idx, x in _minimal(feas, sizes, strides)]
 
 
 class CoverageTable:
     """Full reach table for one (perimeter, anchor, fleet, ell) combination.
 
-    The DP runs on _at's integers, in units of 1/_unit; value() scales back out.
+    The DP runs on the anchor's lap of _at's line, in units of 1/_unit;
+    value() subtracts the lap's origin and scales back out.
     """
 
     def __init__(self, per: Perimeter, anchor: int, fleet: FleetLR, ell: Fraction):
@@ -224,11 +241,12 @@ class CoverageTable:
         self.fleet = fleet
         self.ell = Fraction(ell)
         self.bounds = fleet.counts
-        unit, (anchors,) = integer_anchors([per])
+        unit, lines = integer_anchors([per])
         ratio = self.ell * unit
         self._unit = unit * ratio.denominator
-        grids, self._steps = _at([anchors[anchor:anchor + 1]], fleet.capabilities, ratio)
-        self._starts, self._ends = grids[0][0]
+        ((starts, ends),), self._steps = _at(lines, fleet.capabilities, ratio)
+        self._circ = starts[per.q]
+        self._starts, self._ends = starts[anchor:anchor + per.q], ends[anchor:anchor + per.q]
         self._stride_list, _ = _strides([n + 1 for n in self.bounds])
         self._values, self._backptr, _ = _fill_table(
             self._starts, self._ends, self._steps, self.bounds, False
@@ -248,7 +266,7 @@ class CoverageTable:
 
     def value(self, allocation: AllocationVector) -> Fraction:
         """Furthest normalized reach using the given robots."""
-        return Fraction(self._values[self._index(allocation)], self._unit)
+        return Fraction(self._values[self._index(allocation)] - self._starts[0], self._unit)
 
     def backpointer(self, allocation: AllocationVector) -> int | None:
         """Type index placed last on the path to this cell (None at origin)."""
@@ -286,8 +304,8 @@ def feasible(per: Perimeter, fleet: FleetLR, ell: Fraction) -> tuple[bool, int |
 
 def pareto_feasible_vectors(per: Perimeter, fleet: FleetLR, ell: Fraction) -> list[AllocationVector]:
     """All minimal allocation vectors that cover the perimeter at ratio ell."""
-    (anchors,), steps = _at_ell([per], fleet, ell)
-    return [v for v, _ in _pareto_layer(anchors, fleet.counts, steps)]
+    (line,), steps = _at_ell([per], fleet, ell)
+    return [v for v, _ in _pareto_layer(line, fleet.counts, steps)]
 
 
 def _fold_step(prev, layer, sizes, strides):
@@ -301,28 +319,12 @@ def _fold_step(prev, layer, sizes, strides):
     for u in prev:
         for v, anchor in layer:
             w = tuple(a + b for a, b in zip(u, v))
-            if any(c >= s for c, s in zip(w, sizes)):
-                continue
-            if w not in cand:
-                cand[w] = (u, v, anchor)
-    if not cand:
-        return [], {}
-    total = math.prod(sizes)
-    member = bytearray(total)
+            if all(c < s for c, s in zip(w, sizes)):
+                cand.setdefault(w, (u, v, anchor))
+    member = bytearray(math.prod(sizes))
     for w in cand:
         member[sum(c * s for c, s in zip(w, strides))] = 1
-    closure = bytearray(total)
-    for idx, x in enumerate(product(*map(range, sizes))):
-        if member[idx] or any(
-            cnt and closure[idx - strides[tau]] for tau, cnt in enumerate(x)
-        ):
-            closure[idx] = 1
-    minimal = []
-    for w in sorted(cand):
-        idx = sum(c * s for c, s in zip(w, strides))
-        if not any(cnt and closure[idx - strides[tau]] for tau, cnt in enumerate(w)):
-            minimal.append(w)
-    return minimal, cand
+    return [w for _, w in _minimal(member, sizes, strides)], cand
 
 
 def _fold_layers(grids, steps, counts):
@@ -337,8 +339,8 @@ def _fold_layers(grids, steps, counts):
     strides, _ = _strides(sizes)
     prev: list[AllocationVector] = [tuple([0] * len(counts))]
     parents: list[dict] = []
-    for anchors in grids:
-        layer = _pareto_layer(anchors, counts, steps)
+    for line in grids:
+        layer = _pareto_layer(line, counts, steps)
         if not layer:
             return [], parents
         prev, cand = _fold_step(prev, layer, sizes, strides)
@@ -385,8 +387,8 @@ def reconstruct_lr(
         x[tau] -= 1
         chain.append((tau, table._values[table._index(tuple(x))], table._steps[tau]))
     chain.reverse()
-    return place_arcs(table.per, table.anchor, table._unit, table._starts, table._ends,
-                      chain, perimeter_index)
+    return place_arcs(table._unit, table._circ, table._starts, table._ends, chain,
+                      perimeter_index)
 
 
 # -- the solver ----------------------------------------------------------------
@@ -429,9 +431,11 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
 
     # Ratios here are scaled (ell * unit).  Every segment must be physically
     # covered, so ell is at least (total guarded length)/A; one robot from
-    # the best anchor always suffices at the upper bound.
-    lo = max(Fraction(sum(e - s for s, e in zip(*anchors[0])), a_total) for anchors in scaled)
-    hi = max(Fraction(min(ends[-1] for _, ends in anchors), a_min) for anchors in scaled)
+    # the anchor after the widest gap always suffices at the upper bound.
+    lo = hi = Fraction(0)
+    for per, (starts, ends) in zip(perimeters, scaled):
+        lo = max(lo, Fraction(sum(ends[:per.q]) - sum(starts[:per.q]), a_total))
+        hi = max(hi, Fraction(starts[per.q] - max(s - e for s, e in zip(starts[1:], ends)), a_min))
     calls = 0
     hint = 0  # a single perimeter's last witness anchor is tried first
 

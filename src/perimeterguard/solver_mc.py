@@ -10,12 +10,12 @@ total cost in two stages:
 * an interval DP over cyclic segment ranges choosing where coverage
   blocks start and end, so gaps that are expensive to bridge get skipped.
 
-Both stages run on integers.  The interval DP reads lengths through
-perimeter.integer_anchors, in units of 1/unit; a span x enters the
-knapsack as ceil(x), which costs exactly as much to cover since robot
-lengths are integers.  Each block's robots are stepped out on the same
-integer bounds and handed to perimeter.place_arcs, which trims, re-checks
-and emits them as Arcs.
+Both stages run on integers.  The interval DP reads spans off
+perimeter.integer_anchors' line, in units of 1/unit (range i..i+k spans
+ends[i + k] - starts[i]); a span x enters the knapsack as ceil(x), which
+costs exactly as much to cover since robot lengths are integers.  Each
+block's robots are stepped out on the same line and handed to
+perimeter.place_arcs, which trims, re-checks and emits them as Arcs.
 """
 from __future__ import annotations
 
@@ -122,13 +122,14 @@ class IntervalCostTable:
     """cost[i][k]: cheapest cover of segments i..i+k (cyclic), all gaps inside
     bridged or the range split into cheaper sub-blocks; split[i][k] is -1 for
     a direct single-block cover, else the offset d where the range splits
-    into i..i+d and i+d+1..i+k.  unit and bounds are the perimeter's
-    integer_anchors view the table was built on."""
+    into i..i+d and i+d+1..i+k.  unit, starts and ends are the perimeter's
+    integer_anchors line the table was built on."""
 
     cost: list[list[int]]
     split: list[list[int]]
     unit: int
-    bounds: list[tuple[list[int], list[int]]]
+    starts: list[int]
+    ends: list[int]
 
 
 def interval_table(per: Perimeter, lookup: CostLookup) -> IntervalCostTable:
@@ -139,12 +140,12 @@ def interval_table(per: Perimeter, lookup: CostLookup) -> IntervalCostTable:
     sub-ranges; direct covers win ties, then smaller split offsets.
     """
     q = per.q
-    unit, (bounds,) = integer_anchors([per])
+    unit, ((starts, ends),) = integer_anchors([per])
     cost = [[0] * q for _ in range(q)]
     split = [[-1] * q for _ in range(q)]
     for k in range(q):
         for i in range(q):
-            best = lookup.costs[-(-bounds[i][1][k] // unit)]
+            best = lookup.costs[-(-(ends[i + k] - starts[i]) // unit)]
             bs = -1
             for d in range(k):
                 v = cost[i][d] + cost[(i + d + 1) % q][k - d - 1]
@@ -153,7 +154,7 @@ def interval_table(per: Perimeter, lookup: CostLookup) -> IntervalCostTable:
                     bs = d
             cost[i][k] = best
             split[i][k] = bs
-    return IntervalCostTable(cost, split, unit, bounds)
+    return IntervalCostTable(cost, split, unit, starts, ends)
 
 
 @dataclass
@@ -180,26 +181,25 @@ def _lay_block(table: IntervalCostTable, lookup: CostLookup, per: Perimeter,
                i: int, k: int, perimeter_index: int) -> tuple[list[Arc], int]:
     """Place an optimal robot multiset over segments i..i+k as concrete arcs.
 
-    The multiset is sol()'s cover of the block's ceiled span.  On anchor i's
-    integer bounds in the table, robots go down longest first (ties by
-    type) from the block's start, a robot of length l stepping l * unit;
+    The multiset is sol()'s cover of the block's ceiled span.  On the
+    table's integer line, robots go down longest first (ties by type) from
+    the block's start, a robot of length l stepping l * unit;
     perimeter.place_arcs shrinks the last arc to the block, pulls tails out
     of gaps and re-checks the block.  Every robot must keep an arc.
     Returns (arcs, cost).
     """
     unit = table.unit
-    starts, ends = table.bounds[i]
-    starts, ends = starts[: k + 1], ends[: k + 1]
-    cost, counts = sol(lookup, -(-ends[k] // unit))
+    starts, ends = table.starts[i:i + k + 1], table.ends[i:i + k + 1]
+    cost, counts = sol(lookup, -(-(ends[k] - starts[0]) // unit))
     lengths = lookup.types.lengths
     robots: list[tuple[int, int, int]] = []
-    pos = 0
+    pos = starts[0]
     for tau in sorted(range(len(counts)), key=lambda tau: (-lengths[tau], tau)):
         step = lengths[tau] * unit
         for _ in range(counts[tau]):
             robots.append((tau, pos, step))
             pos += step
-    arcs = place_arcs(per, i, unit, starts, ends, robots, perimeter_index)
+    arcs = place_arcs(unit, table.starts[per.q], starts, ends, robots, perimeter_index)
     if len(arcs) < len(robots):
         raise ReconstructionMismatch(f"a robot in block {(i, k)} contributes nothing")
     return arcs, cost

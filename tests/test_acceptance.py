@@ -27,10 +27,13 @@ from perimeterguard.oracle import (
     gen_subsetsum_instance,
 )
 from perimeterguard.perimeter import build_perimeter
+from perimeterguard.errors import ReconstructionMismatch
 from perimeterguard.solver_lr import (
     build_fleet_lr,
+    coverage_table,
     partition_feasible,
     ratio_certificate,
+    reconstruct_lr,
     solve_lr,
 )
 from perimeterguard.solver_mc import build_types_mc, presolve, solve_mc, solve_mc_multi
@@ -354,6 +357,41 @@ def test_mc_fractional_witnesses_unchanged():
         "say why and re-pin"
     )
     print("mc fractional witnesses: PASS (200 solutions match the pinned digest)")
+
+
+# sha256 over every lr CoverageTable cell of 300 one-perimeter instances whose
+# lengths have denominators 1 to 3, from every anchor at ell* and 0.99 * ell*:
+# the cell's value, its backpointer and its reconstruction (arcs, or the
+# exception's class name).
+LR_CELL_DIGEST = "8ccc90164b74fb6de9bd45ef4fb8d6ec90b2d8960d43dc51641f65bd01abde32"
+
+
+def test_coverage_table_cells_unchanged():
+    rng = SplitMix64(996)
+    digest = hashlib.sha256()
+    cells = 0
+    for _ in range(300):
+        per = _rand_frac_perimeter(rng, max_len=12)
+        fleet = build_fleet_lr(
+            (rng.randint(1, 12), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))
+        )
+        ell_star = solve_lr([per], fleet).objective
+        for ell in (ell_star, ell_star * F(99, 100)):
+            for anchor in range(per.q):
+                table = coverage_table(per, anchor, fleet, ell)
+                for x in product(*(range(n + 1) for n in fleet.counts)):
+                    try:
+                        rebuilt = [[a.robot_type, str(a.start), str(a.length)]
+                                   for a in reconstruct_lr(table, x)]
+                    except ReconstructionMismatch as exc:
+                        rebuilt = type(exc).__name__
+                    record = [str(table.value(x)), table.backpointer(x), rebuilt]
+                    digest.update(json.dumps(record).encode() + b"\n")
+                    cells += 1
+    assert digest.hexdigest() == LR_CELL_DIGEST, (
+        "an lr table cell or its reconstruction changed; if on purpose, say why and re-pin"
+    )
+    print(f"lr table cells: PASS ({cells} cells match the pinned digest)")
 
 
 def test_criterion_10_reported_cost_identities():

@@ -82,6 +82,21 @@ def test_deeply_nested_document_exits_2(tmp_path, capsys):
     assert "nested too deeply" in capsys.readouterr().err
 
 
+def test_over_long_number_exits_2(tmp_path, capsys):
+    big = "9" * 5000
+    string_segment = json.loads(MC_TEXT)
+    string_segment["perimeters"][0]["segments"][0] = big
+    texts = (
+        json.dumps(string_segment),
+        MC_TEXT.replace('"segments": [7]', f'"segments": [{big}]'),
+        MC_TEXT.replace('"problem": "mc"', f'"problem": "mc", "seed": {big}'),
+    )
+    for k, text in enumerate(texts):
+        assert main(["solve", "--input", put(tmp_path, f"{k}.json", text)]) == 2
+        err = capsys.readouterr().err
+        assert "4300 digits" in err and "Traceback" not in err
+
+
 def test_oracle_matches_solver(tmp_path, capsys):
     inp = put(tmp_path, "i.json", LR_TEXT)
     assert main(["oracle", "--input", inp]) == 0

@@ -119,6 +119,18 @@ def test_exponent_strings_are_rejected():
     assert (per.segments, per.gaps) == ((F(9, 4), F(9, 4)), (F(7, 2), F(1)))
 
 
+def test_over_long_numbers_are_parse_errors():
+    big = "9" * 5000   # past CPython's 4,300-digit limit on int <-> str
+    as_string = json.loads(MC_DOC)
+    as_string["perimeters"][0]["segments"][0] = big
+    with pytest.raises(ParseError, match=r"perimeters\[0\].segments\[0\]: .*4300 digits"):
+        parse_instance(json.dumps(as_string))
+    for text in (MC_DOC.replace('"segments": [2, 3]', f'"segments": [{big}, 3]'),
+                 MC_DOC.replace('"problem": "mc"', f'"problem": "mc", "seed": {big}')):
+        with pytest.raises(ParseError, match="instance: .*4300 digits"):
+            parse_instance(text)
+
+
 def test_validation_error_paths():
     with pytest.raises(ValidationError, match="problem"):
         parse_instance('{"problem": "xx", "perimeters": [], "types": []}')
@@ -162,6 +174,20 @@ def test_solution_round_trip():
     instance = parse_instance(MC_DOC)
     sol = solution_from_mc(solve_mc_multi(instance.perimeters, instance.types))
     assert parse_solution(write_solution(sol)) == sol
+
+
+def test_non_object_stats_is_a_parse_error():
+    instance = parse_instance(MC_DOC)
+    body = json.loads(write_solution(solution_from_mc(
+        solve_mc_multi(instance.perimeters, instance.types))))
+    for stats in ([], 0, "", False, [1], "x"):
+        body["stats"] = stats
+        with pytest.raises(ParseError, match="solution.stats"):
+            parse_solution(json.dumps(body))
+    body["stats"] = {}
+    assert parse_solution(json.dumps(body)).stats == {}
+    del body["stats"]
+    assert parse_solution(json.dumps(body)).stats == {}
 
 
 def test_solution_from_lr_counts_deployed_robots():

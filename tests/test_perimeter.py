@@ -120,30 +120,29 @@ def test_build_errors():
 
 
 def test_place_arcs():
-    # unit 2; from anchor 1 the integer view is segments [0, 5] and [9, 13],
-    # and anchor 1 sits at global 3 (6 units) on a 15/2-long (15-unit) circle.
+    # unit 2; the line runs two laps of a 15/2-long (15-unit) circle, and
+    # anchor 1's lap is segments [6, 11] and [15, 19] in global units.
     per = build_perimeter([2, "5/2"], [1, 2])
-    unit, (anchors,) = integer_anchors([per])
+    unit, ((line_starts, line_ends),) = integer_anchors([per])
     assert unit == 2
-    starts, ends = anchors[1]
-    assert (starts, ends) == ([0, 9], [5, 13])
+    assert (line_starts, line_ends) == ([0, 6, 15, 21], [4, 11, 19, 26])
+    circ = line_starts[per.q]
+    starts, ends = line_starts[1:3], line_ends[1:3]
     robots = [
-        (0, 0, 7),    # ends inside the gap: pulled back to its start, 5
-        (1, 5, 4),    # starts at the gap: nothing left, dropped
-        (0, 9, 1),    # global 15 units wraps to 0
-        (1, 10, 6),   # global 1/2, past 0; shrinks to the working range
+        (0, 6, 7),    # ends inside the gap: pulled back to its start, 11
+        (1, 11, 4),   # starts at the gap: nothing left, dropped
+        (0, 15, 1),   # global 15 units wraps to 0
+        (1, 16, 6),   # global 1/2, past 0; shrinks to the working range
     ]
-    assert place_arcs(per, 1, unit, starts, ends, robots, 3) == [
+    assert place_arcs(unit, circ, starts, ends, robots, 3) == [
         Arc(3, 0, F(3), F(5, 2)),
         Arc(3, 0, F(0), F(1, 2)),
         Arc(3, 1, F(1, 2), F(3, 2)),
     ]
     with pytest.raises(ReconstructionMismatch, match="overlap"):
-        place_arcs(per, 1, unit, starts, ends, [(0, 0, 7), (1, 4, 10)], 0)
+        place_arcs(unit, circ, starts, ends, [(0, 6, 7), (1, 10, 10)], 0)
     with pytest.raises(ReconstructionMismatch, match="cover"):
-        place_arcs(per, 1, unit, starts, ends, [(0, 0, 5), (1, 10, 3)], 0)
-    with pytest.raises(ValueError, match="denominator"):
-        place_arcs(per, 1, 1, [0, 4], [2, 6], [(0, 0, 6)], 0)
+        place_arcs(unit, circ, starts, ends, [(0, 6, 5), (1, 16, 3)], 0)
 
 
 # -- randomized properties -------------------------------------------------
@@ -249,15 +248,17 @@ def thirds_perimeters(draw):
 @given(st.lists(thirds_perimeters(), min_size=1, max_size=3))
 @example([build_perimeter(["1/2", 2], [1, "1/3"]), build_perimeter([5], [])])  # unit 6
 def test_integer_anchors_scale_unrolled(pers):
-    unit, view = integer_anchors(pers)
-    assert len(view) == len(pers)
-    for per, anchors in zip(pers, view):
-        assert len(anchors) == per.q
-        for a, (starts, ends) in enumerate(anchors):
+    unit, lines = integer_anchors(pers)
+    assert len(lines) == len(pers)
+    for per, (starts, ends) in zip(pers, lines):
+        assert len(starts) == len(ends) == 2 * per.q
+        assert all(type(v) is int for v in starts + ends)
+        assert starts[per.q] == per.circumference * unit
+        for a in range(per.q):
             want_starts, want_ends = per.unrolled(a)
-            assert all(type(v) is int for v in starts + ends)
-            assert starts == [s * unit for s in want_starts]
-            assert ends == [e * unit for e in want_ends]
+            origin = starts[a]
+            assert [s - origin for s in starts[a:a + per.q]] == [s * unit for s in want_starts]
+            assert [e - origin for e in ends[a:a + per.q]] == [e * unit for e in want_ends]
 
 
 # -- polygons ---------------------------------------------------------------

@@ -10,6 +10,8 @@ from perimeterguard.errors import ReconstructionMismatch, ValidationError
 from perimeterguard.oracle import brute_feasible_lr, brute_feasible_lr_multi, brute_solve_lr
 from perimeterguard.perimeter import build_perimeter
 from perimeterguard.solver_lr import (
+    _minimal,
+    _strides,
     build_fleet_lr,
     coverage_table,
     feasible,
@@ -35,6 +37,18 @@ def test_inc_steps_over_gaps():
     assert inc(per, 0, F(0), F(2)) == 3   # lands on the gap start, slides to its end
     assert inc(per, 0, F(3), F(10)) == 6  # clamps at the working range
     assert inc(per, 1, F(0), F(3)) == 5
+
+
+def test_minimal_closes_upward_and_keeps_minimal_cells():
+    # On a 3x3 grid, (2, 1) lies above (1, 0): only (0, 2) and (1, 0) are minimal,
+    # and the closure is every cell but (0, 0) and (0, 1).
+    sizes = [3, 3]
+    strides, total = _strides(sizes)
+    marked = bytearray(total)
+    for x0, x1 in ((1, 0), (2, 1), (0, 2)):
+        marked[x0 * strides[0] + x1] = 1
+    assert _minimal(marked, sizes, strides) == [(2, (0, 2)), (3, (1, 0))]
+    assert marked == bytearray([0, 0, 1, 1, 1, 1, 1, 1, 1])
 
 
 def test_coverage_table_single_type():
