@@ -9,29 +9,41 @@ perimeter.
 The feasibility core is a dynamic program over allocation vectors: for a
 fixed anchor (a segment start), the table holds the furthest normalized
 reach achievable with x_tau robots of each type, where reach positions
-skip over gaps for free.  The optimum is located by bisection on ell and
-snapped to the exact rational answer, which always has denominator at
-most the fleet's total capability.
+skip over gaps for free.  The optimum is span/D for some run of segments
+and capability sum D <= A, the fleet's total capability, so two candidate
+ratios differ by at least 1/A^2 (Farey spacing): a search that narrows
+the ratio below that window snaps to the exact answer.
+
+On one perimeter the optimum is the least of the anchors' own optima, so
+solve_lr eliminates anchors one at a time in a fixed shuffled order: an
+anchor fills one early-exit table at best - 1/A^2, which answers exactly
+"does it beat the best so far?", and only an anchor that does bisects on
+its own window.  In a random order the best changes about ln q times, so
+the search costs about q tables plus a few short bisections.  The witness
+is the lex-first allocation vector that covers from some anchor, with the
+smallest such anchor; each anchor's sweep stops at the best hit so far.
+On several perimeters the bisection folds every perimeter's Pareto layer
+(the minimal feasible vectors over all anchors) at each step.
 
 The DP runs on integers only.  perimeter.integer_anchors scales lengths
 in once, by the lcm of their denominators, as one line of global
 positions per perimeter over two laps; at a candidate ratio p/d in those
 units the line is multiplied by d and a robot of capability a steps
 exactly a * p.  An anchor's table runs on its lap, the slice of the line
-from the anchor: a shift keeps every comparison and tie-break.  _decide
-answers the bisection and the public decision functions; the tables, the
-Pareto fold and the reconstruction share the same DP, and
-perimeter.place_arcs scales the witness deployment back out as Arcs.
-Otherwise Fraction appears only where a ratio comes in and where table
+from the anchor: a shift keeps every comparison and tie-break.  The
+search, the public decision functions (_decide), the tables, the Pareto
+fold and the reconstruction share the same DP, and perimeter.place_arcs
+scales the witness deployment back out as Arcs.  Otherwise Fraction appears only where a ratio comes in and where table
 reaches and the objective go out.
 """
 from __future__ import annotations
 
 import math
+import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from typing import Iterable, Sequence
 
 from .errors import IndexOutOfRange, ReconstructionMismatch, ValidationError
@@ -119,7 +131,7 @@ def _strides(sizes: Sequence[int]) -> tuple[list[int], int]:
     return strides, strides[0] * sizes[0]
 
 
-def _fill_table(starts, ends, steps, bounds, early_exit: bool):
+def _fill_table(starts, ends, steps, bounds, early_exit: bool, cells: int | None = None):
     """Reach DP over all allocation vectors, in lexicographic cell order.
 
     starts, ends and steps are integers on one grid (see _at), the bounds
@@ -127,7 +139,8 @@ def _fill_table(starts, ends, steps, bounds, early_exit: bool):
     starts[0] using x_tau robots per type, capped at the working range's
     end ends[-1]; ties between types resolve to the smallest type index.
     Returns (values, backptr, hit) with hit the first feasible cell index,
-    -1 if none (values/backptr are partial when early_exit stops the sweep).
+    -1 if none (values/backptr are partial when early_exit stops the sweep
+    or `cells` cuts it off after that many cells).
     """
     required = ends[-1]
     sizes = [n + 1 for n in bounds]
@@ -136,7 +149,7 @@ def _fill_table(starts, ends, steps, bounds, early_exit: bool):
     backptr = [-1] * total
     hit = -1
     br = bisect_right
-    for idx, x in enumerate(product(*map(range, sizes))):
+    for idx, x in enumerate(islice(product(*map(range, sizes)), cells)):
         if not idx:
             continue
         best = -1
@@ -165,19 +178,18 @@ def _fill_table(starts, ends, steps, bounds, early_exit: bool):
     return values, backptr, hit
 
 
-def _decide(grids, steps, counts, first: int = 0) -> int | None:
+def _decide(grids, steps, counts) -> int | None:
     """Can the fleet cover every perimeter in grids?  None if not.
 
-    With one perimeter, returns the witness anchor: `first` if the whole
-    fleet reaches the working range from it, else the smallest one that
-    does.  With several, the perimeters' Pareto layers are folded and the
-    answer is 0.
+    With one perimeter, returns the smallest anchor from which the whole
+    fleet reaches the working range.  With several, the perimeters' Pareto
+    layers are folded and the answer is 0.
     """
     if len(grids) > 1:
         return 0 if _fold_layers(grids, steps, counts)[0] else None
     starts, ends = grids[0]
     q = len(starts) // 2
-    for a in (first, *(a for a in range(q) if a != first)):
+    for a in range(q):
         if _fill_table(starts[a:a + q], ends[a:a + q], steps, counts, True)[2] >= 0:
             return a
     return None
@@ -276,6 +288,26 @@ class CoverageTable:
     def feasible_at(self, allocation: AllocationVector) -> bool:
         return self._values[self._index(allocation)] >= self._ends[-1]
 
+    def robots(self, allocation: AllocationVector) -> list[tuple[int, int, int]]:
+        """The robots that build a cell, as (type, start, step) in placement order.
+
+        Walks the backpointers from `allocation` down to the origin; each
+        robot starts at the reach of its predecessor cell.  Raises
+        ReconstructionMismatch if a backpointer names no placed robot.
+        """
+        x = list(allocation)
+        idx = self._index(allocation)
+        chain: list[tuple[int, int, int]] = []
+        while idx:
+            tau = self._backptr[idx]
+            if tau < 0 or x[tau] <= 0:
+                raise ReconstructionMismatch(f"backpointer at {tuple(x)} names no placed robot")
+            x[tau] -= 1
+            idx -= self._stride_list[tau]
+            chain.append((tau, self._values[idx], self._steps[tau]))
+        chain.reverse()
+        return chain
+
 
 def inc(per: Perimeter, anchor: int, reach: Fraction, ell: Fraction) -> Fraction:
     """Extend a normalized reach by one robot's arc of length ell.
@@ -332,8 +364,8 @@ def _fold_layers(grids, steps, counts):
 
     A layer is built only when the fold reaches it, so an infeasible
     perimeter ends the work.  Returns (final_minimal_totals,
-    parents_per_level); empty totals means no simultaneous assignment fits
-    the fleet.
+    parents_per_level), one level per layer built; empty totals means no
+    simultaneous assignment fits the fleet.
     """
     sizes = [n + 1 for n in counts]
     strides, _ = _strides(sizes)
@@ -341,12 +373,10 @@ def _fold_layers(grids, steps, counts):
     parents: list[dict] = []
     for line in grids:
         layer = _pareto_layer(line, counts, steps)
-        if not layer:
-            return [], parents
-        prev, cand = _fold_step(prev, layer, sizes, strides)
+        prev, cand = _fold_step(prev, layer, sizes, strides) if layer else ([], {})
         parents.append(cand)
         if not prev:
-            return [], parents
+            break
     return prev, parents
 
 
@@ -367,10 +397,9 @@ def reconstruct_lr(
 ) -> list[Arc]:
     """Turn a feasible table cell into concrete arcs.
 
-    Walks the table's backpointers from `allocation` to the chain of robots
-    that built it, each starting at the reach of its predecessor cell, and
-    hands the chain to perimeter.place_arcs, which trims tails off gaps,
-    drops robots that add nothing and re-checks the deployment.  Raises
+    Takes the chain of robots that built the cell (CoverageTable.robots)
+    and hands it to perimeter.place_arcs, which trims tails off gaps, drops
+    robots that add nothing and re-checks the deployment.  Raises
     ReconstructionMismatch if the cell is not feasible, a backpointer names
     no placed robot, or the re-check fails.
     """
@@ -378,17 +407,8 @@ def reconstruct_lr(
         raise ReconstructionMismatch(
             f"allocation {allocation} does not reach the working range at ell={table.ell}"
         )
-    x = list(allocation)
-    chain: list[tuple[int, int, int]] = []
-    while any(x):
-        tau = table.backpointer(tuple(x))
-        if tau is None or x[tau] <= 0:
-            raise ReconstructionMismatch(f"backpointer at {tuple(x)} names no placed robot")
-        x[tau] -= 1
-        chain.append((tau, table._values[table._index(tuple(x))], table._steps[tau]))
-    chain.reverse()
-    return place_arcs(table._unit, table._circ, table._starts, table._ends, chain,
-                      perimeter_index)
+    return place_arcs(table._unit, table._circ, table._starts, table._ends,
+                      table.robots(allocation), perimeter_index)
 
 
 # -- the solver ----------------------------------------------------------------
@@ -403,7 +423,94 @@ class LrSolution:
     allocations: list[AllocationVector]  # robots sent to each perimeter, by type
     anchors: list[int]                   # witness anchor per perimeter
     unused: AllocationVector             # robots left idle
-    feasibility_calls: int = 0
+    feasibility_calls: int = 0           # reach tables the ratio search filled
+
+
+def _bisect(lo: Fraction, hi: Fraction, a_total: int, check) -> Fraction:
+    """Smallest ratio in [lo, hi] that passes check, given that hi passes.
+
+    The answer has denominator at most A = a_total (see solve_lr), so two
+    candidates lie at least 1/A^2 apart: lo is tried first, bisection
+    narrows the window below 1/A^2, and simplest_between snaps out the one
+    candidate left inside it.
+    """
+    if check(lo):
+        return lo
+    eps = Fraction(1, a_total * a_total)
+    if hi - lo < eps:
+        raise AssertionError("bisection window collapsed below the answer spacing")
+    while hi - lo >= eps:
+        mid = (lo + hi) / 2
+        if check(mid):
+            hi = mid
+        else:
+            lo = mid
+    best = simplest_between(lo, hi)
+    if best.denominator > a_total or best <= 0:
+        raise AssertionError("snapped ratio fell outside the certified window")
+    if not check(best):
+        raise AssertionError("snapped ratio is not feasible")
+    return best
+
+
+def _eliminate_anchors(line, capabilities, counts, lo, hi, a_total) -> tuple[Fraction, int]:
+    """Optimal ratio on one perimeter's line, and the reach tables filled.
+
+    The optimum is the least of the anchors' own optima.  The anchor after
+    the widest gap takes the fleet at hi, so it is searched first.  Every
+    other anchor, in one fixed shuffled order, fills a single early-exit
+    table at best - 1/A^2; by the spacing of candidates, "yes" means
+    exactly that its optimum is below best, and only then does it search
+    [lo, best - 1/A^2] on its own lap.
+    """
+    starts, ends = line
+    q = len(starts) // 2
+    eps = Fraction(1, a_total * a_total)
+    tables = 0
+
+    def fits(a: int):
+        lap = [(starts[a:a + q], ends[a:a + q])]
+
+        def check(ratio: Fraction) -> bool:
+            nonlocal tables
+            tables += 1
+            ((s, e),), steps = _at(lap, capabilities, ratio)
+            return _fill_table(s, e, steps, counts, True)[2] >= 0
+
+        return check
+
+    first = (max(range(q), key=lambda j: starts[j + 1] - ends[j]) + 1) % q
+    rest = [a for a in range(q) if a != first]
+    random.Random(q).shuffle(rest)
+    best = _bisect(lo, hi, a_total, fits(first))
+    for a in rest:
+        if best == lo:
+            break
+        check = fits(a)
+        if check(best - eps):
+            best = _bisect(lo, best - eps, a_total, check)
+    return best, tables
+
+
+def _lex_first(line, steps, counts) -> tuple[AllocationVector, int]:
+    """Lex-first vector that covers one perimeter, and its smallest anchor.
+
+    _fill_table walks cells in lex order, so an anchor's early-exit hit is
+    its lex-first feasible cell, and each anchor sweeps only the cells
+    before the best hit so far.  The lex-first cell of an upward-closed
+    set is minimal: this is _pareto_layer's first vector and its witness.
+    """
+    starts, ends = line
+    q = len(starts) // 2
+    cells, anchor = None, -1
+    for a in range(q):
+        hit = _fill_table(starts[a:a + q], ends[a:a + q], steps, counts, True, cells)[2]
+        if hit >= 0:
+            cells, anchor = hit, a
+    if anchor < 0:
+        raise AssertionError("optimal ratio lost feasibility during reconstruction")
+    strides, _ = _strides([n + 1 for n in counts])
+    return tuple(cells // s % (n + 1) for s, n in zip(strides, counts)), anchor
 
 
 def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrSolution:
@@ -411,9 +518,15 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
 
     Accepts one perimeter or a sequence of them; with several, robots are
     also optimally partitioned between perimeters.  The optimum is exact:
-    bisection narrows the ratio to a window shorter than 1/A^2 (A = total
-    capability), and the unique rational with denominator <= A inside the
-    window is the answer.
+    it is span/D with D <= A (A = total capability), so distinct candidates
+    lie at least 1/A^2 apart and _bisect snaps the one left in a shorter
+    window.  One perimeter: anchors are eliminated one at a time, each
+    asking with one early-exit table at best - 1/A^2 whether it beats the
+    best so far, and the witness is the lex-first covering vector over all
+    anchors, from the smallest anchor reaching it.  Several perimeters:
+    each bisection step folds the perimeters' Pareto layers, and the
+    witness is the lex-first minimal total of the fold at the optimum.
+    feasibility_calls counts the reach tables the search filled.
     """
     if isinstance(perimeters, Perimeter):
         perimeters = [perimeters]
@@ -425,8 +538,8 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
             f"{fleet.total_count} robots cannot guard {len(perimeters)} perimeters"
         )
     unit, scaled = integer_anchors(perimeters)
-    counts = fleet.counts
-    a_min = min(fleet.capabilities)
+    capabilities, counts = fleet.capabilities, fleet.counts
+    a_min = min(capabilities)
     a_total = fleet.total_capability
 
     # Ratios here are scaled (ell * unit).  Every segment must be physically
@@ -436,53 +549,37 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
     for per, (starts, ends) in zip(perimeters, scaled):
         lo = max(lo, Fraction(sum(ends[:per.q]) - sum(starts[:per.q]), a_total))
         hi = max(hi, Fraction(starts[per.q] - max(s - e for s, e in zip(starts[1:], ends)), a_min))
-    calls = 0
-    hint = 0  # a single perimeter's last witness anchor is tried first
 
-    def check(ratio: Fraction) -> bool:
-        nonlocal calls, hint
-        calls += 1
-        anchor = _decide(*_at(scaled, fleet.capabilities, ratio), counts, hint)
-        if anchor is None:
-            return False
-        hint = anchor
-        return True
-
-    if check(lo):
-        best = lo
+    if len(scaled) == 1:
+        best, tables = _eliminate_anchors(scaled[0], capabilities, counts, lo, hi, a_total)
+        (line,), steps = _at(scaled, capabilities, best)
+        v, anchor = _lex_first(line, steps, counts)
+        allocations, anchors = [v], [anchor]
     else:
-        eps = Fraction(1, a_total * a_total)
-        if hi - lo < eps:
-            raise AssertionError("bisection window collapsed below the answer spacing")
-        while hi - lo >= eps:
-            mid = (lo + hi) / 2
-            if check(mid):
-                hi = mid
-            else:
-                lo = mid
-        best = simplest_between(lo, hi)
-        if best.denominator > a_total or best <= 0:
-            raise AssertionError("snapped ratio fell outside the certified window")
-        if not check(best):
-            raise AssertionError("snapped ratio is not feasible")
+        tables = 0
+
+        def check(ratio: Fraction) -> bool:
+            nonlocal tables
+            grids, steps = _at(scaled, capabilities, ratio)
+            final, parents = _fold_layers(grids, steps, counts)
+            tables += sum(len(starts) // 2 for starts, _ in grids[:len(parents)])
+            return bool(final)
+
+        best = _bisect(lo, hi, a_total, check)
+        final, parents = _fold_layers(*_at(scaled, capabilities, best), counts)
+        if not final:
+            raise AssertionError("optimal ratio lost feasibility during reconstruction")
+        allocations = []
+        anchors = []
+        cur = final[0]
+        for level in reversed(parents):
+            cur, v, anchor = level[cur]
+            allocations.append(v)
+            anchors.append(anchor)
+        allocations.reverse()
+        anchors.reverse()
 
     ell_star = best / unit
-    grids, steps = _at(scaled, fleet.capabilities, best)
-    final, parents = _fold_layers(grids, steps, counts)
-    if not final:
-        raise AssertionError("optimal ratio lost feasibility during reconstruction")
-    totals = final[0]
-    allocations: list[AllocationVector] = []
-    anchors: list[int] = []
-    cur = totals
-    for level in reversed(parents):
-        prev_total, v, anchor = level[cur]
-        allocations.append(v)
-        anchors.append(anchor)
-        cur = prev_total
-    allocations.reverse()
-    anchors.reverse()
-
     arcs: list[Arc] = []
     for k, (per, v, anchor) in enumerate(zip(perimeters, allocations, anchors)):
         table = coverage_table(per, anchor, fleet, ell_star)
@@ -498,7 +595,7 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
         allocations=allocations,
         anchors=anchors,
         unused=unused,
-        feasibility_calls=calls,
+        feasibility_calls=tables,
     )
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perimeterguard.errors import ReconstructionMismatch, ValidationError
+from perimeterguard.generate import gen_random
 from perimeterguard.oracle import brute_feasible_lr, brute_feasible_lr_multi, brute_solve_lr
 from perimeterguard.perimeter import build_perimeter
 from perimeterguard.solver_lr import (
@@ -100,6 +101,50 @@ def test_solve_basic_examples():
     assert solve_lr(per, build_fleet_lr([(1, 2)])).objective == 3
     assert solve_lr(per, build_fleet_lr([(1, 3)])).objective == 2
     assert solve_lr(per, build_fleet_lr([(1, 1), (2, 1)])).objective == 2
+
+
+def test_solve_stops_when_the_lower_bound_fits():
+    # Gapless circle, exact fit: the robots' arcs at total-length / A tile it.
+    sol = solve_lr(build_perimeter([6], []), build_fleet_lr([(1, 2), (2, 1)]))
+    assert sol.objective == F(3, 2)
+    assert sol.feasibility_calls == 1
+    # Both anchors fit at the lower bound; the search tries anchor 1 (after
+    # the first widest gap) and stops, but the witness is still anchor 0.
+    per = build_perimeter([2, 2], [1, 1])
+    sol = solve_lr(per, build_fleet_lr([(1, 2)]))
+    assert sol.objective == 2
+    assert sol.feasibility_calls == 1
+    assert sol.anchors == [0]
+
+
+def test_solve_with_anchors_tied_at_the_optimum():
+    # Rotationally symmetric, so every anchor has the same optimum.
+    per = build_perimeter([3, 3, 3], [1, 1, 1])
+    fleet = build_fleet_lr([(2, 2), (1, 1)])
+    sol = solve_lr(per, fleet)
+    assert sol.objective == brute_solve_lr(per, fleet)
+    assert all(coverage_table(per, a, fleet, sol.objective).feasible_at(fleet.counts)
+               for a in range(per.q))
+    assert sol.anchors == [0]
+
+
+def test_solve_with_an_anchor_infeasible_at_the_upper_bound():
+    # The upper bound (circumference - widest gap) / a_min = 3 is what one
+    # robot needs from anchor 1; from anchor 0 it must also cross the wide gap.
+    per = build_perimeter([1, 1], [5, 1])
+    fleet = build_fleet_lr([(1, 1)])
+    assert not coverage_table(per, 0, fleet, F(3)).feasible_at((1,))
+    sol = solve_lr(per, fleet)
+    assert sol.objective == 3
+    assert sol.anchors == [1]
+
+
+@pytest.mark.parametrize("t, q, m, tables", [(2, 20, 1, 50), (4, 20, 1, 54), (2, 6, 3, 552)])
+def test_feasibility_calls_pinned(t, q, m, tables):
+    """Reach tables the ratio search fills, on seeded instances: more means the
+    search does more work than it did when these were pinned."""
+    doc = gen_random("lr", t, q, m, seed=0)
+    assert solve_lr(list(doc.perimeters), doc.fleet).feasibility_calls == tables
 
 
 def test_solve_two_perimeters():
@@ -254,6 +299,17 @@ def test_solve_agrees_with_brute(inst):
 def test_solve_multi_agrees_with_brute(inst):
     perimeters, fleet = inst
     assert solve_lr(perimeters, fleet).objective == brute_solve_lr(perimeters, fleet)
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_instances())
+def test_solve_witness_is_the_lex_first_minimal_vector(inst):
+    (per,), fleet = inst
+    sol = solve_lr(per, fleet)
+    (v,), (anchor,) = sol.allocations, sol.anchors
+    assert v == pareto_feasible_vectors(per, fleet, sol.objective)[0]
+    assert anchor == min(a for a in range(per.q)
+                         if coverage_table(per, a, fleet, sol.objective).feasible_at(v))
 
 
 @settings(max_examples=30, deadline=None)
