@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import GuardingError, ParseError, ValidationError
 from .perimeter import Arc, Perimeter, build_perimeter, build_polygon_spec, from_polygon
-from .rationals import format_fraction, to_fraction
+from .rationals import to_fraction
 from .solver_lr import FleetLR, LrSolution, build_fleet_lr
 from .solver_mc import McSolution, TypesMC, build_types_mc
 
@@ -215,35 +215,69 @@ def parse_instance(data: bytes | str) -> InstanceDocument:
     )
 
 
+def _json_rational(value: Fraction) -> str:
+    """format_fraction's value as JSON text: a bare int or a quoted "num/den"."""
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f'"{value.numerator}/{value.denominator}"'
+
+
+def _json_list(items: Sequence[str], indent: str) -> str:
+    """A JSON array of items already formatted as JSON text, laid out the
+    way json.dumps(indent=2) lays it out at the depth of `indent`."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+
+
+def _json_value(value, indent: str) -> str:
+    """Any JSON value through json.dumps(indent=2), at the depth of `indent`
+    (json.dumps escapes newlines inside strings, so every one is layout)."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+
+
+def _json_object(fields: Sequence[str]) -> str:
+    """The top-level object from its '"key": value' lines, plus a newline."""
+    return "{\n  " + ",\n  ".join(fields) + "\n}\n"
+
+
 def write_instance(doc: InstanceDocument) -> str:
-    """Serialize an instance back to JSON text."""
-    body: dict = {"problem": doc.problem}
-    body["perimeters"] = [
-        {
-            "segments": [format_fraction(s) for s in per.segments],
-            "gaps": [format_fraction(g) for g in per.gaps],
-        }
+    """Serialize an instance back to JSON text.
+
+    Byte for byte what json.dumps(..., indent=2) writes for the document's
+    body.  Numbers come from templates; only the problem name, seed and
+    metadata, which may be any JSON, go through json.dumps.
+    """
+    perimeters = [
+        f'{{\n      "segments": {_json_list([_json_rational(s) for s in per.segments], "      ")},'
+        f'\n      "gaps": {_json_list([_json_rational(g) for g in per.gaps], "      ")}\n    }}'
         for per in doc.perimeters
     ]
     if doc.problem == "lr":
-        body["types"] = [
-            {"capability": a, "count": n}
+        types = [
+            f'{{\n      "capability": {a},\n      "count": {n}\n    }}'
             for a, n in zip(doc.fleet.capabilities, doc.fleet.counts)
         ]
     else:
-        body["types"] = [
-            {"length": l, "cost": c}
+        types = [
+            f'{{\n      "length": {l},\n      "cost": {c}\n    }}'
             for l, c in zip(doc.types.lengths, doc.types.costs)
         ]
+    fields = [
+        f'"problem": {_json_value(doc.problem, "  ")}',
+        f'"perimeters": {_json_list(perimeters, "  ")}',
+        f'"types": {_json_list(types, "  ")}',
+    ]
     if doc.ell is not None:
-        body["ell"] = format_fraction(doc.ell)
+        fields.append(f'"ell": {_json_rational(doc.ell)}')
     if doc.budget is not None:
-        body["budget"] = format_fraction(doc.budget)
+        fields.append(f'"budget": {_json_rational(doc.budget)}')
     if doc.seed is not None:
-        body["seed"] = doc.seed
+        fields.append(f'"seed": {_json_value(doc.seed, "  ")}')
     if doc.metadata is not None:
-        body["metadata"] = doc.metadata
-    return json.dumps(body, indent=2) + "\n"
+        fields.append(f'"metadata": {_json_value(doc.metadata, "  ")}')
+    return _json_object(fields)
 
 
 def parse_solution(data: bytes | str) -> SolutionDocument:
@@ -281,24 +315,28 @@ def parse_solution(data: bytes | str) -> SolutionDocument:
 
 
 def write_solution(doc: SolutionDocument) -> str:
-    """Serialize a solution to JSON text."""
-    body = {
-        "problem": doc.problem,
-        "objective": format_fraction(doc.objective),
-        "arcs": [
-            {
-                "perimeter": a.perimeter,
-                "type": a.robot_type,
-                "start": format_fraction(a.start),
-                "length": format_fraction(a.length),
-            }
-            for a in doc.arcs
-        ],
-        "counts": list(doc.counts),
-    }
+    """Serialize a solution to JSON text.
+
+    Byte for byte what json.dumps(..., indent=2) writes for the document's
+    body.  Each arc comes from one template; only the problem name and
+    stats, which may be any JSON (a float wall time among it), go through
+    json.dumps.
+    """
+    arcs = [
+        f'{{\n      "perimeter": {a.perimeter},\n      "type": {a.robot_type},'
+        f'\n      "start": {_json_rational(a.start)},'
+        f'\n      "length": {_json_rational(a.length)}\n    }}'
+        for a in doc.arcs
+    ]
+    fields = [
+        f'"problem": {_json_value(doc.problem, "  ")}',
+        f'"objective": {_json_rational(doc.objective)}',
+        f'"arcs": {_json_list(arcs, "  ")}',
+        f'"counts": {_json_list([str(c) for c in doc.counts], "  ")}',
+    ]
     if doc.stats:
-        body["stats"] = doc.stats
-    return json.dumps(body, indent=2) + "\n"
+        fields.append(f'"stats": {_json_value(doc.stats, "  ")}')
+    return _json_object(fields)
 
 
 def solution_from_lr(sol: LrSolution, wall_time: float | None = None) -> SolutionDocument:

@@ -16,6 +16,7 @@ from perimeterguard.documents import (
     write_solution,
 )
 from perimeterguard.errors import ParseError, ValidationError
+from perimeterguard.generate import gen_random
 from perimeterguard.perimeter import Arc, build_perimeter
 from perimeterguard.solver_lr import build_fleet_lr, solve_lr
 from perimeterguard.solver_mc import build_types_mc, solve_mc_multi
@@ -300,3 +301,81 @@ def test_validate_accepts_wrapping_arc():
         counts=(1,),
     )
     validate_solution(instance, wrapped)
+
+
+# -- the writers: byte for byte what json.dumps(indent=2) writes ----------------
+
+
+def _rational_json(value):
+    return int(value) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
+
+
+def _instance_body(doc):
+    body = {"problem": doc.problem, "perimeters": [
+        {"segments": [_rational_json(s) for s in per.segments],
+         "gaps": [_rational_json(g) for g in per.gaps]}
+        for per in doc.perimeters
+    ]}
+    if doc.problem == "lr":
+        body["types"] = [{"capability": a, "count": n}
+                         for a, n in zip(doc.fleet.capabilities, doc.fleet.counts)]
+    else:
+        body["types"] = [{"length": l, "cost": c} for l, c in zip(doc.types.lengths, doc.types.costs)]
+    for key in ("ell", "budget"):
+        if getattr(doc, key) is not None:
+            body[key] = _rational_json(getattr(doc, key))
+    for key in ("seed", "metadata"):
+        if getattr(doc, key) is not None:
+            body[key] = getattr(doc, key)
+    return body
+
+
+def _solution_body(doc):
+    body = {
+        "problem": doc.problem,
+        "objective": _rational_json(doc.objective),
+        "arcs": [{"perimeter": a.perimeter, "type": a.robot_type,
+                  "start": _rational_json(a.start), "length": _rational_json(a.length)}
+                 for a in doc.arcs],
+        "counts": list(doc.counts),
+    }
+    if doc.stats:
+        body["stats"] = doc.stats
+    return body
+
+
+def _writer_cases():
+    instances = [gen_random("lr", 2, 6, 2, seed=s) for s in range(3)]
+    instances += [gen_random("mc", 3, 5, 1, seed=s, target_length=40) for s in range(3)]
+    fractional = (build_perimeter([F(5, 2), F(7, 3)], [F(1, 2), 2]), build_perimeter([F(9, 4)], []))
+    instances.append(InstanceDocument("lr", fractional, fleet=build_fleet_lr([(2, 2), (3, 1)])))
+    instances.append(InstanceDocument("mc", fractional, types=build_types_mc([(2, 3), (5, 4)])))
+    solutions = []
+    for doc in instances:
+        if doc.problem == "lr":
+            solutions.append(solution_from_lr(solve_lr(doc.perimeters, doc.fleet)))
+        else:
+            solutions.append(solution_from_mc(solve_mc_multi(doc.perimeters, doc.types)))
+    metadata = {"origin": "unit test", "nested": {"list": [1, "x\ny", {"deep": None}],
+                                                   "empty": {}, "none": []}}
+    instances += [
+        replace(instances[-2], ell=F(5, 2), budget=F(7), seed=None, metadata=metadata),
+        replace(instances[-1], ell=F(3), budget=F(9, 2), seed=12, metadata={}),
+    ]
+    stats = {"wall_time_seconds": 0.1 + 0.2, "nested": {"a": [1, {"b": None}], "é": "naïve ☃"},
+             "empty": {}, "list": [], "feasibility_calls": 7}
+    solutions += [
+        replace(solutions[0], stats=stats),
+        SolutionDocument("mc", F(0), (), (0, 0)),
+        SolutionDocument("lr", F(7, 3), (), ()),
+    ]
+    return instances, solutions
+
+
+def test_writers_match_json_dumps():
+    instances, solutions = _writer_cases()
+    assert any(not per.gaps for doc in instances for per in doc.perimeters)
+    for doc in instances:
+        assert write_instance(doc) == json.dumps(_instance_body(doc), indent=2) + "\n"
+    for sol in solutions:
+        assert write_solution(sol) == json.dumps(_solution_body(sol), indent=2) + "\n"
