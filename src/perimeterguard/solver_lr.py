@@ -21,9 +21,15 @@ anchor fills one early-exit table at best - 1/A^2, which answers exactly
 its own window.  In a random order the best changes about ln q times, so
 the search costs about q tables plus a few short bisections.  The witness
 is the lex-first allocation vector that covers from some anchor, with the
-smallest such anchor; each anchor's sweep stops at the best hit so far.
+smallest such anchor; each anchor's sweep stops at the best hit so far,
+and it scans only the anchors the elimination left live at the optimum.
+
 On several perimeters the bisection folds every perimeter's Pareto layer
-(the minimal feasible vectors over all anchors) at each step.
+(the minimal feasible vectors over all anchors) at each step.  Reach
+grows with robots, so the cells earlier anchors cover are upward-closed
+and each anchor fills only the rest.  Feasible sets grow with the ratio,
+so a layer equal at the last "no" and "yes" ratios is pinned in between
+and reused; the fold at the optimum rebuilds every layer with witnesses.
 
 The DP runs on integers only.  perimeter.integer_anchors scales lengths
 in once, by the lcm of their denominators, as one line of global
@@ -33,8 +39,9 @@ exactly a * p.  An anchor's table runs on its lap, the slice of the line
 from the anchor: a shift keeps every comparison and tie-break.  The
 search, the public decision functions (_decide), the tables, the Pareto
 fold and the reconstruction share the same DP, and perimeter.place_arcs
-scales the witness deployment back out as Arcs.  Otherwise Fraction appears only where a ratio comes in and where table
-reaches and the objective go out.
+scales the witness deployment back out as Arcs.  Otherwise Fraction
+appears only where a ratio comes in and where table reaches and the
+objective go out.
 """
 from __future__ import annotations
 
@@ -131,7 +138,8 @@ def _strides(sizes: Sequence[int]) -> tuple[list[int], int]:
     return strides, strides[0] * sizes[0]
 
 
-def _fill_table(starts, ends, steps, bounds, early_exit: bool, cells: int | None = None):
+def _fill_table(starts, ends, steps, bounds, early_exit: bool, cells: int | None = None,
+                done: bytearray | None = None):
     """Reach DP over all allocation vectors, in lexicographic cell order.
 
     starts, ends and steps are integers on one grid (see _at), the bounds
@@ -141,6 +149,10 @@ def _fill_table(starts, ends, steps, bounds, early_exit: bool, cells: int | None
     Returns (values, backptr, hit) with hit the first feasible cell index,
     -1 if none (values/backptr are partial when early_exit stops the sweep
     or `cells` cuts it off after that many cells).
+
+    Cells marked in `done`, a bytearray over the grid, are skipped and keep
+    no value.  The caller keeps `done` upward-closed, so no cell filled
+    reads a skipped one, and every filled cell equals the full table's.
     """
     required = ends[-1]
     sizes = [n + 1 for n in bounds]
@@ -149,14 +161,15 @@ def _fill_table(starts, ends, steps, bounds, early_exit: bool, cells: int | None
     backptr = [-1] * total
     hit = -1
     br = bisect_right
-    for idx, x in enumerate(islice(product(*map(range, sizes)), cells)):
-        if not idx:
+    axes = list(zip(range(len(sizes)), strides, steps))
+    for idx, x in enumerate(islice(product(*map(range, sizes)), 1, cells), 1):
+        if done and done[idx]:
             continue
         best = -1
         bt = -1
-        for tau, cnt in enumerate(x):
-            if cnt:
-                v = values[idx - strides[tau]] + steps[tau]
+        for tau, stride, step in axes:
+            if x[tau]:
+                v = values[idx - stride] + step
                 if v >= required:
                     # Nothing can beat a full reach; smallest tau wins ties.
                     best = required
@@ -186,7 +199,8 @@ def _decide(grids, steps, counts) -> int | None:
     layers are folded and the answer is 0.
     """
     if len(grids) > 1:
-        return 0 if _fold_layers(grids, steps, counts)[0] else None
+        layers = (_pareto_layer(line, counts, steps) for line in grids)
+        return 0 if _fold_layers(layers, counts)[0] else None
     starts, ends = grids[0]
     q = len(starts) // 2
     for a in range(q):
@@ -229,11 +243,13 @@ def _pareto_layer(line, counts, steps) -> list[tuple[AllocationVector, int]]:
     starts, ends = line
     q = len(starts) // 2
     for a in range(q):
-        values, _, hit = _fill_table(starts[a:a + q], ends[a:a + q], steps, counts, False)
+        # feas is upward-closed: anchor a fills only cells no earlier one covers.
+        values, _, hit = _fill_table(starts[a:a + q], ends[a:a + q], steps, counts, False,
+                                     done=feas)
         if hit < 0:
             continue
         required = ends[a + q - 1]
-        for idx in range(total):
+        for idx in range(hit, total):
             if not feas[idx] and values[idx] >= required:
                 feas[idx] = 1
                 wit[idx] = a
@@ -359,20 +375,19 @@ def _fold_step(prev, layer, sizes, strides):
     return [w for _, w in _minimal(member, sizes, strides)], cand
 
 
-def _fold_layers(grids, steps, counts):
+def _fold_layers(layers, counts):
     """Fold the perimeters' Pareto layers into global minimal totals.
 
-    A layer is built only when the fold reaches it, so an infeasible
-    perimeter ends the work.  Returns (final_minimal_totals,
-    parents_per_level), one level per layer built; empty totals means no
-    simultaneous assignment fits the fleet.
+    layers is an iterable, one layer per perimeter, drawn only when the
+    fold reaches it, so an infeasible perimeter ends the work.  Returns
+    (final_minimal_totals, parents_per_level), one level per layer drawn;
+    empty totals means no simultaneous assignment fits the fleet.
     """
     sizes = [n + 1 for n in counts]
     strides, _ = _strides(sizes)
     prev: list[AllocationVector] = [tuple([0] * len(counts))]
     parents: list[dict] = []
-    for line in grids:
-        layer = _pareto_layer(line, counts, steps)
+    for layer in layers:
         prev, cand = _fold_step(prev, layer, sizes, strides) if layer else ([], {})
         parents.append(cand)
         if not prev:
@@ -453,15 +468,20 @@ def _bisect(lo: Fraction, hi: Fraction, a_total: int, check) -> Fraction:
     return best
 
 
-def _eliminate_anchors(line, capabilities, counts, lo, hi, a_total) -> tuple[Fraction, int]:
-    """Optimal ratio on one perimeter's line, and the reach tables filled.
+def _eliminate_anchors(line, capabilities, counts, lo, hi,
+                       a_total) -> tuple[Fraction, int, list[int]]:
+    """Optimal ratio on one perimeter's line, the reach tables filled, and
+    the anchors that may be feasible at it, in increasing order.
 
     The optimum is the least of the anchors' own optima.  The anchor after
     the widest gap takes the fleet at hi, so it is searched first.  Every
     other anchor, in one fixed shuffled order, fills a single early-exit
     table at best - 1/A^2; by the spacing of candidates, "yes" means
     exactly that its optimum is below best, and only then does it search
-    [lo, best - 1/A^2] on its own lap.
+    [lo, best - 1/A^2] on its own lap.  An anchor's optimum is above the
+    final best if it answered at an earlier, larger best, so only the
+    anchor behind the last improvement, the anchors that answered "no"
+    after it and the anchors never visited stay live.
     """
     starts, ends = line
     q = len(starts) // 2
@@ -483,27 +503,34 @@ def _eliminate_anchors(line, capabilities, counts, lo, hi, a_total) -> tuple[Fra
     rest = [a for a in range(q) if a != first]
     random.Random(q).shuffle(rest)
     best = _bisect(lo, hi, a_total, fits(first))
-    for a in rest:
+    live = [first]
+    for i, a in enumerate(rest):
         if best == lo:
+            live += rest[i:]
             break
         check = fits(a)
         if check(best - eps):
             best = _bisect(lo, best - eps, a_total, check)
-    return best, tables
+            live = [a]
+        else:
+            live.append(a)
+    return best, tables, sorted(live)
 
 
-def _lex_first(line, steps, counts) -> tuple[AllocationVector, int]:
+def _lex_first(line, steps, counts, anchors: Iterable[int]) -> tuple[AllocationVector, int]:
     """Lex-first vector that covers one perimeter, and its smallest anchor.
 
-    _fill_table walks cells in lex order, so an anchor's early-exit hit is
-    its lex-first feasible cell, and each anchor sweeps only the cells
-    before the best hit so far.  The lex-first cell of an upward-closed
-    set is minimal: this is _pareto_layer's first vector and its witness.
+    anchors, in increasing order, must include every anchor feasible at
+    steps.  _fill_table walks cells in lex order, so an anchor's early-exit
+    hit is its lex-first feasible cell, and each anchor sweeps only the
+    cells before the best hit so far.  The lex-first cell of an
+    upward-closed set is minimal: this is _pareto_layer's first vector and
+    its witness.
     """
     starts, ends = line
     q = len(starts) // 2
     cells, anchor = None, -1
-    for a in range(q):
+    for a in anchors:
         hit = _fill_table(starts[a:a + q], ends[a:a + q], steps, counts, True, cells)[2]
         if hit >= 0:
             cells, anchor = hit, a
@@ -524,9 +551,11 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
     asking with one early-exit table at best - 1/A^2 whether it beats the
     best so far, and the witness is the lex-first covering vector over all
     anchors, from the smallest anchor reaching it.  Several perimeters:
-    each bisection step folds the perimeters' Pareto layers, and the
-    witness is the lex-first minimal total of the fold at the optimum.
-    feasibility_calls counts the reach tables the search filled.
+    each bisection step folds the perimeters' Pareto layers, reusing a
+    layer pinned between the last "no" and "yes" ratios, and the witness
+    is the lex-first minimal total of the fold at the optimum, where every
+    layer is rebuilt.  feasibility_calls counts the reach tables the
+    search filled.
     """
     if isinstance(perimeters, Perimeter):
         perimeters = [perimeters]
@@ -551,22 +580,43 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
         hi = max(hi, Fraction(starts[per.q] - max(s - e for s, e in zip(starts[1:], ends)), a_min))
 
     if len(scaled) == 1:
-        best, tables = _eliminate_anchors(scaled[0], capabilities, counts, lo, hi, a_total)
+        best, tables, live = _eliminate_anchors(scaled[0], capabilities, counts, lo, hi, a_total)
         (line,), steps = _at(scaled, capabilities, best)
-        v, anchor = _lex_first(line, steps, counts)
+        v, anchor = _lex_first(line, steps, counts, live)
         allocations, anchors = [v], [anchor]
     else:
         tables = 0
+        # Per perimeter, (ratio, layer) at the last "no" and the last "yes"
+        # ratio that drew its layer.  Feasible sets only grow with the
+        # ratio, so a perimeter with the same minimal vectors at both ends
+        # has them at every ratio in between: it is reused, not rebuilt.
+        below: list = [None] * len(scaled)
+        above: list = [None] * len(scaled)
 
         def check(ratio: Fraction) -> bool:
-            nonlocal tables
             grids, steps = _at(scaled, capabilities, ratio)
-            final, parents = _fold_layers(grids, steps, counts)
-            tables += sum(len(starts) // 2 for starts, _ in grids[:len(parents)])
-            return bool(final)
+            drawn = []
+
+            def layer(k: int):
+                nonlocal tables
+                no, yes = below[k], above[k]
+                if (no and yes and no[0] <= ratio <= yes[0]
+                        and [v for v, _ in no[1]] == [v for v, _ in yes[1]]):
+                    found = yes[1]
+                else:
+                    found = _pareto_layer(grids[k], counts, steps)
+                    tables += len(grids[k][0]) // 2
+                drawn.append((ratio, found))
+                return found
+
+            ok = bool(_fold_layers(map(layer, range(len(grids))), counts)[0])
+            (above if ok else below)[:len(drawn)] = drawn
+            return ok
 
         best = _bisect(lo, hi, a_total, check)
-        final, parents = _fold_layers(*_at(scaled, capabilities, best), counts)
+        grids, steps = _at(scaled, capabilities, best)
+        final, parents = _fold_layers((_pareto_layer(line, counts, steps) for line in grids),
+                                      counts)
         if not final:
             raise AssertionError("optimal ratio lost feasibility during reconstruction")
         allocations = []

@@ -50,3 +50,21 @@ def test_import_loads_no_process_pools():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=60
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_reach_recurrence_has_one_home():
+    # The reach DP steps past gaps with bisect_right; only _fill_table may,
+    # so a second copy of the DP loop cannot come back unnoticed.
+    tree = ast.parse((PACKAGE / "solver_lr.py").read_text(encoding="utf-8"))
+    (fill,) = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "_fill_table"]
+    inside = {id(node) for node in ast.walk(fill)}
+
+    def names_bisect(node):
+        return ((isinstance(node, ast.Name) and node.id == "bisect_right")
+                or (isinstance(node, ast.Attribute) and node.attr == "bisect_right"))
+
+    uses = [node for node in ast.walk(tree) if names_bisect(node)]
+    assert uses, "solver_lr no longer uses bisect_right; update this test"
+    outside = [node.lineno for node in uses if id(node) not in inside]
+    assert not outside, f"bisect_right used outside _fill_table at lines {outside}"

@@ -1,17 +1,23 @@
 """Fixed-fleet ratio solver: tables, feasibility, optimum, reconstruction."""
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perimeterguard import solver_lr
 from perimeterguard.errors import ReconstructionMismatch, ValidationError
 from perimeterguard.generate import gen_random
 from perimeterguard.oracle import brute_feasible_lr, brute_feasible_lr_multi, brute_solve_lr
 from perimeterguard.perimeter import build_perimeter
 from perimeterguard.solver_lr import (
+    _at_ell,
+    _fill_table,
+    _lex_first,
     _minimal,
+    _pareto_layer,
     _strides,
     build_fleet_lr,
     coverage_table,
@@ -139,7 +145,7 @@ def test_solve_with_an_anchor_infeasible_at_the_upper_bound():
     assert sol.anchors == [1]
 
 
-@pytest.mark.parametrize("t, q, m, tables", [(2, 20, 1, 50), (4, 20, 1, 54), (2, 6, 3, 552)])
+@pytest.mark.parametrize("t, q, m, tables", [(2, 20, 1, 50), (4, 20, 1, 54), (2, 6, 3, 318)])
 def test_feasibility_calls_pinned(t, q, m, tables):
     """Reach tables the ratio search fills, on seeded instances: more means the
     search does more work than it did when these were pinned."""
@@ -153,6 +159,26 @@ def test_solve_two_perimeters():
     assert sol.objective == 2
     assert sol.allocations == [(2,), (1,)]
     assert sol.unused == (0,)
+
+
+def test_solve_reuses_a_layer_pinned_between_no_and_yes():
+    # After the search's first "yes", the circle of length 1 needs one robot at
+    # both ends of the window, so only the two-segment perimeter is rebuilt.
+    pers = [build_perimeter([1], []), build_perimeter([2, 2], [1, 1])]
+    fleet = build_fleet_lr([(1, 3)])
+    built: dict[tuple, list[int]] = {}
+    real = solver_lr._pareto_layer
+
+    def spy(line, counts, steps):
+        built.setdefault(tuple(steps), []).append(len(line[0]) // 2)
+        return real(line, counts, steps)
+
+    with mock.patch.object(solver_lr, "_pareto_layer", spy):
+        sol = solve_lr(pers, fleet)
+    assert sol.objective == 2
+    assert sol.allocations == [(1,), (2,)]
+    assert [2] in built.values()          # a step filled 2 of the m·q = 3 tables
+    assert sol.feasibility_calls == 18    # 24 with every layer rebuilt
 
 
 def test_solve_reports_unused_robots():
@@ -221,13 +247,13 @@ small_lengths = st.integers(min_value=1, max_value=12)
 
 
 @st.composite
-def small_instances(draw, max_m=1):
+def small_instances(draw, max_m=1, max_q=3):
     m = draw(st.integers(min_value=1, max_value=max_m))
     # Lengths are multiples of 1/den, so the solver's integer scaling is exercised.
     den = draw(st.integers(min_value=1, max_value=3))
     perimeters = []
     for _ in range(m):
-        q = draw(st.integers(min_value=1, max_value=3))
+        q = draw(st.integers(min_value=1, max_value=max_q))
         segs = [F(draw(small_lengths), den) for _ in range(q)]
         if q == 1 and draw(st.booleans()):
             perimeters.append(build_perimeter(segs, []))
@@ -269,6 +295,65 @@ def test_coverage_table_follows_recurrence(inst, ell, data):
         best = max(reach.values())
         assert table.value(x) == best
         assert table.backpointer(x) == min(tau for tau, v in reach.items() if v == best)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_instances(), small_ratios, st.data())
+def test_fill_table_with_done_cells_equals_the_full_table_elsewhere(inst, ell, data):
+    (per,), fleet = inst
+    ((starts, ends),), steps = _at_ell([per], fleet, ell)
+    anchor = data.draw(st.integers(min_value=0, max_value=per.q - 1))
+    lap = starts[anchor:anchor + per.q], ends[anchor:anchor + per.q]
+    sizes = [n + 1 for n in fleet.counts]
+    strides, total = _strides(sizes)
+    done = bytearray(total)
+    for idx in data.draw(st.lists(st.integers(min_value=1, max_value=total - 1), max_size=3)):
+        done[idx] = 1
+    _minimal(done, sizes, strides)  # closes done upward in place
+    values, backptr, hit = _fill_table(*lap, steps, fleet.counts, False)
+    open_values, open_backptr, open_hit = _fill_table(*lap, steps, fleet.counts, False, done=done)
+    open_cells = [idx for idx in range(total) if not done[idx]]
+    assert [open_values[i] for i in open_cells] == [values[i] for i in open_cells]
+    assert [open_backptr[i] for i in open_cells] == [backptr[i] for i in open_cells]
+    assert open_hit == next((i for i in open_cells if values[i] >= lap[1][-1]), -1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_instances(max_m=3), small_ratios)
+def test_pareto_layer_matches_full_tables(inst, ell):
+    """Minimal vectors feasible from some anchor's full table, each with the
+    smallest anchor it is feasible from."""
+    perimeters, fleet = inst
+    grids, steps = _at_ell(perimeters, fleet, ell)
+    for per, line in zip(perimeters, grids):
+        tables = [coverage_table(per, a, fleet, ell) for a in range(per.q)]
+        witness = {}
+        for x in product(*(range(n + 1) for n in fleet.counts)):
+            anchors = [a for a, table in enumerate(tables) if table.feasible_at(x)]
+            if anchors:
+                witness[x] = anchors[0]
+        minimal = [
+            (x, a) for x, a in witness.items()
+            if not any(c and x[:k] + (c - 1,) + x[k + 1:] in witness for k, c in enumerate(x))
+        ]
+        assert _pareto_layer(line, fleet.counts, steps) == sorted(minimal)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_instances(max_q=7))
+def test_lex_first_over_live_anchors_matches_a_full_scan(inst):
+    (per,), fleet = inst
+    scans = []
+
+    def spy(line, steps, counts, anchors):
+        scans.append((_lex_first(line, steps, counts, anchors),
+                      _lex_first(line, steps, counts, range(per.q))))
+        return scans[-1][0]
+
+    with mock.patch.object(solver_lr, "_lex_first", spy):
+        solve_lr(per, fleet)
+    [(live, full)] = scans
+    assert live == full
 
 
 @settings(max_examples=60, deadline=None)
