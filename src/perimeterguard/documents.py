@@ -154,30 +154,14 @@ def parse_instance(data: bytes | str) -> InstanceDocument:
     raw_types = _as_list(_require(doc, "types", "instance"), "instance.types")
     if not raw_types:
         raise ValidationError("instance.types: need at least one robot type")
-    fleet = types = None
-    try:
-        if problem == "lr":
-            pairs = []
-            for k, entry in enumerate(raw_types):
-                entry = _as_dict(entry, f"types[{k}]")
-                pairs.append((
-                    _as_int(_require(entry, "capability", f"types[{k}]"), f"types[{k}].capability"),
-                    _as_int(_require(entry, "count", f"types[{k}]"), f"types[{k}].count"),
-                ))
-            fleet = build_fleet_lr(pairs)
-        else:
-            pairs = []
-            for k, entry in enumerate(raw_types):
-                entry = _as_dict(entry, f"types[{k}]")
-                pairs.append((
-                    _as_int(_require(entry, "length", f"types[{k}]"), f"types[{k}].length"),
-                    _as_int(_require(entry, "cost", f"types[{k}]"), f"types[{k}].cost"),
-                ))
-            types = build_types_mc(pairs)
-    except (ParseError, ValidationError):
-        raise
-    except GuardingError as exc:
-        raise ValidationError(f"instance.types: {exc}") from exc
+    names = ("capability", "count") if problem == "lr" else ("length", "cost")
+    pairs = []
+    for k, entry in enumerate(raw_types):
+        entry = _as_dict(entry, f"types[{k}]")
+        pairs.append(tuple(_as_int(_require(entry, name, f"types[{k}]"), f"types[{k}].{name}")
+                           for name in names))
+    fleet = build_fleet_lr(pairs) if problem == "lr" else None
+    types = build_types_mc(pairs) if problem == "mc" else None
 
     ell = budget = None
     if "ell" in doc:

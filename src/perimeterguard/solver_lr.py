@@ -29,17 +29,18 @@ On several perimeters the bisection folds every perimeter's Pareto layer
 grows with robots, so the cells earlier anchors cover are upward-closed
 and each anchor fills only the rest.  Feasible sets grow with the ratio,
 so a layer equal at the last "no" and "yes" ratios is pinned in between
-and reused; the fold at the optimum rebuilds every layer with witnesses.
+and reused.  The search ends on a "yes" at the optimum, whose fold gives
+the witness vectors.
 
 The DP runs on integers only.  perimeter.integer_anchors scales lengths
-in once, by the lcm of their denominators, as one line of global
-positions per perimeter over two laps; at a candidate ratio p/d in those
-units the line is multiplied by d and a robot of capability a steps
-exactly a * p.  An anchor's table runs on its lap, the slice of the line
-from the anchor: a shift keeps every comparison and tie-break.  The
-search, the public decision functions (_decide), the tables, the Pareto
-fold and the reconstruction share the same DP, and perimeter.place_arcs
-scales the witness deployment back out as Arcs.  Otherwise Fraction
+in once per solve, by the lcm of their denominators, as one line of
+global positions per perimeter over two laps; at a candidate ratio p/d
+in those units the line is multiplied by d and a robot of capability a
+steps exactly a * p.  An anchor's table runs on its lap, the slice of
+the line from the anchor: a shift keeps every comparison and tie-break.
+The search, the public decision functions (_decide), the tables, the
+Pareto fold and the reconstruction share the same DP, and
+perimeter.place_arcs scales the witness deployment back out as Arcs.  Otherwise Fraction
 appears only where a ratio comes in and where table reaches and the
 objective go out.
 """
@@ -229,55 +230,52 @@ def _minimal(marked, sizes, strides) -> list[tuple[int, AllocationVector]]:
     return out
 
 
-def _pareto_layer(line, counts, steps) -> list[tuple[AllocationVector, int]]:
+def _pareto_layer(line, counts, steps) -> list[AllocationVector]:
     """Antichain of minimal feasible allocation vectors for one perimeter.
 
     line is the perimeter's integer (starts, ends) over two laps.  Returns
-    lex-sorted (vector, witness_anchor) pairs; witness_anchor is the
-    smallest anchor at which that vector reaches the working range.
+    the vectors lex-sorted, without the anchors that reach them.
     """
     sizes = [n + 1 for n in counts]
     strides, total = _strides(sizes)
     feas = bytearray(total)
-    wit = [-1] * total
     starts, ends = line
     q = len(starts) // 2
     for a in range(q):
-        # feas is upward-closed: anchor a fills only cells no earlier one covers.
+        # feas is upward-closed: anchor a fills only cells no earlier one covers,
+        # and the cells it skips keep starts[a], short of the range.
         values, _, hit = _fill_table(starts[a:a + q], ends[a:a + q], steps, counts, False,
                                      done=feas)
         if hit < 0:
             continue
         required = ends[a + q - 1]
         for idx in range(hit, total):
-            if not feas[idx] and values[idx] >= required:
+            if values[idx] >= required:
                 feas[idx] = 1
-                wit[idx] = a
-    return [(x, wit[idx]) for idx, x in _minimal(feas, sizes, strides)]
+    return [x for _, x in _minimal(feas, sizes, strides)]
 
 
 class CoverageTable:
-    """Full reach table for one (perimeter, anchor, fleet, ell) combination.
+    """Reach table of the vectors up to `bounds` from one anchor at ratio ell.
 
-    The DP runs on the anchor's lap of _at's line, in units of 1/_unit;
-    value() subtracts the lap's origin and scales back out.
+    line and steps are one perimeter's from _at, on a grid of 1/unit.  The
+    DP runs on the anchor's lap; value() subtracts its origin and scales
+    back out.  Bounds below the fleet's counts change no cell's value.
     """
 
-    def __init__(self, per: Perimeter, anchor: int, fleet: FleetLR, ell: Fraction):
-        self.per = per
-        self.anchor = anchor
-        self.fleet = fleet
+    def __init__(self, line, anchor: int, steps, bounds: AllocationVector, unit: int,
+                 ell: Fraction):
+        starts, ends = line
+        q = len(starts) // 2
         self.ell = Fraction(ell)
-        self.bounds = fleet.counts
-        unit, lines = integer_anchors([per])
-        ratio = self.ell * unit
-        self._unit = unit * ratio.denominator
-        ((starts, ends),), self._steps = _at(lines, fleet.capabilities, ratio)
-        self._circ = starts[per.q]
-        self._starts, self._ends = starts[anchor:anchor + per.q], ends[anchor:anchor + per.q]
+        self.bounds = tuple(bounds)
+        self._unit = unit
+        self._steps = steps
+        self._circ = starts[q]
+        self._starts, self._ends = starts[anchor:anchor + q], ends[anchor:anchor + q]
         self._stride_list, _ = _strides([n + 1 for n in self.bounds])
         self._values, self._backptr, _ = _fill_table(
-            self._starts, self._ends, self._steps, self.bounds, False
+            self._starts, self._ends, steps, self.bounds, False
         )
 
     def _index(self, allocation: AllocationVector) -> int:
@@ -338,7 +336,10 @@ def inc(per: Perimeter, anchor: int, reach: Fraction, ell: Fraction) -> Fraction
 
 def coverage_table(per: Perimeter, anchor: int, fleet: FleetLR, ell: Fraction) -> CoverageTable:
     """Build the full reach table for one anchor at ratio ell."""
-    return CoverageTable(per, anchor, fleet, ell)
+    unit, lines = integer_anchors([per])
+    ratio = Fraction(ell) * unit
+    (line,), steps = _at(lines, fleet.capabilities, ratio)
+    return CoverageTable(line, anchor, steps, fleet.counts, unit * ratio.denominator, ell)
 
 
 def feasible(per: Perimeter, fleet: FleetLR, ell: Fraction) -> tuple[bool, int | None]:
@@ -353,22 +354,22 @@ def feasible(per: Perimeter, fleet: FleetLR, ell: Fraction) -> tuple[bool, int |
 def pareto_feasible_vectors(per: Perimeter, fleet: FleetLR, ell: Fraction) -> list[AllocationVector]:
     """All minimal allocation vectors that cover the perimeter at ratio ell."""
     (line,), steps = _at_ell([per], fleet, ell)
-    return [v for v, _ in _pareto_layer(line, fleet.counts, steps)]
+    return _pareto_layer(line, fleet.counts, steps)
 
 
 def _fold_step(prev, layer, sizes, strides):
     """One left fold of per-perimeter antichains under shared robot counts.
 
-    prev: lex-sorted totals so far; layer: lex-sorted (vector, anchor).
-    Returns (minimal combined totals, parents) where parents maps a total
-    to its lexicographically smallest (previous_total, vector, anchor).
+    prev: lex-sorted totals so far; layer: lex-sorted vectors.  Returns
+    (minimal combined totals, parents) where parents maps a total to its
+    lexicographically smallest (previous_total, vector).
     """
     cand: dict[AllocationVector, tuple] = {}
     for u in prev:
-        for v, anchor in layer:
+        for v in layer:
             w = tuple(a + b for a, b in zip(u, v))
             if all(c < s for c, s in zip(w, sizes)):
-                cand.setdefault(w, (u, v, anchor))
+                cand.setdefault(w, (u, v))
     member = bytearray(math.prod(sizes))
     for w in cand:
         member[sum(c * s for c, s in zip(w, strides))] = 1
@@ -524,8 +525,8 @@ def _lex_first(line, steps, counts, anchors: Iterable[int]) -> tuple[AllocationV
     steps.  _fill_table walks cells in lex order, so an anchor's early-exit
     hit is its lex-first feasible cell, and each anchor sweeps only the
     cells before the best hit so far.  The lex-first cell of an
-    upward-closed set is minimal: this is _pareto_layer's first vector and
-    its witness.
+    upward-closed set is minimal, so this is _pareto_layer's first vector,
+    and the anchor is the smallest one from which it is feasible.
     """
     starts, ends = line
     q = len(starts) // 2
@@ -553,9 +554,10 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
     anchors, from the smallest anchor reaching it.  Several perimeters:
     each bisection step folds the perimeters' Pareto layers, reusing a
     layer pinned between the last "no" and "yes" ratios, and the witness
-    is the lex-first minimal total of the fold at the optimum, where every
-    layer is rebuilt.  feasibility_calls counts the reach tables the
-    search filled.
+    is the lex-first minimal total of the search's last fold, at the
+    optimum, each vector from the smallest anchor reaching it.  Each
+    deployment is read from a table bounded by its vector on the search's
+    grid.  feasibility_calls counts the reach tables the search filled.
     """
     if isinstance(perimeters, Perimeter):
         perimeters = [perimeters]
@@ -581,8 +583,8 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
 
     if len(scaled) == 1:
         best, tables, live = _eliminate_anchors(scaled[0], capabilities, counts, lo, hi, a_total)
-        (line,), steps = _at(scaled, capabilities, best)
-        v, anchor = _lex_first(line, steps, counts, live)
+        grids, steps = _at(scaled, capabilities, best)
+        v, anchor = _lex_first(grids[0], steps, counts, live)
         allocations, anchors = [v], [anchor]
     else:
         tables = 0
@@ -592,16 +594,17 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
         # has them at every ratio in between: it is reused, not rebuilt.
         below: list = [None] * len(scaled)
         above: list = [None] * len(scaled)
+        last = None   # (ratio, first minimal total, fold parents) of the last "yes"
 
         def check(ratio: Fraction) -> bool:
+            nonlocal last
             grids, steps = _at(scaled, capabilities, ratio)
             drawn = []
 
             def layer(k: int):
                 nonlocal tables
                 no, yes = below[k], above[k]
-                if (no and yes and no[0] <= ratio <= yes[0]
-                        and [v for v, _ in no[1]] == [v for v, _ in yes[1]]):
+                if no and yes and no[0] <= ratio <= yes[0] and no[1] == yes[1]:
                     found = yes[1]
                 else:
                     found = _pareto_layer(grids[k], counts, steps)
@@ -609,36 +612,31 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
                 drawn.append((ratio, found))
                 return found
 
-            ok = bool(_fold_layers(map(layer, range(len(grids))), counts)[0])
-            (above if ok else below)[:len(drawn)] = drawn
-            return ok
+            final, parents = _fold_layers(map(layer, range(len(grids))), counts)
+            (above if final else below)[:len(drawn)] = drawn
+            if final:
+                last = ratio, final[0], parents
+            return bool(final)
 
         best = _bisect(lo, hi, a_total, check)
-        grids, steps = _at(scaled, capabilities, best)
-        final, parents = _fold_layers((_pareto_layer(line, counts, steps) for line in grids),
-                                      counts)
-        if not final:
-            raise AssertionError("optimal ratio lost feasibility during reconstruction")
+        ratio, total, parents = last
+        if ratio != best:
+            raise AssertionError("the search did not end on a yes at the optimum")
         allocations = []
-        anchors = []
-        cur = final[0]
         for level in reversed(parents):
-            cur, v, anchor = level[cur]
-            allocations.append(v)
-            anchors.append(anchor)
-        allocations.reverse()
-        anchors.reverse()
+            total, v = level[total]
+            allocations.insert(0, v)
+        # v is minimal on its perimeter, so a table bounded by v reaches only
+        # at v: the first anchor that reaches is the smallest reaching v.
+        grids, steps = _at(scaled, capabilities, best)
+        anchors = [_decide([line], steps, v) for line, v in zip(grids, allocations)]
 
     ell_star = best / unit
     arcs: list[Arc] = []
-    for k, (per, v, anchor) in enumerate(zip(perimeters, allocations, anchors)):
-        table = coverage_table(per, anchor, fleet, ell_star)
+    for k, (line, v, anchor) in enumerate(zip(grids, allocations, anchors)):
+        table = CoverageTable(line, anchor, steps, v, unit * best.denominator, ell_star)
         arcs.extend(reconstruct_lr(table, v, perimeter_index=k))
-    used = [0] * fleet.t
-    for v in allocations:
-        for tau, cnt in enumerate(v):
-            used[tau] += cnt
-    unused = tuple(n - u for n, u in zip(fleet.counts, used))
+    unused = tuple(n - sum(col) for n, col in zip(counts, zip(*allocations)))
     return LrSolution(
         objective=ell_star,
         arcs=arcs,

@@ -230,46 +230,36 @@ def reconstruct_mc(
     return arcs
 
 
-def solve_mc(
-    per: Perimeter, types: TypesMC, perimeter_index: int = 0, lookup: CostLookup | None = None
-) -> McSolution:
-    """Cover one perimeter at minimum cost with unlimited robots per type.
-    `lookup`, if given, is a presolve of `types` to ceil(circumference) or
-    beyond; a gapless perimeter needs no special case."""
-    if lookup is None:
-        lookup = presolve(types, ceil_fraction(per.circumference))
-    q = per.q
-    table = interval_table(per, lookup)
-    anchor = 0
-    total = table.cost[0][q - 1]
-    for i in range(1, q):
-        if table.cost[i][q - 1] < total:
-            total = table.cost[i][q - 1]
-            anchor = i
-    arcs = reconstruct_mc(table, lookup, per, anchor, perimeter_index)
-    counts = [0] * types.t
-    for arc in arcs:
-        counts[arc.robot_type] += 1
-    if sum(c * tc for c, tc in zip(counts, types.costs)) != total:
-        raise ReconstructionMismatch("arc counts do not add up to the optimal cost")
-    return McSolution(total_cost=total, counts=tuple(counts), arcs=arcs, anchor=anchor)
+def solve_mc(per: Perimeter, types: TypesMC) -> McSolution:
+    """Cover one perimeter at minimum cost with unlimited robots per type."""
+    return solve_mc_multi([per], types)
 
 
 def solve_mc_multi(perimeters: Sequence[Perimeter], types: TypesMC) -> McSolution:
-    """Independent minimum-cost covers, one per perimeter, summed."""
+    """Independent minimum-cost covers, one per perimeter, summed.
+
+    One presolve to the longest ceil(circumference) serves every perimeter
+    (a gapless one needs no special case).  Each cover starts at the
+    cheapest anchor, the smallest on ties, and its arcs must add up to the
+    table's cost.  The solution's anchor is the first perimeter's.
+    """
     if not perimeters:
         raise ValidationError("need at least one perimeter")
     lookup = presolve(types, max(ceil_fraction(per.circumference) for per in perimeters))
     total = 0
     counts = [0] * types.t
     arcs: list[Arc] = []
-    anchor = 0
+    anchors = []
     for k, per in enumerate(perimeters):
-        part = solve_mc(per, types, perimeter_index=k, lookup=lookup)
-        total += part.total_cost
-        arcs.extend(part.arcs)
-        for tau, cnt in enumerate(part.counts):
-            counts[tau] += cnt
-        if k == 0:
-            anchor = part.anchor
-    return McSolution(total_cost=total, counts=tuple(counts), arcs=arcs, anchor=anchor)
+        table = interval_table(per, lookup)
+        costs = [row[per.q - 1] for row in table.cost]
+        anchor = costs.index(min(costs))
+        part = reconstruct_mc(table, lookup, per, anchor, k)
+        for arc in part:
+            counts[arc.robot_type] += 1
+        total += costs[anchor]
+        if sum(c * tc for c, tc in zip(counts, types.costs)) != total:
+            raise ReconstructionMismatch("arc counts do not add up to the optimal cost")
+        arcs.extend(part)
+        anchors.append(anchor)
+    return McSolution(total_cost=total, counts=tuple(counts), arcs=arcs, anchor=anchors[0])

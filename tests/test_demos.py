@@ -4,17 +4,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
 
 
-def test_minimum_cost_demo_runs():
+@pytest.mark.parametrize("script", DEMOS)
+def test_demo_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     done = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "minimum_cost.py")],
+        [sys.executable, str(ROOT / "demos" / script)],
         capture_output=True, text=True, timeout=120, env=env,
     )
     assert done.returncode == 0, done.stderr
-    assert "costs[0..12]: [0, 3, 3, 3, 3, 5, 5, 5, 6, 8, 8, 8, 9]" in done.stdout
+    if script == "minimum_cost.py":
+        assert "costs[0..12]: [0, 3, 3, 3, 3, 5, 5, 5, 6, 8, 8, 8, 9]" in done.stdout

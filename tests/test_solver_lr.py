@@ -153,6 +153,26 @@ def test_feasibility_calls_pinned(t, q, m, tables):
     assert solve_lr(list(doc.perimeters), doc.fleet).feasibility_calls == tables
 
 
+def test_solve_scales_once_and_draws_no_layer_after_the_search():
+    """The witness comes from the search's last "yes": one integer scaling,
+    no coverage_table, and one layer of q tables per layer the search drew."""
+    doc = gen_random("lr", 2, 6, 3, seed=0)
+    calls = dict.fromkeys(("integer_anchors", "coverage_table", "_pareto_layer"), 0)
+
+    def spy(name):
+        real = getattr(solver_lr, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    with mock.patch.multiple(solver_lr, **{name: spy(name) for name in calls}):
+        sol = solve_lr(list(doc.perimeters), doc.fleet)
+    assert sol.feasibility_calls == 318
+    assert calls == {"integer_anchors": 1, "coverage_table": 0, "_pareto_layer": 318 // 6}
+
+
 def test_solve_two_perimeters():
     pers = [build_perimeter([4], []), build_perimeter([2], [2])]
     sol = solve_lr(pers, build_fleet_lr([(1, 3)]))
@@ -318,23 +338,37 @@ def test_fill_table_with_done_cells_equals_the_full_table_elsewhere(inst, ell, d
     assert open_hit == next((i for i in open_cells if values[i] >= lap[1][-1]), -1)
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_instances(), small_ratios, st.data())
+def test_fill_table_bounded_by_a_sub_vector_equals_the_full_table_below_it(inst, ell, data):
+    """A cell reads only cells below it, so a table bounded by v matches the
+    full table at every cell <= v: value and backpointer."""
+    (per,), fleet = inst
+    ((starts, ends),), steps = _at_ell([per], fleet, ell)
+    anchor = data.draw(st.integers(min_value=0, max_value=per.q - 1))
+    lap = starts[anchor:anchor + per.q], ends[anchor:anchor + per.q]
+    v = tuple(data.draw(st.integers(min_value=0, max_value=n)) for n in fleet.counts)
+    values, backptr, _ = _fill_table(*lap, steps, fleet.counts, False)
+    sub_values, sub_backptr, _ = _fill_table(*lap, steps, v, False)
+    strides, _ = _strides([n + 1 for n in fleet.counts])
+    for sub_idx, x in enumerate(product(*(range(n + 1) for n in v))):
+        idx = sum(c * s for c, s in zip(x, strides))
+        assert (sub_values[sub_idx], sub_backptr[sub_idx]) == (values[idx], backptr[idx])
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_instances(max_m=3), small_ratios)
 def test_pareto_layer_matches_full_tables(inst, ell):
-    """Minimal vectors feasible from some anchor's full table, each with the
-    smallest anchor it is feasible from."""
+    """Minimal vectors feasible from some anchor's full table."""
     perimeters, fleet = inst
     grids, steps = _at_ell(perimeters, fleet, ell)
     for per, line in zip(perimeters, grids):
         tables = [coverage_table(per, a, fleet, ell) for a in range(per.q)]
-        witness = {}
-        for x in product(*(range(n + 1) for n in fleet.counts)):
-            anchors = [a for a, table in enumerate(tables) if table.feasible_at(x)]
-            if anchors:
-                witness[x] = anchors[0]
+        covering = {x for x in product(*(range(n + 1) for n in fleet.counts))
+                    if any(table.feasible_at(x) for table in tables)}
         minimal = [
-            (x, a) for x, a in witness.items()
-            if not any(c and x[:k] + (c - 1,) + x[k + 1:] in witness for k, c in enumerate(x))
+            x for x in covering
+            if not any(c and x[:k] + (c - 1,) + x[k + 1:] in covering for k, c in enumerate(x))
         ]
         assert _pareto_layer(line, fleet.counts, steps) == sorted(minimal)
 
@@ -387,14 +421,19 @@ def test_solve_multi_agrees_with_brute(inst):
 
 
 @settings(max_examples=50, deadline=None)
-@given(small_instances())
+@given(small_instances(max_m=3))
 def test_solve_witness_is_the_lex_first_minimal_vector(inst):
-    (per,), fleet = inst
-    sol = solve_lr(per, fleet)
-    (v,), (anchor,) = sol.allocations, sol.anchors
-    assert v == pareto_feasible_vectors(per, fleet, sol.objective)[0]
-    assert anchor == min(a for a in range(per.q)
-                         if coverage_table(per, a, fleet, sol.objective).feasible_at(v))
+    """Every perimeter gets a minimal vector, from the smallest anchor whose
+    table covers it; on one perimeter the vector is the lex-first one."""
+    perimeters, fleet = inst
+    sol = solve_lr(perimeters, fleet)
+    for per, v, anchor in zip(perimeters, sol.allocations, sol.anchors):
+        layer = pareto_feasible_vectors(per, fleet, sol.objective)
+        assert v in layer
+        if len(perimeters) == 1:
+            assert v == layer[0]
+        assert anchor == min(a for a in range(per.q)
+                             if coverage_table(per, a, fleet, sol.objective).feasible_at(v))
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,4 +1,5 @@
 """Minimum-cost solver: knapsack presolve, interval DP, reconstruction."""
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -119,7 +120,7 @@ def test_presolve_and_sol_match_naive_reference(pairs):
 def test_multi_presolves_once(monkeypatch):
     types = types_example()
     pers = [build_perimeter([7], [3]), build_perimeter([2, 3], [1, 2]), build_perimeter([20], [])]
-    separate = [solve_mc(per, types, perimeter_index=k) for k, per in enumerate(pers)]
+    separate = [solve_mc(per, types) for per in pers]
     calls = []
     real = solver_mc.presolve
 
@@ -130,7 +131,8 @@ def test_multi_presolves_once(monkeypatch):
     monkeypatch.setattr(solver_mc, "presolve", counting)
     joint = solve_mc_multi(pers, types)
     assert calls == [20]
-    assert joint.arcs == [a for part in separate for a in part.arcs]
+    assert joint.arcs == [replace(a, perimeter=k)
+                          for k, part in enumerate(separate) for a in part.arcs]
     assert joint.total_cost == sum(part.total_cost for part in separate)
 
 
