@@ -24,13 +24,14 @@ is the lex-first allocation vector that covers from some anchor, with the
 smallest such anchor; each anchor's sweep stops at the best hit so far,
 and it scans only the anchors the elimination left live at the optimum.
 
-On several perimeters the bisection folds every perimeter's Pareto layer
-(the minimal feasible vectors over all anchors) at each step.  Reach
-grows with robots, so the cells earlier anchors cover are upward-closed
-and each anchor fills only the rest.  Feasible sets grow with the ratio,
-so a layer equal at the last "no" and "yes" ratios is pinned in between
-and reused.  The search ends on a "yes" at the optimum, whose fold gives
-the witness vectors.
+On several perimeters each bisection step folds the perimeters' Pareto
+layers (the vectors covering a perimeter from some anchor) into totals.
+Reach grows with robots, so these sets are upward-closed: each anchor
+fills only the cells earlier anchors leave open, and a set is one int
+over the allocation grid, where adding a vector to every cell is a shift
+and a mask (_Grid).  Feasible sets grow with the ratio, so a layer equal
+at the last "no" and "yes" ratios is pinned in between and reused.  The
+search ends on a "yes" at the optimum, whose fold gives the witness.
 
 The DP runs on integers only.  perimeter.integer_anchors scales lengths
 in once per solve, by the lcm of their denominators, as one line of
@@ -46,7 +47,6 @@ objective go out.
 """
 from __future__ import annotations
 
-import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -130,13 +130,69 @@ def _at_ell(perimeters: Sequence[Perimeter], fleet: FleetLR, ell: Fraction):
 # -- the reach DP -----------------------------------------------------------------
 
 
-def _strides(sizes: Sequence[int]) -> tuple[list[int], int]:
-    """Mixed-radix strides, last axis fastest; returns (strides, total cells)."""
-    t = len(sizes)
-    strides = [1] * t
-    for k in range(t - 2, -1, -1):
-        strides[k] = strides[k + 1] * sizes[k + 1]
-    return strides, strides[0] * sizes[0]
+def _bits(cells: int):
+    """Indices of the set bits of cells, lowest first (lex order on a _Grid)."""
+    while cells:
+        low = cells & -cells
+        yield low.bit_length() - 1
+        cells ^= low
+
+
+class _Grid:
+    """The allocation vectors 0 <= x <= counts, and sets of them as ints.
+
+    Cell x has index idx(x) = sum of x_tau * strides[tau], last axis
+    fastest, so index order is lex order; a set has bit idx(x) for x.  For
+    w >= v, idx(w) - idx(v) = idx(w - v): a left shift by idx(v) adds v to
+    every cell, and masking with the cells >= v drops those that wrapped.
+    """
+
+    def __init__(self, counts: Sequence[int]):
+        self.sizes = [n + 1 for n in counts]
+        self.strides = [1] * len(counts)
+        for k in range(len(counts) - 1, 0, -1):
+            self.strides[k - 1] = self.strides[k] * self.sizes[k]
+        self.total = self.strides[0] * self.sizes[0]
+        self._axes: dict[tuple[int, int], int] = {}   # (tau, c): the cells with x_tau >= c
+
+    def vector(self, idx: int) -> AllocationVector:
+        return tuple(idx // s % n for s, n in zip(self.strides, self.sizes))
+
+    def above(self, idx: int) -> int:
+        """The cells x >= vector(idx), from per-axis masks built on first use."""
+        mask = -1
+        for tau, c in enumerate(self.vector(idx)):
+            if (tau, c) not in self._axes:
+                # One period of axis tau from row c on, doubled to span the grid.
+                period = self.strides[tau] * self.sizes[tau]
+                axis = (1 << period) - (1 << c * self.strides[tau])
+                while period < self.total:
+                    axis, period = axis | axis << period, 2 * period
+                self._axes[tau, c] = axis & ((1 << self.total) - 1)
+            mask &= self._axes[tau, c]
+        return mask
+
+    def minimal(self, cells: int) -> int:
+        """The cells of an upward-closed set with no cell one robot below them."""
+        below = 0
+        for stride in self.strides:
+            below |= (cells << stride) & self.above(stride)
+        return cells & ~below
+
+    def split(self, total: int, levels) -> list[AllocationVector]:
+        """One vector per level of _fold_layers, summing to total's lex-first cell w.
+
+        Walking back, each vector is w - u for the lex-first minimal cell
+        u <= w of the prefix with w - u in the layer.  A minimal cell of a
+        fold splits only into minimal cells, so this is the lex-first pair.
+        """
+        w, out = next(_bits(total)), []
+        for prefix, layer in reversed(levels):
+            u = next(u for u in _bits(self.minimal(prefix))
+                     if self.above(u) >> w & 1 and layer >> (w - u) & 1)
+            out.insert(0, self.vector(w - u))
+            w = u
+        return out
 
 
 def _fill_table(starts, ends, steps, bounds, early_exit: bool, cells: int | None = None,
@@ -156,14 +212,13 @@ def _fill_table(starts, ends, steps, bounds, early_exit: bool, cells: int | None
     reads a skipped one, and every filled cell equals the full table's.
     """
     required = ends[-1]
-    sizes = [n + 1 for n in bounds]
-    strides, total = _strides(sizes)
-    values = [starts[0]] * total
-    backptr = [-1] * total
+    grid = _Grid(bounds)
+    values = [starts[0]] * grid.total
+    backptr = [-1] * grid.total
     hit = -1
     br = bisect_right
-    axes = list(zip(range(len(sizes)), strides, steps))
-    for idx, x in enumerate(islice(product(*map(range, sizes)), 1, cells), 1):
+    axes = list(zip(range(len(bounds)), grid.strides, steps))
+    for idx, x in enumerate(islice(product(*map(range, grid.sizes)), 1, cells), 1):
         if done and done[idx]:
             continue
         best = -1
@@ -192,17 +247,9 @@ def _fill_table(starts, ends, steps, bounds, early_exit: bool, cells: int | None
     return values, backptr, hit
 
 
-def _decide(grids, steps, counts) -> int | None:
-    """Can the fleet cover every perimeter in grids?  None if not.
-
-    With one perimeter, returns the smallest anchor from which the whole
-    fleet reaches the working range.  With several, the perimeters' Pareto
-    layers are folded and the answer is 0.
-    """
-    if len(grids) > 1:
-        layers = (_pareto_layer(line, counts, steps) for line in grids)
-        return 0 if _fold_layers(layers, counts)[0] else None
-    starts, ends = grids[0]
+def _decide(line, steps, counts) -> int | None:
+    """The smallest anchor from which the fleet covers one perimeter's line, or None."""
+    starts, ends = line
     q = len(starts) // 2
     for a in range(q):
         if _fill_table(starts[a:a + q], ends[a:a + q], steps, counts, True)[2] >= 0:
@@ -210,35 +257,13 @@ def _decide(grids, steps, counts) -> int | None:
     return None
 
 
-def _minimal(marked, sizes, strides) -> list[tuple[int, AllocationVector]]:
-    """Minimal cells of the upward closure of `marked`, a bytearray over the grid.
-
-    Walks the grid once in lex order, closing `marked` upward in place; a
-    cell is minimal if it is marked and no cell one robot below it is.
-    Returns lex-sorted (index, cell) pairs.
-    """
-    axes = list(enumerate(strides))
-    out = []
-    for idx, x in enumerate(product(*map(range, sizes))):
-        for tau, stride in axes:
-            if x[tau] and marked[idx - stride]:
-                marked[idx] = 1
-                break
-        else:
-            if marked[idx]:
-                out.append((idx, x))
-    return out
+_BITS = bytes.maketrans(b"\0\1", b"01")
 
 
-def _pareto_layer(line, counts, steps) -> list[AllocationVector]:
-    """Antichain of minimal feasible allocation vectors for one perimeter.
-
-    line is the perimeter's integer (starts, ends) over two laps.  Returns
-    the vectors lex-sorted, without the anchors that reach them.
-    """
-    sizes = [n + 1 for n in counts]
-    strides, total = _strides(sizes)
-    feas = bytearray(total)
+def _pareto_layer(line, counts, steps) -> int:
+    """The vectors 0 <= x <= counts that cover one perimeter from some anchor, as
+    an upward-closed _Grid bitset.  line is its integer (starts, ends) over two laps."""
+    feas = bytearray(_Grid(counts).total)
     starts, ends = line
     q = len(starts) // 2
     for a in range(q):
@@ -249,10 +274,10 @@ def _pareto_layer(line, counts, steps) -> list[AllocationVector]:
         if hit < 0:
             continue
         required = ends[a + q - 1]
-        for idx in range(hit, total):
+        for idx in range(hit, len(feas)):
             if values[idx] >= required:
                 feas[idx] = 1
-    return [x for _, x in _minimal(feas, sizes, strides)]
+    return int(feas.translate(_BITS)[::-1], 2)
 
 
 class CoverageTable:
@@ -273,7 +298,7 @@ class CoverageTable:
         self._steps = steps
         self._circ = starts[q]
         self._starts, self._ends = starts[anchor:anchor + q], ends[anchor:anchor + q]
-        self._stride_list, _ = _strides([n + 1 for n in self.bounds])
+        self._stride_list = _Grid(self.bounds).strides
         self._values, self._backptr, _ = _fill_table(
             self._starts, self._ends, steps, self.bounds, False
         )
@@ -347,53 +372,36 @@ def feasible(per: Perimeter, fleet: FleetLR, ell: Fraction) -> tuple[bool, int |
 
     Returns (ok, witness_anchor) with the smallest witness anchor index.
     """
-    anchor = _decide(*_at_ell([per], fleet, ell), fleet.counts)
+    (line,), steps = _at_ell([per], fleet, ell)
+    anchor = _decide(line, steps, fleet.counts)
     return anchor is not None, anchor
 
 
 def pareto_feasible_vectors(per: Perimeter, fleet: FleetLR, ell: Fraction) -> list[AllocationVector]:
     """All minimal allocation vectors that cover the perimeter at ratio ell."""
     (line,), steps = _at_ell([per], fleet, ell)
-    return _pareto_layer(line, fleet.counts, steps)
+    grid = _Grid(fleet.counts)
+    return [grid.vector(i) for i in _bits(grid.minimal(_pareto_layer(line, fleet.counts, steps)))]
 
 
-def _fold_step(prev, layer, sizes, strides):
-    """One left fold of per-perimeter antichains under shared robot counts.
+def _fold_layers(layers, grid: _Grid) -> tuple[int, list[tuple[int, int]]]:
+    """Fold _pareto_layer bitsets, one per perimeter, into covering totals.
 
-    prev: lex-sorted totals so far; layer: lex-sorted vectors.  Returns
-    (minimal combined totals, parents) where parents maps a total to its
-    lexicographically smallest (previous_total, vector).
+    layers is drawn only as the fold reaches it, so an infeasible perimeter
+    ends the work.  Returns the totals that split into one covering vector
+    per perimeter (0 if none fits the fleet) and, per layer drawn, (the
+    totals before it, the layer) for _Grid.split.
     """
-    cand: dict[AllocationVector, tuple] = {}
-    for u in prev:
-        for v in layer:
-            w = tuple(a + b for a, b in zip(u, v))
-            if all(c < s for c, s in zip(w, sizes)):
-                cand.setdefault(w, (u, v))
-    member = bytearray(math.prod(sizes))
-    for w in cand:
-        member[sum(c * s for c, s in zip(w, strides))] = 1
-    return [w for _, w in _minimal(member, sizes, strides)], cand
-
-
-def _fold_layers(layers, counts):
-    """Fold the perimeters' Pareto layers into global minimal totals.
-
-    layers is an iterable, one layer per perimeter, drawn only when the
-    fold reaches it, so an infeasible perimeter ends the work.  Returns
-    (final_minimal_totals, parents_per_level), one level per layer drawn;
-    empty totals means no simultaneous assignment fits the fleet.
-    """
-    sizes = [n + 1 for n in counts]
-    strides, _ = _strides(sizes)
-    prev: list[AllocationVector] = [tuple([0] * len(counts))]
-    parents: list[dict] = []
+    total, levels = grid.above(0), []   # every cell is >= the origin
     for layer in layers:
-        prev, cand = _fold_step(prev, layer, sizes, strides) if layer else ([], {})
-        parents.append(cand)
-        if not prev:
+        levels.append((total, layer))
+        # Both sets are upward-closed, so the layer's minimal cells v suffice.
+        prefix, total = total, 0
+        for idx in _bits(grid.minimal(layer)):
+            total |= (prefix << idx) & grid.above(idx)
+        if not total:
             break
-    return prev, parents
+    return total, levels
 
 
 def partition_feasible(
@@ -402,7 +410,11 @@ def partition_feasible(
     """Can the fleet be split so every perimeter is covered at ratio ell?"""
     if not perimeters:
         raise ValidationError("need at least one perimeter")
-    return _decide(*_at_ell(perimeters, fleet, ell), fleet.counts) is not None
+    grids, steps = _at_ell(perimeters, fleet, ell)
+    if len(grids) == 1:
+        return _decide(grids[0], steps, fleet.counts) is not None
+    layers = (_pareto_layer(line, fleet.counts, steps) for line in grids)
+    return _fold_layers(layers, _Grid(fleet.counts))[0] != 0
 
 
 # -- reconstruction -------------------------------------------------------------
@@ -524,9 +536,9 @@ def _lex_first(line, steps, counts, anchors: Iterable[int]) -> tuple[AllocationV
     anchors, in increasing order, must include every anchor feasible at
     steps.  _fill_table walks cells in lex order, so an anchor's early-exit
     hit is its lex-first feasible cell, and each anchor sweeps only the
-    cells before the best hit so far.  The lex-first cell of an
-    upward-closed set is minimal, so this is _pareto_layer's first vector,
-    and the anchor is the smallest one from which it is feasible.
+    cells before the best hit so far.  This is the lowest bit of
+    _pareto_layer, a minimal vector, and the anchor is the smallest one
+    from which it is feasible.
     """
     starts, ends = line
     q = len(starts) // 2
@@ -537,8 +549,7 @@ def _lex_first(line, steps, counts, anchors: Iterable[int]) -> tuple[AllocationV
             cells, anchor = hit, a
     if anchor < 0:
         raise AssertionError("optimal ratio lost feasibility during reconstruction")
-    strides, _ = _strides([n + 1 for n in counts])
-    return tuple(cells // s % (n + 1) for s, n in zip(strides, counts)), anchor
+    return _Grid(counts).vector(cells), anchor
 
 
 def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrSolution:
@@ -546,18 +557,13 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
 
     Accepts one perimeter or a sequence of them; with several, robots are
     also optimally partitioned between perimeters.  The optimum is exact:
-    it is span/D with D <= A (A = total capability), so distinct candidates
-    lie at least 1/A^2 apart and _bisect snaps the one left in a shorter
-    window.  One perimeter: anchors are eliminated one at a time, each
-    asking with one early-exit table at best - 1/A^2 whether it beats the
-    best so far, and the witness is the lex-first covering vector over all
-    anchors, from the smallest anchor reaching it.  Several perimeters:
-    each bisection step folds the perimeters' Pareto layers, reusing a
-    layer pinned between the last "no" and "yes" ratios, and the witness
-    is the lex-first minimal total of the search's last fold, at the
-    optimum, each vector from the smallest anchor reaching it.  Each
-    deployment is read from a table bounded by its vector on the search's
-    grid.  feasibility_calls counts the reach tables the search filled.
+    it is span/D with D <= A (A = total capability), so _bisect snaps it
+    out of a window narrower than 1/A^2; the module docstring describes
+    both searches.  The witness is the lex-first covering total at the
+    optimum, parted between perimeters by the search's last fold
+    (_Grid.split), each vector from the smallest anchor reaching it and
+    read from a table bounded by it.  feasibility_calls counts the reach
+    tables the search filled.
     """
     if isinstance(perimeters, Perimeter):
         perimeters = [perimeters]
@@ -588,48 +594,41 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
         allocations, anchors = [v], [anchor]
     else:
         tables = 0
+        grid = _Grid(counts)
         # Per perimeter, (ratio, layer) at the last "no" and the last "yes"
-        # ratio that drew its layer.  Feasible sets only grow with the
-        # ratio, so a perimeter with the same minimal vectors at both ends
-        # has them at every ratio in between: it is reused, not rebuilt.
+        # that drew its layer.  Feasible sets only grow with the ratio, so a
+        # layer equal at both ends is pinned in between: reused, not rebuilt.
         below: list = [None] * len(scaled)
         above: list = [None] * len(scaled)
-        last = None   # (ratio, first minimal total, fold parents) of the last "yes"
+        last = None   # (ratio, totals, fold levels) of the last "yes"
 
         def check(ratio: Fraction) -> bool:
             nonlocal last
             grids, steps = _at(scaled, capabilities, ratio)
-            drawn = []
 
-            def layer(k: int):
+            def layer(k: int) -> int:
                 nonlocal tables
                 no, yes = below[k], above[k]
                 if no and yes and no[0] <= ratio <= yes[0] and no[1] == yes[1]:
-                    found = yes[1]
-                else:
-                    found = _pareto_layer(grids[k], counts, steps)
-                    tables += len(grids[k][0]) // 2
-                drawn.append((ratio, found))
-                return found
+                    return yes[1]
+                tables += len(grids[k][0]) // 2
+                return _pareto_layer(grids[k], counts, steps)
 
-            final, parents = _fold_layers(map(layer, range(len(grids))), counts)
-            (above if final else below)[:len(drawn)] = drawn
-            if final:
-                last = ratio, final[0], parents
-            return bool(final)
+            total, levels = _fold_layers(map(layer, range(len(grids))), grid)
+            (above if total else below)[:len(levels)] = [(ratio, found) for _, found in levels]
+            if total:
+                last = ratio, total, levels
+            return bool(total)
 
         best = _bisect(lo, hi, a_total, check)
-        ratio, total, parents = last
+        ratio, total, levels = last
         if ratio != best:
             raise AssertionError("the search did not end on a yes at the optimum")
-        allocations = []
-        for level in reversed(parents):
-            total, v = level[total]
-            allocations.insert(0, v)
+        allocations = grid.split(total, levels)
         # v is minimal on its perimeter, so a table bounded by v reaches only
         # at v: the first anchor that reaches is the smallest reaching v.
         grids, steps = _at(scaled, capabilities, best)
-        anchors = [_decide([line], steps, v) for line, v in zip(grids, allocations)]
+        anchors = [_decide(line, steps, v) for line, v in zip(grids, allocations)]
 
     ell_star = best / unit
     arcs: list[Arc] = []

@@ -1,4 +1,10 @@
-"""Fixed-fleet ratio solver: tables, feasibility, optimum, reconstruction."""
+"""Fixed-fleet ratio solver: tables, feasibility, optimum, reconstruction.
+
+_minimal and _fold_step below are the list-and-dict Pareto fold the
+solver used before it kept allocation sets as bitsets (_Grid); they stay
+here as references for _Grid.minimal, _fold_layers and _Grid.split.
+"""
+import math
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -14,11 +20,12 @@ from perimeterguard.oracle import brute_feasible_lr, brute_feasible_lr_multi, br
 from perimeterguard.perimeter import build_perimeter
 from perimeterguard.solver_lr import (
     _at_ell,
+    _bits,
     _fill_table,
+    _fold_layers,
+    _Grid,
     _lex_first,
-    _minimal,
     _pareto_layer,
-    _strides,
     build_fleet_lr,
     coverage_table,
     feasible,
@@ -31,6 +38,48 @@ from perimeterguard.solver_lr import (
 )
 
 F = Fraction
+
+
+# -- the reference: the list-and-dict Pareto fold ---------------------------------
+
+
+def _minimal(marked, sizes, strides):
+    """Minimal cells of the upward closure of `marked`, a bytearray over the grid.
+
+    Walks the grid once in lex order, closing `marked` upward in place; a
+    cell is minimal if it is marked and no cell one robot below it is.
+    Returns lex-sorted (index, cell) pairs.
+    """
+    axes = list(enumerate(strides))
+    out = []
+    for idx, x in enumerate(product(*map(range, sizes))):
+        for tau, stride in axes:
+            if x[tau] and marked[idx - stride]:
+                marked[idx] = 1
+                break
+        else:
+            if marked[idx]:
+                out.append((idx, x))
+    return out
+
+
+def _fold_step(prev, layer, sizes, strides):
+    """One left fold of per-perimeter antichains under shared robot counts.
+
+    prev: lex-sorted totals so far; layer: lex-sorted vectors.  Returns
+    (minimal combined totals, parents) where parents maps a total to its
+    lexicographically smallest (previous_total, vector).
+    """
+    cand = {}
+    for u in prev:
+        for v in layer:
+            w = tuple(a + b for a, b in zip(u, v))
+            if all(c < s for c, s in zip(w, sizes)):
+                cand.setdefault(w, (u, v))
+    member = bytearray(math.prod(sizes))
+    for w in cand:
+        member[sum(c * s for c, s in zip(w, strides))] = 1
+    return [w for _, w in _minimal(member, sizes, strides)], cand
 
 
 def per_2seg():
@@ -46,16 +95,20 @@ def test_inc_steps_over_gaps():
     assert inc(per, 1, F(0), F(3)) == 5
 
 
-def test_minimal_closes_upward_and_keeps_minimal_cells():
-    # On a 3x3 grid, (2, 1) lies above (1, 0): only (0, 2) and (1, 0) are minimal,
-    # and the closure is every cell but (0, 0) and (0, 1).
-    sizes = [3, 3]
-    strides, total = _strides(sizes)
-    marked = bytearray(total)
+def test_grid_minimal_keeps_the_cells_with_no_cell_one_robot_below():
+    # On a 3x3 grid the upward closure of (1, 0), (2, 1) and (0, 2) is every
+    # cell but (0, 0) and (0, 1); (2, 1) lies above (1, 0), so only (0, 2) and
+    # (1, 0) are minimal.
+    grid = _Grid([2, 2])
+    assert grid.strides == [3, 1] and grid.total == 9
+    marked = bytearray(grid.total)
     for x0, x1 in ((1, 0), (2, 1), (0, 2)):
-        marked[x0 * strides[0] + x1] = 1
-    assert _minimal(marked, sizes, strides) == [(2, (0, 2)), (3, (1, 0))]
-    assert marked == bytearray([0, 0, 1, 1, 1, 1, 1, 1, 1])
+        marked[x0 * 3 + x1] = 1
+    _minimal(marked, grid.sizes, grid.strides)  # the reference closes marked upward
+    closed = as_int(marked)
+    assert closed == 0b111111100
+    assert grid.minimal(closed) == 1 << 2 | 1 << 3
+    assert [grid.vector(idx) for idx in _bits(grid.minimal(closed))] == [(0, 2), (1, 0)]
 
 
 def test_coverage_table_single_type():
@@ -324,12 +377,12 @@ def test_fill_table_with_done_cells_equals_the_full_table_elsewhere(inst, ell, d
     ((starts, ends),), steps = _at_ell([per], fleet, ell)
     anchor = data.draw(st.integers(min_value=0, max_value=per.q - 1))
     lap = starts[anchor:anchor + per.q], ends[anchor:anchor + per.q]
-    sizes = [n + 1 for n in fleet.counts]
-    strides, total = _strides(sizes)
+    grid = _Grid(fleet.counts)
+    total = grid.total
     done = bytearray(total)
     for idx in data.draw(st.lists(st.integers(min_value=1, max_value=total - 1), max_size=3)):
         done[idx] = 1
-    _minimal(done, sizes, strides)  # closes done upward in place
+    _minimal(done, grid.sizes, grid.strides)  # the reference closes done upward in place
     values, backptr, hit = _fill_table(*lap, steps, fleet.counts, False)
     open_values, open_backptr, open_hit = _fill_table(*lap, steps, fleet.counts, False, done=done)
     open_cells = [idx for idx in range(total) if not done[idx]]
@@ -350,7 +403,7 @@ def test_fill_table_bounded_by_a_sub_vector_equals_the_full_table_below_it(inst,
     v = tuple(data.draw(st.integers(min_value=0, max_value=n)) for n in fleet.counts)
     values, backptr, _ = _fill_table(*lap, steps, fleet.counts, False)
     sub_values, sub_backptr, _ = _fill_table(*lap, steps, v, False)
-    strides, _ = _strides([n + 1 for n in fleet.counts])
+    strides = _Grid(fleet.counts).strides
     for sub_idx, x in enumerate(product(*(range(n + 1) for n in v))):
         idx = sum(c * s for c, s in zip(x, strides))
         assert (sub_values[sub_idx], sub_backptr[sub_idx]) == (values[idx], backptr[idx])
@@ -359,9 +412,10 @@ def test_fill_table_bounded_by_a_sub_vector_equals_the_full_table_below_it(inst,
 @settings(max_examples=40, deadline=None)
 @given(small_instances(max_m=3), small_ratios)
 def test_pareto_layer_matches_full_tables(inst, ell):
-    """Minimal vectors feasible from some anchor's full table."""
+    """The vectors feasible from some anchor's full table, and their minimal ones."""
     perimeters, fleet = inst
     grids, steps = _at_ell(perimeters, fleet, ell)
+    strides = _Grid(fleet.counts).strides
     for per, line in zip(perimeters, grids):
         tables = [coverage_table(per, a, fleet, ell) for a in range(per.q)]
         covering = {x for x in product(*(range(n + 1) for n in fleet.counts))
@@ -370,7 +424,120 @@ def test_pareto_layer_matches_full_tables(inst, ell):
             x for x in covering
             if not any(c and x[:k] + (c - 1,) + x[k + 1:] in covering for k, c in enumerate(x))
         ]
-        assert _pareto_layer(line, fleet.counts, steps) == sorted(minimal)
+        assert _pareto_layer(line, fleet.counts, steps) == sum(
+            1 << sum(c * s for c, s in zip(x, strides)) for x in covering
+        )
+        assert pareto_feasible_vectors(per, fleet, ell) == sorted(minimal)
+
+
+# -- allocation sets as bitsets, against per-cell references -----------------------
+
+
+@st.composite
+def allocation_grids(draw):
+    return _Grid([draw(st.integers(min_value=1, max_value=3))
+                  for _ in range(draw(st.integers(min_value=1, max_value=3)))])
+
+
+def cells_of(grid):
+    return list(product(*map(range, grid.sizes)))
+
+
+def upward_set(draw, grid, max_size=4):
+    """A random upward-closed set: the closure of a few cells, as a bytearray."""
+    marked = bytearray(grid.total)
+    for idx in draw(st.lists(st.integers(min_value=0, max_value=grid.total - 1),
+                             max_size=max_size)):
+        marked[idx] = 1
+    _minimal(marked, grid.sizes, grid.strides)
+    return marked
+
+
+def as_int(marked) -> int:
+    return sum(1 << idx for idx, bit in enumerate(marked) if bit)
+
+
+@settings(max_examples=100, deadline=None)
+@given(allocation_grids(), st.data())
+def test_grid_masks_match_a_per_cell_reference(grid, data):
+    """above(idx) holds exactly the cells >= vector(idx), per axis and for a
+    whole vector, and index order is lex order."""
+    cells = cells_of(grid)
+    assert [grid.vector(idx) for idx in range(grid.total)] == cells
+    for tau, size in enumerate(grid.sizes):
+        for c in range(size):
+            assert grid.above(c * grid.strides[tau]) == sum(
+                1 << idx for idx, x in enumerate(cells) if x[tau] >= c
+            )
+    v = cells[data.draw(st.integers(min_value=0, max_value=grid.total - 1))]
+    assert grid.above(cells.index(v)) == sum(
+        1 << idx for idx, x in enumerate(cells) if all(a >= b for a, b in zip(x, v))
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(allocation_grids(), st.data())
+def test_fold_is_the_minkowski_sum_cut_to_the_grid(grid, data):
+    """Folding two upward-closed sets gives every u + v <= counts; the minimal
+    cells match the reference _minimal."""
+    cells = cells_of(grid)
+    first, second = upward_set(data.draw, grid), upward_set(data.draw, grid)
+    expected = set()
+    for u, in_first in zip(cells, first):
+        for v, in_second in zip(cells, second):
+            w = tuple(a + b for a, b in zip(u, v))
+            if in_first and in_second and all(c < s for c, s in zip(w, grid.sizes)):
+                expected.add(cells.index(w))
+    total, levels = _fold_layers([as_int(first), as_int(second)], grid)
+    assert total == sum(1 << idx for idx in expected)
+    assert levels[0] == ((1 << grid.total) - 1, as_int(first))
+    assert len(levels) == (2 if as_int(first) else 1)
+    reference = _minimal(bytearray(first), grid.sizes, grid.strides)
+    assert [(idx, grid.vector(idx)) for idx in _bits(grid.minimal(as_int(first)))] == reference
+
+
+@settings(max_examples=150, deadline=None)
+@given(allocation_grids(), st.data())
+def test_split_matches_the_reference_fold_walk(grid, data):
+    """Folding 1-4 layers and splitting the lex-first total gives the totals,
+    levels and vectors of the reference _fold_step walk over its parents."""
+    layers = [upward_set(data.draw, grid, max_size=3)
+              for _ in range(data.draw(st.integers(min_value=1, max_value=4)))]
+    prev = [(0,) * len(grid.sizes)]
+    parents = []
+    for layer in layers:
+        minimal = [x for _, x in _minimal(bytearray(layer), grid.sizes, grid.strides)]
+        prev, cand = _fold_step(prev, minimal, grid.sizes, grid.strides)
+        parents.append(cand)
+        if not prev:
+            break
+    total, levels = _fold_layers(map(as_int, layers), grid)
+    assert [grid.vector(idx) for idx in _bits(grid.minimal(total))] == prev
+    assert len(levels) == len(parents)
+    if prev:
+        walk, w = [], prev[0]
+        for level in reversed(parents):
+            w, v = level[w]
+            walk.insert(0, v)
+        assert grid.split(total, levels) == walk
+
+
+def test_split_takes_only_prefix_cells_below_the_total():
+    # The lex-first total is (2, 0, 1) = (1, 0, 0) + (1, 0, 1).  The prefix cell
+    # (0, 0, 2) comes first in index order, and the index difference to the
+    # total decodes to (1, 2, 2), which is in the layer; but (0, 0, 2) is not
+    # below (2, 0, 1), so the walk must pass over it.
+    grid = _Grid([3, 2, 2])
+    layers = []
+    for vectors in [[(0, 0, 2), (1, 0, 0)], [(1, 0, 1), (2, 0, 0)]]:
+        marked = bytearray(grid.total)
+        for x in vectors:
+            marked[sum(c * s for c, s in zip(x, grid.strides))] = 1
+        _minimal(marked, grid.sizes, grid.strides)
+        layers.append(as_int(marked))
+    total, levels = _fold_layers(layers, grid)
+    assert grid.vector(next(_bits(total))) == (2, 0, 1)
+    assert grid.split(total, levels) == [(1, 0, 0), (1, 0, 1)]
 
 
 @settings(max_examples=150, deadline=None)
