@@ -37,7 +37,6 @@ from .solver_lr import (
     build_fleet_lr,
     coverage_table,
     feasible,
-    inc,
     capability_sums,
     pareto_feasible_vectors,
     partition_feasible,

@@ -12,7 +12,7 @@ Positions come in two flavors:
 * anchored offsets, measured along the circle from a chosen segment start.
 
 Perimeter's own geometry is exact fractions.Fraction arithmetic, never
-floats; the validator, the oracles and solver_lr.inc use it.
+floats; the validator and the oracles use it.
 
 The solvers instead work on an integer line, and this module owns both of
 its edges.  integer_anchors scales in: every length times the lcm of the

@@ -19,10 +19,9 @@ solve_lr eliminates anchors one at a time in a fixed shuffled order: an
 anchor fills one early-exit table at best - 1/A^2, which answers exactly
 "does it beat the best so far?", and only an anchor that does bisects on
 its own window.  In a random order the best changes about ln q times, so
-the search costs about q tables plus a few short bisections.  The witness
-is the lex-first allocation vector that covers from some anchor, with the
-smallest such anchor; each anchor's sweep stops at the best hit so far,
-and it scans only the anchors the elimination left live at the optimum.
+the search costs about q tables plus a few short bisections.  The last
+bisection ends on a "yes" table at the optimum, and its early-exit hit,
+that anchor's lex-first covering cell, is the witness vector.
 
 On several perimeters each bisection step folds the perimeters' Pareto
 layers (the vectors covering a perimeter from some anchor) into totals.
@@ -32,6 +31,8 @@ over the allocation grid, where adding a vector to every cell is a shift
 and a mask (_Grid).  Feasible sets grow with the ratio, so a layer equal
 at the last "no" and "yes" ratios is pinned in between and reused.  The
 search ends on a "yes" at the optimum, whose fold gives the witness.
+Either way, each witness vector is read from the smallest anchor that
+reaches it.
 
 The DP runs on integers only.  perimeter.integer_anchors scales lengths
 in once per solve, by the lcm of their denominators, as one line of
@@ -41,9 +42,9 @@ steps exactly a * p.  An anchor's table runs on its lap, the slice of
 the line from the anchor: a shift keeps every comparison and tie-break.
 The search, the public decision functions (_decide), the tables, the
 Pareto fold and the reconstruction share the same DP, and
-perimeter.place_arcs scales the witness deployment back out as Arcs.  Otherwise Fraction
-appears only where a ratio comes in and where table reaches and the
-objective go out.
+perimeter.place_arcs scales the witness deployment back out as Arcs.
+Otherwise Fraction appears only where a ratio comes in and where table
+reaches and the objective go out.
 """
 from __future__ import annotations
 
@@ -195,8 +196,7 @@ class _Grid:
         return out
 
 
-def _fill_table(starts, ends, steps, bounds, early_exit: bool, cells: int | None = None,
-                done: bytearray | None = None):
+def _fill_table(starts, ends, steps, bounds, early_exit: bool, done: bytearray | None = None):
     """Reach DP over all allocation vectors, in lexicographic cell order.
 
     starts, ends and steps are integers on one grid (see _at), the bounds
@@ -204,8 +204,7 @@ def _fill_table(starts, ends, steps, bounds, early_exit: bool, cells: int | None
     starts[0] using x_tau robots per type, capped at the working range's
     end ends[-1]; ties between types resolve to the smallest type index.
     Returns (values, backptr, hit) with hit the first feasible cell index,
-    -1 if none (values/backptr are partial when early_exit stops the sweep
-    or `cells` cuts it off after that many cells).
+    -1 if none (values/backptr are partial when early_exit stops the sweep).
 
     Cells marked in `done`, a bytearray over the grid, are skipped and keep
     no value.  The caller keeps `done` upward-closed, so no cell filled
@@ -218,7 +217,7 @@ def _fill_table(starts, ends, steps, bounds, early_exit: bool, cells: int | None
     hit = -1
     br = bisect_right
     axes = list(zip(range(len(bounds)), grid.strides, steps))
-    for idx, x in enumerate(islice(product(*map(range, grid.sizes)), 1, cells), 1):
+    for idx, x in enumerate(islice(product(*map(range, grid.sizes)), 1, None), 1):
         if done and done[idx]:
             continue
         best = -1
@@ -348,17 +347,6 @@ class CoverageTable:
         return chain
 
 
-def inc(per: Perimeter, anchor: int, reach: Fraction, ell: Fraction) -> Fraction:
-    """Extend a normalized reach by one robot's arc of length ell.
-
-    Equivalent to normalize_position(anchor, reach + ell): the new reach
-    slides past any gap it lands in and clamps at the working range.
-    """
-    if ell < 0:
-        raise ValidationError(f"arc length {ell} is negative")
-    return per.normalize_position(anchor, Fraction(reach) + Fraction(ell))
-
-
 def coverage_table(per: Perimeter, anchor: int, fleet: FleetLR, ell: Fraction) -> CoverageTable:
     """Build the full reach table for one anchor at ratio ell."""
     unit, lines = integer_anchors([per])
@@ -454,47 +442,50 @@ class LrSolution:
     feasibility_calls: int = 0           # reach tables the ratio search filled
 
 
-def _bisect(lo: Fraction, hi: Fraction, a_total: int, check) -> Fraction:
+def _bisect(lo: Fraction, hi: Fraction, a_total: int, check) -> tuple[Fraction, object]:
     """Smallest ratio in [lo, hi] that passes check, given that hi passes.
 
-    The answer has denominator at most A = a_total (see solve_lr), so two
-    candidates lie at least 1/A^2 apart: lo is tried first, bisection
-    narrows the window below 1/A^2, and simplest_between snaps out the one
-    candidate left inside it.
+    check returns None for "no" and a witness for "yes".  Returns (ratio,
+    witness), the witness from the check at that ratio, which is always
+    the last check.  The answer has denominator at most A = a_total (see
+    solve_lr), so two candidates lie at least 1/A^2 apart: lo is tried
+    first, bisection narrows the window below 1/A^2, and simplest_between
+    snaps out the one candidate left inside it.
     """
-    if check(lo):
-        return lo
+    witness = check(lo)
+    if witness is not None:
+        return lo, witness
     eps = Fraction(1, a_total * a_total)
     if hi - lo < eps:
         raise AssertionError("bisection window collapsed below the answer spacing")
     while hi - lo >= eps:
         mid = (lo + hi) / 2
-        if check(mid):
-            hi = mid
-        else:
+        if check(mid) is None:
             lo = mid
+        else:
+            hi = mid
     best = simplest_between(lo, hi)
     if best.denominator > a_total or best <= 0:
         raise AssertionError("snapped ratio fell outside the certified window")
-    if not check(best):
+    witness = check(best)
+    if witness is None:
         raise AssertionError("snapped ratio is not feasible")
-    return best
+    return best, witness
 
 
 def _eliminate_anchors(line, capabilities, counts, lo, hi,
-                       a_total) -> tuple[Fraction, int, list[int]]:
+                       a_total) -> tuple[Fraction, int, int]:
     """Optimal ratio on one perimeter's line, the reach tables filled, and
-    the anchors that may be feasible at it, in increasing order.
+    the witness cell's index.
 
     The optimum is the least of the anchors' own optima.  The anchor after
     the widest gap takes the fleet at hi, so it is searched first.  Every
     other anchor, in one fixed shuffled order, fills a single early-exit
     table at best - 1/A^2; by the spacing of candidates, "yes" means
     exactly that its optimum is below best, and only then does it search
-    [lo, best - 1/A^2] on its own lap.  An anchor's optimum is above the
-    final best if it answered at an earlier, larger best, so only the
-    anchor behind the last improvement, the anchors that answered "no"
-    after it and the anchors never visited stay live.
+    [lo, best - 1/A^2] on its own lap.  The witness is the hit of the last
+    bisection's final table: the lex-first covering cell, at the optimum,
+    of the anchor behind the last improvement.
     """
     starts, ends = line
     q = len(starts) // 2
@@ -504,52 +495,26 @@ def _eliminate_anchors(line, capabilities, counts, lo, hi,
     def fits(a: int):
         lap = [(starts[a:a + q], ends[a:a + q])]
 
-        def check(ratio: Fraction) -> bool:
+        def check(ratio: Fraction) -> int | None:
             nonlocal tables
             tables += 1
             ((s, e),), steps = _at(lap, capabilities, ratio)
-            return _fill_table(s, e, steps, counts, True)[2] >= 0
+            hit = _fill_table(s, e, steps, counts, True)[2]
+            return hit if hit >= 0 else None
 
         return check
 
     first = (max(range(q), key=lambda j: starts[j + 1] - ends[j]) + 1) % q
     rest = [a for a in range(q) if a != first]
     random.Random(q).shuffle(rest)
-    best = _bisect(lo, hi, a_total, fits(first))
-    live = [first]
-    for i, a in enumerate(rest):
+    best, hit = _bisect(lo, hi, a_total, fits(first))
+    for a in rest:
         if best == lo:
-            live += rest[i:]
             break
         check = fits(a)
-        if check(best - eps):
-            best = _bisect(lo, best - eps, a_total, check)
-            live = [a]
-        else:
-            live.append(a)
-    return best, tables, sorted(live)
-
-
-def _lex_first(line, steps, counts, anchors: Iterable[int]) -> tuple[AllocationVector, int]:
-    """Lex-first vector that covers one perimeter, and its smallest anchor.
-
-    anchors, in increasing order, must include every anchor feasible at
-    steps.  _fill_table walks cells in lex order, so an anchor's early-exit
-    hit is its lex-first feasible cell, and each anchor sweeps only the
-    cells before the best hit so far.  This is the lowest bit of
-    _pareto_layer, a minimal vector, and the anchor is the smallest one
-    from which it is feasible.
-    """
-    starts, ends = line
-    q = len(starts) // 2
-    cells, anchor = None, -1
-    for a in anchors:
-        hit = _fill_table(starts[a:a + q], ends[a:a + q], steps, counts, True, cells)[2]
-        if hit >= 0:
-            cells, anchor = hit, a
-    if anchor < 0:
-        raise AssertionError("optimal ratio lost feasibility during reconstruction")
-    return _Grid(counts).vector(cells), anchor
+        if check(best - eps) is not None:
+            best, hit = _bisect(lo, best - eps, a_total, check)
+    return best, tables, hit
 
 
 def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrSolution:
@@ -559,11 +524,12 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
     also optimally partitioned between perimeters.  The optimum is exact:
     it is span/D with D <= A (A = total capability), so _bisect snaps it
     out of a window narrower than 1/A^2; the module docstring describes
-    both searches.  The witness is the lex-first covering total at the
-    optimum, parted between perimeters by the search's last fold
-    (_Grid.split), each vector from the smallest anchor reaching it and
-    read from a table bounded by it.  feasibility_calls counts the reach
-    tables the search filled.
+    both searches.  The witness comes from the search's last "yes", at the
+    optimum: on one perimeter, the lex-first covering cell of the anchor
+    behind the last improvement; on several, the lex-first covering total
+    parted between perimeters by the last fold (_Grid.split).  Each vector
+    is read from a table bounded by it, from the smallest anchor reaching
+    it.  feasibility_calls counts the reach tables the search filled.
     """
     if isinstance(perimeters, Perimeter):
         perimeters = [perimeters]
@@ -578,6 +544,7 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
     capabilities, counts = fleet.capabilities, fleet.counts
     a_min = min(capabilities)
     a_total = fleet.total_capability
+    grid = _Grid(counts)
 
     # Ratios here are scaled (ell * unit).  Every segment must be physically
     # covered, so ell is at least (total guarded length)/A; one robot from
@@ -588,22 +555,17 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
         hi = max(hi, Fraction(starts[per.q] - max(s - e for s, e in zip(starts[1:], ends)), a_min))
 
     if len(scaled) == 1:
-        best, tables, live = _eliminate_anchors(scaled[0], capabilities, counts, lo, hi, a_total)
-        grids, steps = _at(scaled, capabilities, best)
-        v, anchor = _lex_first(grids[0], steps, counts, live)
-        allocations, anchors = [v], [anchor]
+        best, tables, hit = _eliminate_anchors(scaled[0], capabilities, counts, lo, hi, a_total)
+        allocations = [grid.vector(hit)]
     else:
         tables = 0
-        grid = _Grid(counts)
         # Per perimeter, (ratio, layer) at the last "no" and the last "yes"
         # that drew its layer.  Feasible sets only grow with the ratio, so a
         # layer equal at both ends is pinned in between: reused, not rebuilt.
         below: list = [None] * len(scaled)
         above: list = [None] * len(scaled)
-        last = None   # (ratio, totals, fold levels) of the last "yes"
 
-        def check(ratio: Fraction) -> bool:
-            nonlocal last
+        def check(ratio: Fraction):
             grids, steps = _at(scaled, capabilities, ratio)
 
             def layer(k: int) -> int:
@@ -616,19 +578,15 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
 
             total, levels = _fold_layers(map(layer, range(len(grids))), grid)
             (above if total else below)[:len(levels)] = [(ratio, found) for _, found in levels]
-            if total:
-                last = ratio, total, levels
-            return bool(total)
+            return (total, levels) if total else None
 
-        best = _bisect(lo, hi, a_total, check)
-        ratio, total, levels = last
-        if ratio != best:
-            raise AssertionError("the search did not end on a yes at the optimum")
+        best, (total, levels) = _bisect(lo, hi, a_total, check)
         allocations = grid.split(total, levels)
-        # v is minimal on its perimeter, so a table bounded by v reaches only
-        # at v: the first anchor that reaches is the smallest reaching v.
-        grids, steps = _at(scaled, capabilities, best)
-        anchors = [_decide(line, steps, v) for line, v in zip(grids, allocations)]
+
+    # Reach grows with robots, so a table bounded by v reaches at all iff it
+    # reaches at v: _decide gives the smallest anchor reaching v.
+    grids, steps = _at(scaled, capabilities, best)
+    anchors = [_decide(line, steps, v) for line, v in zip(grids, allocations)]
 
     ell_star = best / unit
     arcs: list[Arc] = []

@@ -2,8 +2,11 @@
 
 _minimal and _fold_step below are the list-and-dict Pareto fold the
 solver used before it kept allocation sets as bitsets (_Grid); they stay
-here as references for _Grid.minimal, _fold_layers and _Grid.split.
+here as references for _Grid.minimal, _fold_layers and _Grid.split.  inc
+is the reach recurrence's step on Perimeter's exact geometry.
 """
+import ast
+import inspect
 import math
 from fractions import Fraction
 from itertools import product
@@ -14,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perimeterguard import solver_lr
+from perimeterguard.documents import InstanceDocument, solution_from_lr
 from perimeterguard.errors import ReconstructionMismatch, ValidationError
 from perimeterguard.generate import gen_random
 from perimeterguard.oracle import brute_feasible_lr, brute_feasible_lr_multi, brute_solve_lr
@@ -24,20 +28,25 @@ from perimeterguard.solver_lr import (
     _fill_table,
     _fold_layers,
     _Grid,
-    _lex_first,
     _pareto_layer,
     build_fleet_lr,
     coverage_table,
     feasible,
-    inc,
     pareto_feasible_vectors,
     partition_feasible,
     ratio_certificate,
     reconstruct_lr,
     solve_lr,
 )
+from perimeterguard.validate import validate_solution
 
 F = Fraction
+
+
+def inc(per, anchor: int, reach: Fraction, ell: Fraction) -> Fraction:
+    """Extend a normalized reach by one robot's arc of length ell: the new
+    reach slides past any gap it lands in and clamps at the working range."""
+    return per.normalize_position(anchor, Fraction(reach) + Fraction(ell))
 
 
 # -- the reference: the list-and-dict Pareto fold ---------------------------------
@@ -187,6 +196,32 @@ def test_solve_with_anchors_tied_at_the_optimum():
     assert sol.anchors == [0]
 
 
+def test_solve_witness_is_the_last_improving_anchors_cell_on_a_tie():
+    # An anchor visited after the last improvement ties at ell* = 3 with the
+    # lex-smaller cell (2, 0); the witness is the lex-first covering cell of
+    # the anchor behind the last improvement, (2, 1), read from anchor 0.
+    per = build_perimeter([3, 4, 3, 4, 3], [5, 5, 1, 1, 5])
+    fleet = build_fleet_lr([(4, 2), (1, 1)])
+    sol = solve_lr(per, fleet)
+    assert sol.objective == 3
+    assert sol.allocations == [(2, 1)]
+    assert sol.anchors == [0]
+    assert any(coverage_table(per, a, fleet, F(3)).feasible_at((2, 0)) for a in range(per.q))
+    validate_solution(InstanceDocument("lr", (per,), fleet=fleet), solution_from_lr(sol))
+
+
+def test_solve_witness_comes_from_the_last_improvement():
+    # Anchor 3, after the widest gap, is searched first: its optimum 11/3
+    # needs only (0, 3), which covers from no anchor at the optimum 10/3.
+    per = build_perimeter([4, 6, 4, 1, 5, 4], [5, 1, 6, 5, 6, 2])
+    fleet = build_fleet_lr([(2, 1), (3, 3)])
+    assert coverage_table(per, 3, fleet, F(11, 3)).feasible_at((0, 3))
+    sol = solve_lr(per, fleet)
+    assert sol.objective == F(10, 3)
+    assert sol.allocations == [(1, 3)]
+    assert sol.anchors == [1]
+
+
 def test_solve_with_an_anchor_infeasible_at_the_upper_bound():
     # The upper bound (circumference - widest gap) / a_min = 3 is what one
     # robot needs from anchor 1; from anchor 0 it must also cross the wide gap.
@@ -224,6 +259,26 @@ def test_solve_scales_once_and_draws_no_layer_after_the_search():
         sol = solve_lr(list(doc.perimeters), doc.fleet)
     assert sol.feasibility_calls == 318
     assert calls == {"integer_anchors": 1, "coverage_table": 0, "_pareto_layer": 318 // 6}
+
+
+def test_solve_fills_only_the_search_tables_and_one_witness_tail():
+    """One perimeter: the search's 50 tables, one bounded table to find the
+    witness's anchor (anchor 0) and the witness table; no rescan of anchors."""
+    doc = gen_random("lr", 2, 20, 1, seed=0)
+    real, calls = solver_lr._fill_table, []
+
+    def spy(*args, **kwargs):
+        calls.append(args[3])
+        return real(*args, **kwargs)
+
+    with mock.patch.object(solver_lr, "_fill_table", spy):
+        sol = solve_lr(list(doc.perimeters), doc.fleet)
+    assert sol.feasibility_calls == 50
+    assert len(calls) == 52
+    assert calls[-2:] == [sol.allocations[0]] * 2
+    # Every perimeter count shares the one tail that looks up witness anchors.
+    tree = ast.parse(inspect.getsource(solver_lr.solve_lr))
+    assert sum(isinstance(n, ast.Name) and n.id == "_decide" for n in ast.walk(tree)) == 1
 
 
 def test_solve_two_perimeters():
@@ -540,23 +595,6 @@ def test_split_takes_only_prefix_cells_below_the_total():
     assert grid.split(total, levels) == [(1, 0, 0), (1, 0, 1)]
 
 
-@settings(max_examples=150, deadline=None)
-@given(small_instances(max_q=7))
-def test_lex_first_over_live_anchors_matches_a_full_scan(inst):
-    (per,), fleet = inst
-    scans = []
-
-    def spy(line, steps, counts, anchors):
-        scans.append((_lex_first(line, steps, counts, anchors),
-                      _lex_first(line, steps, counts, range(per.q))))
-        return scans[-1][0]
-
-    with mock.patch.object(solver_lr, "_lex_first", spy):
-        solve_lr(per, fleet)
-    [(live, full)] = scans
-    assert live == full
-
-
 @settings(max_examples=60, deadline=None)
 @given(small_instances(), small_ratios)
 def test_feasible_agrees_with_brute(inst, ell):
@@ -590,17 +628,19 @@ def test_solve_multi_agrees_with_brute(inst):
 @settings(max_examples=50, deadline=None)
 @given(small_instances(max_m=3))
 def test_solve_witness_is_the_lex_first_minimal_vector(inst):
-    """Every perimeter gets a minimal vector, from the smallest anchor whose
-    table covers it; on one perimeter the vector is the lex-first one."""
+    """Every perimeter's vector comes from the smallest anchor whose table
+    covers it.  On one perimeter it is the lex-first covering cell of some
+    anchor; on several it is a minimal vector of its perimeter."""
     perimeters, fleet = inst
     sol = solve_lr(perimeters, fleet)
     for per, v, anchor in zip(perimeters, sol.allocations, sol.anchors):
-        layer = pareto_feasible_vectors(per, fleet, sol.objective)
-        assert v in layer
+        tables = [coverage_table(per, a, fleet, sol.objective) for a in range(per.q)]
         if len(perimeters) == 1:
-            assert v == layer[0]
-        assert anchor == min(a for a in range(per.q)
-                             if coverage_table(per, a, fleet, sol.objective).feasible_at(v))
+            cells = list(product(*(range(n + 1) for n in fleet.counts)))   # lex order
+            assert v in [next((x for x in cells if t.feasible_at(x)), None) for t in tables]
+        else:
+            assert v in pareto_feasible_vectors(per, fleet, sol.objective)
+        assert anchor == min(a for a, t in enumerate(tables) if t.feasible_at(v))
 
 
 @settings(max_examples=30, deadline=None)
