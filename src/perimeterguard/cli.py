@@ -1,15 +1,14 @@
 """Command-line interface.
 
 Subcommands: solve, oracle, gen, bench, render.  Exit codes: 0 success,
-2 bad input, 3 infeasible decision query, 4 instance too large for the
-brute-force oracle.
+2 bad input, 3 infeasible decision query, 4 instance above a solver's or
+the brute-force oracle's size cap.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 import time
-from fractions import Fraction
 
 from .bench import DEFAULT_SEEDS, run_suite, write_csv
 from .documents import (
@@ -23,7 +22,6 @@ from .documents import (
 from .errors import GuardingError, InstanceTooLarge, ValidationError
 from .generate import gen_random
 from .oracle import brute_feasible_lr_multi, brute_solve_lr, brute_solve_mc
-from .rationals import format_fraction
 from .render import render_svg
 from .solver_lr import partition_feasible, solve_lr
 from .solver_mc import solve_mc_multi
@@ -48,6 +46,22 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _verdict(doc, answer) -> int:
+    """Print a decision query's verdict and map it to exit 0 or 3.
+
+    answer is whether the fleet covers at ratio doc.ell (lr), or the
+    minimum cost to hold against doc.budget (mc).
+    """
+    if doc.problem == "lr":
+        ok = answer
+        print(f"ratio {doc.ell}: {'feasible' if ok else 'infeasible'}")
+    else:
+        ok = answer <= doc.budget
+        print(f"minimum cost {answer}, budget {doc.budget}: "
+              f"{'within budget' if ok else 'over budget'}")
+    return EXIT_OK if ok else EXIT_INFEASIBLE
+
+
 def _cmd_solve(args) -> int:
     doc = parse_instance(_read(args.input))
     decision = doc.ell is not None or doc.budget is not None
@@ -56,25 +70,18 @@ def _cmd_solve(args) -> int:
 
     if doc.problem == "lr":
         if doc.ell is not None:
-            ok = partition_feasible(doc.perimeters, doc.fleet, doc.ell)
-            print(f"ratio {format_fraction(doc.ell)}: {'feasible' if ok else 'infeasible'}")
-            return EXIT_OK if ok else EXIT_INFEASIBLE
+            return _verdict(doc, partition_feasible(doc.perimeters, doc.fleet, doc.ell))
         tick = time.perf_counter()
         sol = solve_lr(doc.perimeters, doc.fleet)
         wall = time.perf_counter() - tick
         out = solution_from_lr(sol, wall_time=wall)
-        print(f"objective {format_fraction(sol.objective)}")
+        print(f"objective {sol.objective}")
     else:
         tick = time.perf_counter()
         sol = solve_mc_multi(doc.perimeters, doc.types)
         wall = time.perf_counter() - tick
         if doc.budget is not None:
-            ok = sol.total_cost <= doc.budget
-            print(
-                f"minimum cost {sol.total_cost}, budget {format_fraction(doc.budget)}: "
-                f"{'within budget' if ok else 'over budget'}"
-            )
-            return EXIT_OK if ok else EXIT_INFEASIBLE
+            return _verdict(doc, sol.total_cost)
         out = solution_from_mc(sol, wall_time=wall)
         print(f"cost {sol.total_cost}")
 
@@ -90,20 +97,12 @@ def _cmd_oracle(args) -> int:
     doc = parse_instance(_read(args.input))
     if doc.problem == "lr":
         if doc.ell is not None:
-            ok = brute_feasible_lr_multi(doc.perimeters, doc.fleet, doc.ell)
-            print(f"ratio {format_fraction(doc.ell)}: {'feasible' if ok else 'infeasible'}")
-            return EXIT_OK if ok else EXIT_INFEASIBLE
-        best = brute_solve_lr(doc.perimeters, doc.fleet)
-        print(f"objective {format_fraction(best)}")
+            return _verdict(doc, brute_feasible_lr_multi(doc.perimeters, doc.fleet, doc.ell))
+        print(f"objective {brute_solve_lr(doc.perimeters, doc.fleet)}")
         return EXIT_OK
     cost = sum(brute_solve_mc(per, doc.types) for per in doc.perimeters)
     if doc.budget is not None:
-        ok = cost <= doc.budget
-        print(
-            f"minimum cost {cost}, budget {format_fraction(doc.budget)}: "
-            f"{'within budget' if ok else 'over budget'}"
-        )
-        return EXIT_OK if ok else EXIT_INFEASIBLE
+        return _verdict(doc, cost)
     print(f"cost {cost}")
     return EXIT_OK
 

@@ -200,7 +200,7 @@ def parse_instance(data: bytes | str) -> InstanceDocument:
 
 
 def _json_rational(value: Fraction) -> str:
-    """format_fraction's value as JSON text: a bare int or a quoted "num/den"."""
+    """A rational as JSON text: a bare int, or str(value) quoted as "num/den"."""
     if value.denominator == 1:
         return str(value.numerator)
     return f'"{value.numerator}/{value.denominator}"'

@@ -34,7 +34,7 @@ class InvalidSpec(GuardingError):
 
 
 class InstanceTooLarge(GuardingError):
-    """Brute-force oracle refused an instance above its size cap."""
+    """Instance above a solver's or the brute-force oracle's size cap, refused up front."""
 
 
 class OutOfTableRange(GuardingError):

@@ -10,6 +10,7 @@ Subset-Sum questions, giving a second, structural source of ground truth.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -17,7 +18,6 @@ from typing import Sequence
 
 from .errors import InstanceTooLarge, InvalidSpec, ValidationError
 from .perimeter import Perimeter, build_perimeter
-from .rationals import ceil_fraction
 from .solver_lr import FleetLR, build_fleet_lr
 from .solver_mc import TypesMC, build_types_mc
 
@@ -172,7 +172,7 @@ def _min_cost_to_cover(length: int, lengths, costs, density_bound: Fraction) -> 
             if best is None or acc < best:
                 best = acc
             return
-        if best is not None and acc + ceil_fraction(remaining * density_bound) >= best:
+        if best is not None and acc + math.ceil(remaining * density_bound) >= best:
             return
         if tau == t - 1:
             total = acc + -(-remaining // lengths[tau]) * costs[tau]
@@ -199,7 +199,7 @@ def brute_solve_mc(per: Perimeter, types: TypesMC) -> int:
         raise InstanceTooLarge(f"brute force capped at {MAX_MC_SEGMENTS} segments")
     if types.t > MAX_MC_TYPES:
         raise InstanceTooLarge(f"brute force capped at {MAX_MC_TYPES} types")
-    circ = ceil_fraction(per.circumference)
+    circ = math.ceil(per.circumference)
     if circ > MAX_MC_LENGTH:
         raise InstanceTooLarge(f"brute force capped at circumference {MAX_MC_LENGTH}")
     lengths, costs = types.lengths, types.costs
@@ -211,7 +211,7 @@ def brute_solve_mc(per: Perimeter, types: TypesMC) -> int:
     cache: dict[int, int] = {}
 
     def block_cost(span: Fraction) -> int:
-        need = ceil_fraction(span)
+        need = math.ceil(span)
         got = cache.get(need)
         if got is None:
             got = _min_cost_to_cover(need, lengths, costs, density_bound)

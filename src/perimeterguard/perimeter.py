@@ -26,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -38,7 +38,7 @@ from .errors import (
     NonPositiveLength,
     ReconstructionMismatch,
 )
-from .rationals import RationalLike, common_denominator, scaled_ints, to_fraction
+from .rationals import RationalLike, to_fraction
 
 QUANTIZATION_DENOMINATOR = 10**6
 
@@ -187,16 +187,17 @@ class Perimeter:
 def integer_anchors(perimeters: Sequence[Perimeter]):
     """(unit, per perimeter: its integer line (starts, ends)).
 
-    unit is the lcm of every length's denominator, so each bound is an int.
-    A line holds the segment bounds times unit in global positions, from
-    the start of segment 0 and running two laps: 2q entries each, with the
-    circumference at starts[q].  Anchor a's view is the slice a:a+q, which
-    less starts[a] is perimeters[k].unrolled(a) scaled by unit.
+    unit is the lcm of every length's denominator; a bound is a sum of
+    lengths, so bound * unit is an int.  A line holds those ints in global
+    positions from the start of segment 0, over two laps: 2q entries each,
+    the circumference at starts[q].  Anchor a's view is the slice a:a+q,
+    which less starts[a] is perimeters[k].unrolled(a) scaled by unit.
     """
-    unit = common_denominator(x for per in perimeters for x in (*per.segments, *per.gaps))
+    unit = lcm(*(x.denominator for per in perimeters for x in (*per.segments, *per.gaps)))
     lines = []
     for per in perimeters:
-        bounds = scaled_ints(per._bounds, unit)   # S0 G0 S1 G1 ... (gapless: just S0)
+        # S0 G0 S1 G1 ... (gapless: just S0)
+        bounds = [b.numerator * (unit // b.denominator) for b in per._bounds]
         starts, ends, circ = bounds[:-1:2], bounds[1::2], bounds[-1]
         lines.append((starts + [s + circ for s in starts], ends + [e + circ for e in ends]))
     return unit, lines

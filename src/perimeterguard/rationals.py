@@ -1,13 +1,12 @@
-"""Helpers for exact rational arithmetic on top of fractions.Fraction.
+"""The rational literals that documents and the API accept.
 
-All solver-facing quantities are Fractions; floats never enter here.
+An int, a Fraction, or a string in a narrow ASCII syntax (to_fraction);
+never a float.  Arithmetic on them is Fraction's and the math module's.
 """
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .errors import ParseError
 
@@ -42,54 +41,3 @@ def to_fraction(value: RationalLike, where: str = "value") -> Fraction:
             raise ParseError(f"{where}: {exc}") from exc
     raise ParseError(f"{where}: expected int or 'num/den' string, got {type(value).__name__}")
 
-
-def format_fraction(value: Fraction) -> int | str:
-    """Serialize a Fraction: integers stay ints, everything else is 'num/den'."""
-    if value.denominator == 1:
-        return int(value)
-    return f"{value.numerator}/{value.denominator}"
-
-
-def common_denominator(values: Iterable[Fraction]) -> int:
-    """lcm of all denominators; scaling by it makes every value an integer."""
-    d = 1
-    for v in values:
-        d = math.lcm(d, v.denominator)
-    return d
-
-
-def ceil_fraction(value: Fraction) -> int:
-    return -((-value.numerator) // value.denominator)
-
-
-def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """Smallest-denominator rational in the closed interval [lo, hi].
-
-    Stern-Brocot / continued-fraction descent; requires 0 <= lo <= hi.
-    Among equal denominators the numerator is minimal, so the result is
-    unique and deterministic.
-    """
-    if lo > hi:
-        raise ValueError("empty interval")
-    if lo == hi:
-        return lo
-    n = ceil_fraction(lo)
-    if n <= hi:
-        return Fraction(n)
-    # Now floor(lo) == floor(hi) and the interval contains no integer.
-    f = n - 1  # common integer part
-    inner = simplest_between(1 / (hi - f), 1 / (lo - f))
-    return f + 1 / inner
-
-
-def scaled_ints(values: Sequence[Fraction], scale: int) -> list[int]:
-    """Multiply exact rationals by a scale known to clear the denominators."""
-    out = []
-    for v in values:
-        n = v.numerator * scale
-        d = v.denominator
-        q, r = divmod(n, d)
-        if r:
-            raise ValueError("scale does not clear denominator")
-        out.append(q)
-    return out

@@ -55,9 +55,12 @@ from fractions import Fraction
 from itertools import islice, product
 from typing import Iterable, Sequence
 
-from .errors import IndexOutOfRange, ReconstructionMismatch, ValidationError
+from .errors import IndexOutOfRange, InstanceTooLarge, ReconstructionMismatch, ValidationError
 from .perimeter import Arc, Perimeter, integer_anchors, place_arcs
-from .rationals import simplest_between
+
+# The most cells an allocation grid may hold: every table and fold is one
+# grid, so this refuses an instance before any of them is allocated.
+MAX_GRID_CELLS = 1 << 24
 
 # -- fleet ------------------------------------------------------------------
 
@@ -154,6 +157,8 @@ class _Grid:
         for k in range(len(counts) - 1, 0, -1):
             self.strides[k - 1] = self.strides[k] * self.sizes[k]
         self.total = self.strides[0] * self.sizes[0]
+        if self.total > MAX_GRID_CELLS:
+            raise InstanceTooLarge(f"{self.total} allocation cells exceed the cap {MAX_GRID_CELLS}")
         self._axes: dict[tuple[int, int], int] = {}   # (tau, c): the cells with x_tau >= c
 
     def vector(self, idx: int) -> AllocationVector:
@@ -447,10 +452,11 @@ def _bisect(lo: Fraction, hi: Fraction, a_total: int, check) -> tuple[Fraction, 
 
     check returns None for "no" and a witness for "yes".  Returns (ratio,
     witness), the witness from the check at that ratio, which is always
-    the last check.  The answer has denominator at most A = a_total (see
-    solve_lr), so two candidates lie at least 1/A^2 apart: lo is tried
-    first, bisection narrows the window below 1/A^2, and simplest_between
-    snaps out the one candidate left inside it.
+    the last check.  The answer c has denominator at most A = a_total (see
+    solve_lr), so every other such fraction lies at least 1/A^2 from c.  lo
+    is tried first, then bisection narrows [lo, hi] below 1/A^2: c is within
+    1/(2A^2) of the midpoint and every other candidate is further, so the
+    midpoint's limit_denominator(A), its closest such fraction, is c.
     """
     witness = check(lo)
     if witness is not None:
@@ -464,8 +470,8 @@ def _bisect(lo: Fraction, hi: Fraction, a_total: int, check) -> tuple[Fraction, 
             lo = mid
         else:
             hi = mid
-    best = simplest_between(lo, hi)
-    if best.denominator > a_total or best <= 0:
+    best = ((lo + hi) / 2).limit_denominator(a_total)
+    if not lo <= best <= hi:
         raise AssertionError("snapped ratio fell outside the certified window")
     witness = check(best)
     if witness is None:
@@ -559,9 +565,11 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
         allocations = [grid.vector(hit)]
     else:
         tables = 0
-        # Per perimeter, (ratio, layer) at the last "no" and the last "yes"
-        # that drew its layer.  Feasible sets only grow with the ratio, so a
-        # layer equal at both ends is pinned in between: reused, not rebuilt.
+        # Per perimeter, the layer at the last "no" and the last "yes" that
+        # drew it.  _bisect probes only between its last "no" (the "no" layer
+        # was drawn at or below it) and its last "yes" (where the "yes" layer
+        # was drawn), and feasible sets only grow with the ratio, so a layer
+        # equal at both ends is pinned in between: reused, not rebuilt.
         below: list = [None] * len(scaled)
         above: list = [None] * len(scaled)
 
@@ -570,14 +578,13 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
 
             def layer(k: int) -> int:
                 nonlocal tables
-                no, yes = below[k], above[k]
-                if no and yes and no[0] <= ratio <= yes[0] and no[1] == yes[1]:
-                    return yes[1]
+                if below[k] is not None and below[k] == above[k]:
+                    return above[k]
                 tables += len(grids[k][0]) // 2
                 return _pareto_layer(grids[k], counts, steps)
 
             total, levels = _fold_layers(map(layer, range(len(grids))), grid)
-            (above if total else below)[:len(levels)] = [(ratio, found) for _, found in levels]
+            (above if total else below)[:len(levels)] = [found for _, found in levels]
             return (total, levels) if total else None
 
         best, (total, levels) = _bisect(lo, hi, a_total, check)

@@ -19,13 +19,16 @@ perimeter.place_arcs, which trims, re-checks and emits them as Arcs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import OutOfTableRange, ReconstructionMismatch, ValidationError
+from .errors import InstanceTooLarge, OutOfTableRange, ReconstructionMismatch, ValidationError
 from .perimeter import Arc, Perimeter, integer_anchors, place_arcs
-from .rationals import ceil_fraction
+
+# The longest length presolve tabulates: it allocates one entry per length.
+MAX_COVER_LENGTH = 10**7
 
 # -- types --------------------------------------------------------------------
 
@@ -85,6 +88,8 @@ def presolve(types: TypesMC, max_len: int) -> CostLookup:
     """
     if max_len < 0:
         raise ValidationError("max_len must be >= 0")
+    if max_len > MAX_COVER_LENGTH:
+        raise InstanceTooLarge(f"cover length {max_len} exceeds the cap {MAX_COVER_LENGTH}")
     kept: list[tuple[int, int]] = []   # longest first, each strictly cheaper
     for l, c in sorted(zip(types.lengths, types.costs), key=lambda lc: (-lc[0], lc[1])):
         if not kept or c < kept[-1][1]:
@@ -164,7 +169,6 @@ class McSolution:
     total_cost: int
     counts: tuple[int, ...]   # robots hired per type
     arcs: list[Arc]
-    anchor: int               # segment where the block decomposition starts
 
 
 def _direct_blocks(split, i: int, k: int, q: int) -> list[tuple[int, int]]:
@@ -241,15 +245,14 @@ def solve_mc_multi(perimeters: Sequence[Perimeter], types: TypesMC) -> McSolutio
     One presolve to the longest ceil(circumference) serves every perimeter
     (a gapless one needs no special case).  Each cover starts at the
     cheapest anchor, the smallest on ties, and its arcs must add up to the
-    table's cost.  The solution's anchor is the first perimeter's.
+    table's cost.
     """
     if not perimeters:
         raise ValidationError("need at least one perimeter")
-    lookup = presolve(types, max(ceil_fraction(per.circumference) for per in perimeters))
+    lookup = presolve(types, max(math.ceil(per.circumference) for per in perimeters))
     total = 0
     counts = [0] * types.t
     arcs: list[Arc] = []
-    anchors = []
     for k, per in enumerate(perimeters):
         table = interval_table(per, lookup)
         costs = [row[per.q - 1] for row in table.cost]
@@ -261,5 +264,4 @@ def solve_mc_multi(perimeters: Sequence[Perimeter], types: TypesMC) -> McSolutio
         if sum(c * tc for c, tc in zip(counts, types.costs)) != total:
             raise ReconstructionMismatch("arc counts do not add up to the optimal cost")
         arcs.extend(part)
-        anchors.append(anchor)
-    return McSolution(total_cost=total, counts=tuple(counts), arcs=arcs, anchor=anchors[0])
+    return McSolution(total_cost=total, counts=tuple(counts), arcs=arcs)

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands and exit codes."""
 import json
+import time
 
 import pytest
 
@@ -44,20 +45,22 @@ def test_solve_mc(tmp_path, capsys):
 
 
 def test_decision_exit_codes(tmp_path, capsys):
-    feasible = json.loads(LR_TEXT)
-    feasible["ell"] = 3
-    assert main(["solve", "--input", put(tmp_path, "a.json", json.dumps(feasible))]) == 0
-    infeasible = json.loads(LR_TEXT)
-    infeasible["ell"] = 2
-    assert main(["solve", "--input", put(tmp_path, "b.json", json.dumps(infeasible))]) == 3
-
-    within = json.loads(MC_TEXT)
-    within["budget"] = 5
-    assert main(["solve", "--input", put(tmp_path, "c.json", json.dumps(within))]) == 0
-    over = json.loads(MC_TEXT)
-    over["budget"] = 4
-    assert main(["solve", "--input", put(tmp_path, "d.json", json.dumps(over))]) == 3
-    capsys.readouterr()
+    # The solver and the oracle print the same verdict and exit the same way.
+    lr, mc = json.loads(LR_TEXT), json.loads(MC_TEXT)
+    cases = [
+        ({**lr, "ell": 3}, 0, "ratio 3: feasible"),
+        ({**lr, "ell": "7/2"}, 0, "ratio 7/2: feasible"),
+        ({**lr, "ell": "5/2"}, 3, "ratio 5/2: infeasible"),
+        ({**lr, "ell": 2}, 3, "ratio 2: infeasible"),
+        ({**mc, "budget": 5}, 0, "minimum cost 5, budget 5: within budget"),
+        ({**mc, "budget": "9/2"}, 3, "minimum cost 5, budget 9/2: over budget"),
+        ({**mc, "budget": 4}, 3, "minimum cost 5, budget 4: over budget"),
+    ]
+    for k, (doc, code, verdict) in enumerate(cases):
+        inp = put(tmp_path, f"{k}.json", json.dumps(doc))
+        for command in ("solve", "oracle"):
+            assert main([command, "--input", inp]) == code
+            assert capsys.readouterr().out == verdict + "\n"
 
 
 def test_decision_refuses_output(tmp_path, capsys):
@@ -114,6 +117,18 @@ def test_oracle_caps_exit_4(tmp_path, capsys):
     })
     assert main(["oracle", "--input", put(tmp_path, "i.json", big)]) == 4
     assert "error" in capsys.readouterr().err
+
+
+def test_oversized_instances_exit_4_before_allocating(tmp_path, capsys):
+    lr = {**json.loads(LR_TEXT), "types": [{"capability": a, "count": 400} for a in (1, 2, 3)]}
+    mc = {**json.loads(MC_TEXT), "perimeters": [{"segments": [10**12], "gaps": []}]}
+    for k, doc in enumerate((lr, mc)):
+        inp = put(tmp_path, f"{k}.json", json.dumps(doc))
+        tick = time.perf_counter()
+        assert main(["solve", "--input", inp]) == 4
+        assert time.perf_counter() - tick < 1
+        err = capsys.readouterr().err
+        assert "the cap" in err and "Traceback" not in err
 
 
 def test_gen_round_trips_and_is_deterministic(tmp_path, capsys):

@@ -13,17 +13,18 @@ from itertools import product
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perimeterguard import solver_lr
 from perimeterguard.documents import InstanceDocument, solution_from_lr
-from perimeterguard.errors import ReconstructionMismatch, ValidationError
+from perimeterguard.errors import InstanceTooLarge, ReconstructionMismatch, ValidationError
 from perimeterguard.generate import gen_random
 from perimeterguard.oracle import brute_feasible_lr, brute_feasible_lr_multi, brute_solve_lr
 from perimeterguard.perimeter import build_perimeter
 from perimeterguard.solver_lr import (
     _at_ell,
+    _bisect,
     _bits,
     _fill_table,
     _fold_layers,
@@ -307,6 +308,26 @@ def test_solve_reuses_a_layer_pinned_between_no_and_yes():
     assert sol.allocations == [(1,), (2,)]
     assert [2] in built.values()          # a step filled 2 of the m·q = 3 tables
     assert sol.feasibility_calls == 18    # 24 with every layer rebuilt
+
+
+@st.composite
+def bisect_windows(draw):
+    """(A, c, lo, hi): an answer c of denominator at most A in a window
+    [lo, hi] at least 1/A^2 wide."""
+    a_total = draw(st.integers(min_value=1, max_value=60))
+    q = draw(st.integers(min_value=1, max_value=a_total))
+    c = F(draw(st.integers(min_value=1, max_value=3 * q)), q)
+    width = F(1, a_total * a_total) * (1 + F(draw(st.integers(0, 60)), draw(st.integers(1, 10))))
+    lo = max(F(0), c - width * F(draw(st.integers(0, 10)), 10))
+    return a_total, c, lo, lo + width
+
+
+@settings(max_examples=200, deadline=None)
+@given(bisect_windows())
+@example((5, F(1, 4), F(11, 50), F(7, 20)))   # the final window's lo snaps to 1/5
+def test_bisect_returns_the_one_candidate_left_in_the_window(window):
+    a_total, c, lo, hi = window
+    assert _bisect(lo, hi, a_total, lambda r: r if r >= c else None) == (c, c)
 
 
 def test_solve_reports_unused_robots():
@@ -690,3 +711,15 @@ def test_solution_arcs_are_sound(inst):
             used[tau] += c
     assert tuple(n - u for n, u in zip(fleet.counts, used)) == sol.unused
     assert len(sol.arcs) <= sum(used)
+
+
+def test_grid_refuses_more_cells_than_the_cap_before_allocating():
+    assert _Grid((15,) * 5).total == 16**5        # the largest table1 --full grid
+    with pytest.raises(InstanceTooLarge):
+        _Grid((400,) * 3)
+    per = per_2seg()
+    fleet = build_fleet_lr([(1, 400), (2, 400), (3, 400)])
+    with pytest.raises(InstanceTooLarge):
+        solve_lr(per, fleet)
+    with pytest.raises(InstanceTooLarge):
+        partition_feasible([per], fleet, F(1))

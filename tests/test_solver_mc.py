@@ -2,16 +2,17 @@
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from math import ceil
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perimeterguard import solver_mc
-from perimeterguard.errors import OutOfTableRange, ReconstructionMismatch
+from perimeterguard.errors import InstanceTooLarge, OutOfTableRange, ReconstructionMismatch
+from perimeterguard.generate import gen_random
 from perimeterguard.oracle import brute_solve_mc
 from perimeterguard.perimeter import build_perimeter
-from perimeterguard.rationals import ceil_fraction
 from perimeterguard.solver_mc import (
     build_types_mc,
     interval_table,
@@ -34,6 +35,16 @@ def test_presolve_examples():
     assert lookup.costs[4] == 3   # one length-5 robot beats two length-3s
     assert lookup.costs[8] == 5   # (1,1): lengths 3+5 cover 8 at cost 5
     assert lookup.costs[12] == 8
+
+
+def test_presolve_refuses_lengths_above_the_cap():
+    # The longest table3 --full instance (q = 50, L = 10^6) still fits.
+    (per,) = gen_random("mc", 3, 50, 1, seed=0, target_length=10**6).perimeters
+    assert presolve(types_example(), ceil(per.circumference)).max_len > 10**6
+    with pytest.raises(InstanceTooLarge):
+        presolve(types_example(), 10**12)
+    with pytest.raises(InstanceTooLarge):
+        solve_mc(build_perimeter([10**12], []), types_example())
 
 
 def test_sol_examples():
@@ -235,19 +246,19 @@ def test_sol_monotone_and_subadditive(inst, l1, l2):
 @given(mc_instances())
 def test_interval_table_bounded_by_direct_cover(inst):
     per, types = inst
-    lookup = presolve(types, ceil_fraction(per.circumference))
+    lookup = presolve(types, ceil(per.circumference))
     table = interval_table(per, lookup)
     q = per.q
     for i in range(q):
         for k in range(q):
-            direct = lookup.costs[ceil_fraction(per.span_length(i, (i + k) % q))]
+            direct = lookup.costs[ceil(per.span_length(i, (i + k) % q))]
             assert table.cost[i][k] <= direct
     best = min(table.cost[i][q - 1] for i in range(q))
     assert best <= min(
-        lookup.costs[ceil_fraction(per.required_span(i))] for i in range(q)
+        lookup.costs[ceil(per.required_span(i))] for i in range(q)
     )
     # Covering the whole circle (leaving no gap uncovered) never wins.
-    assert best <= lookup.costs[ceil_fraction(per.circumference)]
+    assert best <= lookup.costs[ceil(per.circumference)]
 
 
 @settings(max_examples=40, deadline=None)
