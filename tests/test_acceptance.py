@@ -17,7 +17,7 @@ from perimeterguard.documents import (
     solution_from_mc,
     write_solution,
 )
-from perimeterguard.generate import SplitMix64
+from perimeterguard.generate import SplitMix64, gen_random
 from perimeterguard.oracle import (
     SubsetSumSpec,
     ThreePartitionSpec,
@@ -399,3 +399,30 @@ def test_criterion_10_reported_cost_identities():
     assert 13 * 100 + 1 * 155 == 1455
     print("criterion 10: PASS (reported deployment costs 1415 and 1455 reproduce "
           "from their type counts)")
+
+
+# sha256 over the solution document bytes, stats included and wall time left
+# out, of 20 instances per perfbench cell, generated with seeds 100000 + i.
+BENCHMARK_CELLS = (
+    ("lr", 2, 20, 1, None),
+    ("lr", 2, 6, 3, None),
+    ("mc", 100, 20, 1, 10_000),
+    ("mc", 30, 80, 1, 1_500),
+)
+BENCHMARK_CELL_DIGEST = "c4c9901df5e7f56b3ea9287dd7e6432042bd65d766f639b7862f9e18eaed0148"
+
+
+def test_benchmark_cells_unchanged():
+    digest = hashlib.sha256()
+    for problem, t, q, m, length in BENCHMARK_CELLS:
+        for i in range(20):
+            doc = gen_random(problem, t, q, m, seed=100_000 + i, target_length=length)
+            if problem == "lr":
+                out = solution_from_lr(solve_lr(list(doc.perimeters), doc.fleet))
+            else:
+                out = solution_from_mc(solve_mc_multi(list(doc.perimeters), doc.types))
+            digest.update(write_solution(out).encode())
+    assert digest.hexdigest() == BENCHMARK_CELL_DIGEST, (
+        "a solution on a benchmark cell changed; if on purpose, say why and re-pin"
+    )
+    print("benchmark cells: PASS (80 solution documents match the pinned digest)")
