@@ -68,6 +68,7 @@ def _cmd_solve(args) -> int:
     if decision and args.output:
         raise ValidationError("decision queries answer yes or no; drop --output")
 
+    summary = sys.stderr if args.output == "-" else sys.stdout   # so a stdout solution parses
     if doc.problem == "lr":
         if doc.ell is not None:
             return _verdict(doc, partition_feasible(doc.perimeters, doc.fleet, doc.ell))
@@ -75,7 +76,7 @@ def _cmd_solve(args) -> int:
         sol = solve_lr(doc.perimeters, doc.fleet)
         wall = time.perf_counter() - tick
         out = solution_from_lr(sol, wall_time=wall)
-        print(f"objective {sol.objective}")
+        print(f"objective {sol.objective}", file=summary)
     else:
         tick = time.perf_counter()
         sol = solve_mc_multi(doc.perimeters, doc.types)
@@ -83,10 +84,10 @@ def _cmd_solve(args) -> int:
         if doc.budget is not None:
             return _verdict(doc, sol.total_cost)
         out = solution_from_mc(sol, wall_time=wall)
-        print(f"cost {sol.total_cost}")
+        print(f"cost {sol.total_cost}", file=summary)
 
-    print(f"robots per type: {list(out.counts)}")
-    print(f"solved in {wall:.3f}s")
+    print(f"robots per type: {list(out.counts)}", file=summary)
+    print(f"solved in {wall:.3f}s", file=summary)
     validate_solution(doc, out)
     if args.output:
         _write_text(args.output, write_solution(out))
@@ -144,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve an instance exactly")
     p.add_argument("--input", required=True, help="instance JSON")
-    p.add_argument("--output", help="write the solution JSON here")
+    p.add_argument("--output", help="write the solution JSON here ('-' for stdout)")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("oracle", help="solve by brute force (small instances only)")

@@ -201,19 +201,20 @@ class _Grid:
         return out
 
 
-def _fill_table(starts, ends, steps, bounds, early_exit: bool, done: bytearray | None = None):
+def _fill_table(starts, ends, steps, bounds, done: bytearray | None = None):
     """Reach DP over all allocation vectors, in lexicographic cell order.
 
     starts, ends and steps are integers on one grid (see _at), the bounds
     one anchor's lap.  Cell x holds the furthest normalized reach from
     starts[0] using x_tau robots per type, capped at the working range's
     end ends[-1]; ties between types resolve to the smallest type index.
-    Returns (values, backptr, hit) with hit the first feasible cell index,
-    -1 if none (values/backptr are partial when early_exit stops the sweep).
+    Returns (values, backptr, hit), hit the first covering cell index or -1.
 
-    Cells marked in `done`, a bytearray over the grid, are skipped and keep
-    no value.  The caller keeps `done` upward-closed, so no cell filled
-    reads a skipped one, and every filled cell equals the full table's.
+    Without `done` the sweep stops at hit.  With `done`, a bytearray over
+    the grid, it skips the cells marked there, fills the rest and marks
+    each one that covers.  The caller keeps `done` upward-closed, so no
+    filled cell reads a skipped one (a cell is marked only after it is
+    filled), and every filled cell equals the full table's.
     """
     required = ends[-1]
     grid = _Grid(bounds)
@@ -244,10 +245,11 @@ def _fill_table(starts, ends, steps, bounds, early_exit: bool, done: bytearray |
         values[idx] = best
         backptr[idx] = bt
         if best >= required:
+            if done is None:
+                return values, backptr, idx
+            done[idx] = 1
             if hit < 0:
                 hit = idx
-            if early_exit:
-                return values, backptr, hit
     return values, backptr, hit
 
 
@@ -256,7 +258,7 @@ def _decide(line, steps, counts) -> int | None:
     starts, ends = line
     q = len(starts) // 2
     for a in range(q):
-        if _fill_table(starts[a:a + q], ends[a:a + q], steps, counts, True)[2] >= 0:
+        if _fill_table(starts[a:a + q], ends[a:a + q], steps, counts)[2] >= 0:
             return a
     return None
 
@@ -266,21 +268,13 @@ _BITS = bytes.maketrans(b"\0\1", b"01")
 
 def _pareto_layer(line, counts, steps) -> int:
     """The vectors 0 <= x <= counts that cover one perimeter from some anchor, as
-    an upward-closed _Grid bitset.  line is its integer (starts, ends) over two laps."""
+    an upward-closed _Grid bitset.  line is its integer (starts, ends) over two laps.
+    Each anchor's table fills the cells no earlier anchor covers and marks its own."""
     feas = bytearray(_Grid(counts).total)
     starts, ends = line
     q = len(starts) // 2
     for a in range(q):
-        # feas is upward-closed: anchor a fills only cells no earlier one covers,
-        # and the cells it skips keep starts[a], short of the range.
-        values, _, hit = _fill_table(starts[a:a + q], ends[a:a + q], steps, counts, False,
-                                     done=feas)
-        if hit < 0:
-            continue
-        required = ends[a + q - 1]
-        for idx in range(hit, len(feas)):
-            if values[idx] >= required:
-                feas[idx] = 1
+        _fill_table(starts[a:a + q], ends[a:a + q], steps, counts, feas)
     return int(feas.translate(_BITS)[::-1], 2)
 
 
@@ -302,10 +296,10 @@ class CoverageTable:
         self._steps = steps
         self._circ = starts[q]
         self._starts, self._ends = starts[anchor:anchor + q], ends[anchor:anchor + q]
-        self._stride_list = _Grid(self.bounds).strides
-        self._values, self._backptr, _ = _fill_table(
-            self._starts, self._ends, steps, self.bounds, False
-        )
+        grid = _Grid(self.bounds)
+        self._stride_list = grid.strides
+        self._values, self._backptr, _ = _fill_table(self._starts, self._ends, steps,
+                                                     self.bounds, bytearray(grid.total))
 
     def _index(self, allocation: AllocationVector) -> int:
         if len(allocation) != len(self.bounds):
@@ -505,7 +499,7 @@ def _eliminate_anchors(line, capabilities, counts, lo, hi,
             nonlocal tables
             tables += 1
             ((s, e),), steps = _at(lap, capabilities, ratio)
-            hit = _fill_table(s, e, steps, counts, True)[2]
+            hit = _fill_table(s, e, steps, counts)[2]
             return hit if hit >= 0 else None
 
         return check

@@ -8,7 +8,8 @@ total cost in two stages:
   cover each integer length up to the circumference, over undominated types
   and periodic past a short base; sol() walks witnesses back out lazily;
 * an interval DP over cyclic segment ranges choosing where coverage
-  blocks start and end, so gaps that are expensive to bridge get skipped.
+  blocks start and end, so gaps that are expensive to bridge get skipped;
+  it keeps costs only, and reconstruction re-derives the splits from them.
 
 Both stages run on integers.  The interval DP reads spans off
 perimeter.integer_anchors' line, in units of 1/unit (range i..i+k spans
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import InstanceTooLarge, OutOfTableRange, ReconstructionMismatch, ValidationError
@@ -124,42 +126,40 @@ def sol(lookup: CostLookup, length: int) -> tuple[int, tuple[int, ...]]:
 
 @dataclass
 class IntervalCostTable:
-    """cost[i][k]: cheapest cover of segments i..i+k (cyclic), all gaps inside
-    bridged or the range split into cheaper sub-blocks; split[i][k] is -1 for
-    a direct single-block cover, else the offset d where the range splits
-    into i..i+d and i+d+1..i+k.  unit, starts and ends are the perimeter's
-    integer_anchors line the table was built on."""
+    """cost[i][k]: cheapest cover of segments i..i+k (cyclic), by one direct
+    block or split into two sub-ranges; _direct_blocks re-derives which.
+    unit, starts and ends are the integer_anchors line it was built on."""
 
     cost: list[list[int]]
-    split: list[list[int]]
     unit: int
     starts: list[int]
     ends: list[int]
 
+    def span(self, i: int, k: int) -> int:
+        """Range i..i+k's span, ceiled to a whole length (robot lengths are integers)."""
+        return -(-(self.ends[i + k] - self.starts[i]) // self.unit)
+
 
 def interval_table(per: Perimeter, lookup: CostLookup) -> IntervalCostTable:
-    """Cheapest-cover table over all cyclic segment ranges.
+    """Cheapest-cover table over all cyclic segment ranges, by growing k.
 
-    A range is covered either directly (one block over its whole ceiled
-    span) or by splitting at some segment boundary into two cheaper
-    sub-ranges; direct covers win ties, then smaller split offsets.
+    A range is covered directly (one block over its span) or split at a
+    segment boundary.  The splits of i..i+k pair cost[i][:k] with the
+    ranges ending at e = i + k, by_end[e][j] = cost[e - j][j], reversed.
     """
     q = per.q
     unit, ((starts, ends),) = integer_anchors([per])
-    cost = [[0] * q for _ in range(q)]
-    split = [[-1] * q for _ in range(q)]
-    for k in range(q):
+    table = IntervalCostTable([], unit, starts, ends)
+    cost, costs, span = table.cost, lookup.costs, table.span
+    cost.extend([costs[span(i, 0)]] for i in range(q))
+    by_end = [row[:] for row in cost]
+    for k in range(1, q):
         for i in range(q):
-            best = lookup.costs[-(-(ends[i + k] - starts[i]) // unit)]
-            bs = -1
-            for d in range(k):
-                v = cost[i][d] + cost[(i + d + 1) % q][k - d - 1]
-                if v < best:
-                    best = v
-                    bs = d
-            cost[i][k] = best
-            split[i][k] = bs
-    return IntervalCostTable(cost, split, unit, starts, ends)
+            right = by_end[(i + k) % q]
+            best = min(costs[span(i, k)], min(map(add, cost[i], reversed(right))))
+            cost[i].append(best)
+            right.append(best)
+    return table
 
 
 @dataclass
@@ -171,14 +171,20 @@ class McSolution:
     arcs: list[Arc]
 
 
-def _direct_blocks(split, i: int, k: int, q: int) -> list[tuple[int, int]]:
-    """Expand split pointers into the direct single-block ranges, in cyclic order."""
-    d = split[i][k]
-    if d < 0:
+def _direct_blocks(table: IntervalCostTable, lookup: CostLookup,
+                   i: int, k: int) -> list[tuple[int, int]]:
+    """The direct blocks of range i..i+k's cheapest cover, in cyclic order.
+
+    Re-derived from the costs as sol() re-derives robots: the range itself
+    if its direct cover costs cost[i][k] (direct wins ties), else the blocks
+    of its halves at the smallest split offset d whose costs sum to it.
+    """
+    cost, q = table.cost, len(table.cost)
+    if lookup.costs[table.span(i, k)] == cost[i][k]:
         return [(i, k)]
-    left = _direct_blocks(split, i, d, q)
-    right = _direct_blocks(split, (i + d + 1) % q, k - d - 1, q)
-    return left + right
+    d = next(d for d in range(k) if cost[i][d] + cost[(i + d + 1) % q][k - d - 1] == cost[i][k])
+    return (_direct_blocks(table, lookup, i, d)
+            + _direct_blocks(table, lookup, (i + d + 1) % q, k - d - 1))
 
 
 def _lay_block(table: IntervalCostTable, lookup: CostLookup, per: Perimeter,
@@ -194,7 +200,7 @@ def _lay_block(table: IntervalCostTable, lookup: CostLookup, per: Perimeter,
     """
     unit = table.unit
     starts, ends = table.starts[i:i + k + 1], table.ends[i:i + k + 1]
-    cost, counts = sol(lookup, -(-(ends[k] - starts[0]) // unit))
+    cost, counts = sol(lookup, table.span(i, k))
     lengths = lookup.types.lengths
     robots: list[tuple[int, int, int]] = []
     pos = starts[0]
@@ -216,12 +222,12 @@ def reconstruct_mc(
     anchor: int,
     perimeter_index: int = 0,
 ) -> list[Arc]:
-    """Expand the table's split pointers from `anchor` into concrete arcs.
+    """Expand the cheapest cover of the whole perimeter from `anchor` into arcs.
 
     Each direct block is laid out by _lay_block; the rebuilt total cost is
     re-checked against the table entry.
     """
-    blocks = _direct_blocks(table.split, anchor, per.q - 1, per.q)
+    blocks = _direct_blocks(table, lookup, anchor, per.q - 1)
     arcs: list[Arc] = []
     spent = 0
     for i, k in blocks:

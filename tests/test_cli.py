@@ -1,5 +1,6 @@
 """Command-line interface: subcommands and exit codes."""
 import json
+import re
 import time
 
 import pytest
@@ -42,6 +43,26 @@ def test_solve_mc(tmp_path, capsys):
     assert main(["solve", "--input", inp, "--output", str(out)]) == 0
     assert "cost 5" in capsys.readouterr().out
     assert parse_solution(out.read_text()).objective == 5
+
+
+def test_solve_output_dash_writes_only_the_solution_to_stdout(tmp_path, capsys):
+    """The summary goes to stderr, so stdout parses, and it holds the same
+    document as --output file apart from the wall time."""
+    def without_wall_time(text):
+        return re.sub(r'"wall_time_seconds": [^\n]*', "", text)
+
+    mc = tmp_path / "mc.json"
+    argv = ["gen", "--problem", "mc", "--t", "2", "--q", "2", "--seed", "1", "--L", "20"]
+    assert main(argv + ["--out", str(mc)]) == 0
+    for k, inp in enumerate((put(tmp_path, "lr.json", LR_TEXT), str(mc))):
+        out = tmp_path / f"{k}.json"
+        assert main(["solve", "--input", inp, "--output", str(out)]) == 0
+        summary = capsys.readouterr().out
+        assert main(["solve", "--input", inp, "--output", "-"]) == 0
+        captured = capsys.readouterr()
+        json.loads(captured.out)
+        assert without_wall_time(captured.out) == without_wall_time(out.read_text())
+        assert captured.err.splitlines()[:2] == summary.splitlines()[:2]
 
 
 def test_decision_exit_codes(tmp_path, capsys):

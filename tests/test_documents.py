@@ -1,9 +1,13 @@
 """JSON document parsing, serialization, and independent re-validation."""
+import contextlib
+import copy
 import json
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perimeterguard.documents import (
     InstanceDocument,
@@ -15,7 +19,7 @@ from perimeterguard.documents import (
     write_instance,
     write_solution,
 )
-from perimeterguard.errors import ParseError, ValidationError
+from perimeterguard.errors import GuardingError, ParseError, ValidationError
 from perimeterguard.generate import gen_random
 from perimeterguard.perimeter import Arc, build_perimeter
 from perimeterguard.solver_lr import build_fleet_lr, solve_lr
@@ -379,3 +383,94 @@ def test_writers_match_json_dumps():
         assert write_instance(doc) == json.dumps(_instance_body(doc), indent=2) + "\n"
     for sol in solutions:
         assert write_solution(sol) == json.dumps(_solution_body(sol), indent=2) + "\n"
+
+
+# -- the input contract under fuzzing ----------------------------------------------
+
+FUZZ_BASES = {
+    "lr": {
+        "problem": "lr",
+        "perimeters": [{"segments": [2, "3/2"], "gaps": [1, "1/2"]},
+                       {"polygon": {"vertices": [[0, 0], [3, 0], [3, 4]],
+                                    "guarded": [True, True, False]}}],
+        "types": [{"capability": 1, "count": 2}, {"capability": 3, "count": 1}],
+    },
+    "mc": {
+        "problem": "mc",
+        "perimeters": [{"segments": ["7/2", 2], "gaps": [3, "2.5"]}],
+        "types": [{"length": 3, "cost": 2}, {"length": 5, "cost": 3}],
+    },
+}
+_LR, _MC = (parse_instance(json.dumps(FUZZ_BASES[problem])) for problem in ("lr", "mc"))
+FUZZ_SOLUTIONS = {
+    "lr": write_solution(solution_from_lr(solve_lr(_LR.perimeters, _LR.fleet))),
+    "mc": write_solution(solution_from_mc(solve_mc_multi(_MC.perimeters, _MC.types))),
+}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=12,
+)
+# What a mutation writes over a scalar: plausible counts and rationals that
+# keep a document parsing, bad rationals, odd scalars and floats.
+odd_scalars = st.one_of(
+    st.integers(min_value=-2, max_value=12),
+    st.sampled_from(["1/2", "5/2", "13/2", "7/3", "0/1", "3"]),
+    st.sampled_from(["1/0", "0/0", "-3/2", "3/-2", "1e3", "1_000", " 3", ".5", "5.", "+3",
+                     "2/3/4", "1/2.5", "", "abc", "lr", "mc"]),
+    st.sampled_from([2**70, -2**70, True, False, None]),
+    st.floats(),
+)
+
+
+def _paths(node, path=()):
+    """Every position below the root of a JSON tree, as the keys and indices leading to it."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield path + (key,)
+            yield from _paths(child, path + (key,))
+
+
+@st.composite
+def near_valid(draw, base):
+    """base (a JSON tree) with up to two positions dropped from their object
+    or array, or replaced: a scalar by an odd scalar, a container by any JSON."""
+    doc = copy.deepcopy(base)
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        *head, last = draw(st.sampled_from(paths))
+        parent = doc
+        for key in head:
+            parent = parent[key]
+        if draw(st.booleans()):
+            container = isinstance(parent[last], (dict, list))
+            parent[last] = draw(json_values if container else odd_scalars)
+        else:
+            del parent[last]
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_documents_raise_only_guarding_errors(data):
+    """Arbitrary JSON and near-valid documents, with floats, bad counts and
+    bad rationals: parsing either succeeds or raises GuardingError, and so
+    does validating a parsed solution against the valid instance and, if
+    it parsed, the fuzzed one."""
+    problem = data.draw(st.sampled_from(sorted(FUZZ_BASES)))
+    instance_base, solution_base = FUZZ_BASES[problem], json.loads(FUZZ_SOLUTIONS[problem])
+    instances = [parse_instance(json.dumps(instance_base))]
+    solution = None
+    with contextlib.suppress(GuardingError):
+        instances.append(parse_instance(json.dumps(data.draw(near_valid(instance_base)
+                                                             | json_values))))
+    with contextlib.suppress(GuardingError):
+        solution = parse_solution(json.dumps(data.draw(near_valid(solution_base) | json_values)))
+    if solution is not None:
+        for instance in instances:
+            with contextlib.suppress(GuardingError):
+                validate_solution(instance, solution)

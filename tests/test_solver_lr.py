@@ -459,12 +459,16 @@ def test_fill_table_with_done_cells_equals_the_full_table_elsewhere(inst, ell, d
     for idx in data.draw(st.lists(st.integers(min_value=1, max_value=total - 1), max_size=3)):
         done[idx] = 1
     _minimal(done, grid.sizes, grid.strides)  # the reference closes done upward in place
-    values, backptr, hit = _fill_table(*lap, steps, fleet.counts, False)
-    open_values, open_backptr, open_hit = _fill_table(*lap, steps, fleet.counts, False, done=done)
+    values, backptr, _ = _fill_table(*lap, steps, fleet.counts, bytearray(total))
     open_cells = [idx for idx in range(total) if not done[idx]]
+    marked = bytes(done)
+    open_values, open_backptr, open_hit = _fill_table(*lap, steps, fleet.counts, done)
     assert [open_values[i] for i in open_cells] == [values[i] for i in open_cells]
     assert [open_backptr[i] for i in open_cells] == [backptr[i] for i in open_cells]
-    assert open_hit == next((i for i in open_cells if values[i] >= lap[1][-1]), -1)
+    covering = {i for i in open_cells if values[i] >= lap[1][-1]}
+    assert open_hit == min(covering, default=-1)
+    # Afterwards done is the old marks plus exactly the open cells that cover.
+    assert {i for i in range(total) if done[i]} == {i for i in range(total) if marked[i]} | covering
 
 
 @settings(max_examples=60, deadline=None)
@@ -477,9 +481,10 @@ def test_fill_table_bounded_by_a_sub_vector_equals_the_full_table_below_it(inst,
     anchor = data.draw(st.integers(min_value=0, max_value=per.q - 1))
     lap = starts[anchor:anchor + per.q], ends[anchor:anchor + per.q]
     v = tuple(data.draw(st.integers(min_value=0, max_value=n)) for n in fleet.counts)
-    values, backptr, _ = _fill_table(*lap, steps, fleet.counts, False)
-    sub_values, sub_backptr, _ = _fill_table(*lap, steps, v, False)
-    strides = _Grid(fleet.counts).strides
+    grid, sub_grid = _Grid(fleet.counts), _Grid(v)
+    values, backptr, _ = _fill_table(*lap, steps, fleet.counts, bytearray(grid.total))
+    sub_values, sub_backptr, _ = _fill_table(*lap, steps, v, bytearray(sub_grid.total))
+    strides = grid.strides
     for sub_idx, x in enumerate(product(*(range(n + 1) for n in v))):
         idx = sum(c * s for c, s in zip(x, strides))
         assert (sub_values[sub_idx], sub_backptr[sub_idx]) == (values[idx], backptr[idx])

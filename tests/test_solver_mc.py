@@ -1,4 +1,9 @@
-"""Minimum-cost solver: knapsack presolve, interval DP, reconstruction."""
+"""Minimum-cost solver: knapsack presolve, interval DP, reconstruction.
+
+reference_interval_dp below is the split-pointer interval DP the solver
+used before it kept costs only; it stays here as the reference for
+interval_table and _direct_blocks.
+"""
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -12,8 +17,9 @@ from perimeterguard import solver_mc
 from perimeterguard.errors import InstanceTooLarge, OutOfTableRange, ReconstructionMismatch
 from perimeterguard.generate import gen_random
 from perimeterguard.oracle import brute_solve_mc
-from perimeterguard.perimeter import build_perimeter
+from perimeterguard.perimeter import build_perimeter, integer_anchors
 from perimeterguard.solver_mc import (
+    _direct_blocks,
     build_types_mc,
     interval_table,
     presolve,
@@ -334,3 +340,64 @@ def test_brute_matches_naive_block_enumeration():
                 if best is None or cost < best:
                     best = cost
         assert got == best
+
+
+# -- the interval DP against its split-pointer reference ---------------------------
+
+
+def reference_interval_dp(per, lookup):
+    """(cost, split): split[i][k] is -1 when the direct cover of i..i+k is
+    cheapest, else the first offset d whose split i..i+d, i+d+1..i+k is
+    strictly cheaper than the direct cover and every earlier split."""
+    q = per.q
+    unit, ((starts, ends),) = integer_anchors([per])
+    cost = [[0] * q for _ in range(q)]
+    split = [[-1] * q for _ in range(q)]
+    for k in range(q):
+        for i in range(q):
+            best = lookup.costs[-(-(ends[i + k] - starts[i]) // unit)]
+            for d in range(k):
+                v = cost[i][d] + cost[(i + d + 1) % q][k - d - 1]
+                if v < best:
+                    best, split[i][k] = v, d
+            cost[i][k] = best
+    return cost, split
+
+
+def reference_blocks(split, i, k, q):
+    d = split[i][k]
+    if d < 0:
+        return [(i, k)]
+    right = reference_blocks(split, (i + d + 1) % q, k - d - 1, q)
+    return reference_blocks(split, i, d, q) + right
+
+
+@st.composite
+def tie_instances(draw):
+    """Short robots and cheap costs, so many splits cost the same as each
+    other and as the direct cover; segments and gaps are whole or halves."""
+    q = draw(st.integers(min_value=1, max_value=7))
+    den = draw(st.sampled_from((1, 2)))
+
+    def length():
+        return F(draw(st.integers(min_value=1, max_value=4 * den)), den)
+
+    per = build_perimeter([length() for _ in range(q)], [length() for _ in range(q)])
+    types = build_types_mc(
+        (draw(st.integers(min_value=1, max_value=4)), draw(st.integers(min_value=1, max_value=3)))
+        for _ in range(draw(st.integers(min_value=1, max_value=3)))
+    )
+    return per, types
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_instances())
+def test_interval_table_and_direct_blocks_match_the_split_pointer_reference(inst):
+    per, types = inst
+    lookup = presolve(types, ceil(per.circumference))
+    table = interval_table(per, lookup)
+    cost, split = reference_interval_dp(per, lookup)
+    assert table.cost == cost
+    q = per.q
+    for i, k in product(range(q), range(q)):
+        assert _direct_blocks(table, lookup, i, k) == reference_blocks(split, i, k, q)
