@@ -79,7 +79,7 @@ from .documents import (
 )
 from .validate import validate_solution
 from .generate import SplitMix64, gen_random
-from .bench import BenchRow, run_suite, time_cell, write_csv
+from .bench import BenchRow, run_suite, time_cell, write_json
 from .render import render_svg
 
 __version__ = "0.1.0"

@@ -1,16 +1,16 @@
-"""Benchmark harness: seeded timing grids written as CSV.
+"""Benchmark harness: seeded timing grids written as one JSON document.
 
 Three suites sweep (types x segments), (perimeters x segments x types),
 and (types x boundary length x segments).  Desk grids keep runs short;
---full widens them to the complete sweeps.  Rows carry one timing per
-seed plus a mean row per cell, and the CSV header comments record the
-instance distributions so the numbers can be interpreted later.
+--full widens them to the complete sweeps.  A cell gives one row per
+seed, with that solve's work counters, then a mean row.
 """
 from __future__ import annotations
 
-import csv
+import json
+import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
@@ -20,12 +20,11 @@ from .solver_mc import solve_mc_multi
 
 DEFAULT_SEEDS = 10
 
-HEADER_COMMENTS = (
+INSTANCES = (
     "segment lengths U{50..500}, gap lengths U{10..100} (lr suites)",
     "mc suites split L uniformly into q segments, gaps U{10..100}",
     "lr types: capability U{1..100}, count U{5..15}; "
     "mc types: cost U{1..20}, length 5*cost + U{1..20}",
-    "seconds cover the solve call only; one row per seed, then a mean row",
 )
 
 
@@ -40,6 +39,9 @@ class BenchRow:
     L: int | None
     seed: int | str
     seconds: float
+    # Read after the clock stops; None on the mean row.
+    feasibility_calls: int | None = None   # reach tables the lr ratio search filled
+    arcs: int | None = None
 
 
 def _grid(suite: str, full: bool) -> list[tuple[str, int, int, int, int | None]]:
@@ -55,8 +57,7 @@ def _grid(suite: str, full: bool) -> list[tuple[str, int, int, int, int | None]]
     if suite == "table3":
         ts = (3, 10, 30, 100, 300) if full else (3, 10, 100)
         ls = (10**2, 10**4, 10**6) if full else (10**2, 10**4)
-        qs = (20, 50)
-        return [("mc", t, q, 1, L) for t in ts for L in ls for q in qs]
+        return [("mc", t, q, 1, L) for t in ts for L in ls for q in (20, 50)]
     raise ValidationError(f"unknown suite {suite!r}; pick table1, table2, or table3")
 
 
@@ -64,45 +65,43 @@ def time_cell(
     suite: str, problem: str, t: int, q: int, m: int, L: int | None, seeds: Sequence[int]
 ) -> list[BenchRow]:
     """Time one parameter cell over the given seeds; appends the mean row."""
+    if not seeds:
+        raise ValidationError("need at least one seed")
     rows = []
     for seed in seeds:
         doc = gen_random(problem, t=t, q=q, m=m, seed=seed, target_length=L)
         tick = time.perf_counter()
         if problem == "lr":
-            solve_lr(doc.perimeters, doc.fleet)
+            sol = solve_lr(doc.perimeters, doc.fleet)
         else:
-            solve_mc_multi(doc.perimeters, doc.types)
-        rows.append(BenchRow(suite, t, q, m, L, seed, time.perf_counter() - tick))
-    mean = sum(r.seconds for r in rows) / len(rows)
-    rows.append(BenchRow(suite, t, q, m, L, "mean", mean))
+            sol = solve_mc_multi(doc.perimeters, doc.types)
+        seconds = time.perf_counter() - tick
+        calls = getattr(sol, "feasibility_calls", None)
+        rows.append(BenchRow(suite, t, q, m, L, seed, seconds, calls, len(sol.arcs)))
+    rows.append(BenchRow(suite, t, q, m, L, "mean", sum(r.seconds for r in rows) / len(rows)))
     return rows
 
 
 def run_suite(suite: str, seeds: int = DEFAULT_SEEDS, full: bool = False) -> list[BenchRow]:
     """Run a whole suite, timing its cells one after another."""
-    if seeds < 1:
-        raise ValidationError("need at least one seed")
     seed_list = list(range(seeds))
-    return [
-        row
-        for problem, t, q, m, L in _grid(suite, full)
-        for row in time_cell(suite, problem, t, q, m, L, seed_list)
-    ]
+    return [row for cell in _grid(suite, full) for row in time_cell(suite, *cell, seed_list)]
 
 
-def write_csv(rows: Iterable[BenchRow], path: str, comments: Sequence[str] = ()) -> None:
-    """Write rows as CSV: '#' comment lines, a header row, then data."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for line in (*comments, *HEADER_COMMENTS):
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t", "q", "m", "L", "seed", "seconds"])
-        for row in rows:
-            writer.writerow([
-                row.t,
-                row.q,
-                row.m,
-                "" if row.L is None else row.L,
-                row.seed,
-                f"{row.seconds:.6f}",
-            ])
+def write_json(rows: Iterable[BenchRow], path: str, suite: str, full: bool) -> None:
+    """Write a suite's rows as one JSON document, with what they were run on."""
+    import platform, subprocess   # not at the top: `import perimeterguard` loads this module
+    try:
+        revision = subprocess.run(["git", "describe", "--always", "--dirty"], check=True,
+                                  capture_output=True, text=True,
+                                  cwd=os.path.dirname(os.path.abspath(__file__))).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        revision = None
+    doc = {
+        "suite": suite, "scale": "full" if full else "desk", "timed": "the solve call only",
+        "instances": list(INSTANCES), "python": platform.python_version(),
+        "platform": platform.platform(), "cpus": os.cpu_count(), "revision": revision,
+        "rows": [asdict(row) for row in rows],
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")

@@ -10,7 +10,7 @@ import argparse
 import sys
 import time
 
-from .bench import DEFAULT_SEEDS, run_suite, write_csv
+from .bench import DEFAULT_SEEDS, run_suite, write_json
 from .documents import (
     parse_instance,
     parse_solution,
@@ -117,9 +117,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    open(args.out, "a").close()   # an unwritable --out fails before the timing, not after
     rows = run_suite(args.suite, seeds=args.seeds, full=args.full)
-    scale = "full" if args.full else "desk"
-    write_csv(rows, args.out, comments=(f"suite: {args.suite} ({scale} scale)",))
+    write_json(rows, args.out, args.suite, args.full)
     means = [r for r in rows if r.seed == "mean"]
     print(f"{args.suite}: {len(means)} cells, {args.seeds} seeds each -> {args.out}")
     for r in means:
@@ -162,10 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("bench", help="run a timing suite and write CSV")
+    p = sub.add_parser("bench", help="run a timing suite and write its JSON record")
     p.add_argument("--suite", required=True, choices=("table1", "table2", "table3"))
-    p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--seeds", type=int, default=DEFAULT_SEEDS)
+    p.add_argument("--out", required=True, help="JSON output path, e.g. BENCH_table1.json")
+    p.add_argument("--seeds", type=int, default=DEFAULT_SEEDS, help="seeds 0..N-1 per cell")
     p.add_argument("--full", action="store_true", help="run the full-size grid")
     p.set_defaults(func=_cmd_bench)
 

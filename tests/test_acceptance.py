@@ -13,8 +13,10 @@ from itertools import product
 from perimeterguard.bench import time_cell
 from perimeterguard.documents import (
     InstanceDocument,
+    parse_instance,
     solution_from_lr,
     solution_from_mc,
+    write_instance,
     write_solution,
 )
 from perimeterguard.generate import SplitMix64, gen_random
@@ -426,3 +428,32 @@ def test_benchmark_cells_unchanged():
         "a solution on a benchmark cell changed; if on purpose, say why and re-pin"
     )
     print("benchmark cells: PASS (80 solution documents match the pinned digest)")
+
+
+# sha256 over the objectives, one per line, of perfbench's `lr-single` pool at
+# `--seed 9`: lr t=2 q=20 m=1 instances generated with seeds 900000 + i, i < 240.
+DEEP_POOL_OBJECTIVE_DIGEST = "8a83d1ea45b6c1613943c761ec51ac689d50fd77da729260f4a1be85731cab2c"
+
+
+def test_lr_single_deep_pool_solves_alike_twice():
+    """A long perfbench run cycles through the whole pool in one process, so
+    every instance goes twice through the request path perfbench times:
+    instance bytes -> parse -> solve -> solution document -> validate -> bytes."""
+    pool = [write_instance(gen_random("lr", 2, 20, 1, seed=900_000 + i)).encode()
+            for i in range(240)]
+    passes = []
+    for _ in range(2):
+        documents, objectives = [], []
+        for data in pool:
+            doc = parse_instance(data)
+            sol = solve_lr(doc.perimeters, doc.fleet)
+            out = solution_from_lr(sol)
+            validate_solution(doc, out)
+            documents.append(write_solution(out))
+            objectives.append(str(sol.objective))
+        passes.append(documents)
+    differ = [i for i, (a, b) in enumerate(zip(*passes)) if a != b]
+    assert not differ, f"instances {differ} solved differently on the second pass"
+    digest = hashlib.sha256("\n".join(objectives).encode()).hexdigest()
+    assert digest == DEEP_POOL_OBJECTIVE_DIGEST, "an lr-single pool objective changed"
+    print("deep lr-single pool: PASS (240 instances, two passes, identical bytes)")

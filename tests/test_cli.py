@@ -172,12 +172,22 @@ def test_gen_to_stdout(capsys):
 
 
 def test_bench_subcommand(tmp_path, capsys):
-    out = tmp_path / "rows.csv"
+    out = tmp_path / "BENCH_table3.json"
     assert main(["bench", "--suite", "table3", "--out", str(out), "--seeds", "1"]) == 0
-    lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
-    assert lines[0] == "t,q,m,L,seed,seconds"
-    assert len(lines) > 1
+    record = json.loads(out.read_text())
+    assert (record["suite"], record["scale"]) == ("table3", "desk")
+    assert len(record["rows"]) > 1 and record["rows"][1]["seed"] == "mean"
     assert "table3" in capsys.readouterr().out
+
+
+def test_bench_unwritable_out_fails_before_timing(tmp_path, monkeypatch, capsys):
+    def run_suite(*args, **kwargs):
+        raise AssertionError("the suite ran before the output was opened")
+
+    monkeypatch.setattr("perimeterguard.cli.run_suite", run_suite)
+    out = tmp_path / "missing" / "BENCH_table1.json"
+    assert main(["bench", "--suite", "table1", "--out", str(out), "--full"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_render_subcommand(tmp_path, capsys):

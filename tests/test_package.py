@@ -40,16 +40,24 @@ def test_references_share_no_solver_code():
                 assert node.attr not in banned, (name, node.attr)
 
 
-def test_import_loads_no_process_pools():
-    code = (
-        "import sys, perimeterguard; "
-        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
-    )
+def _loaded_by_import(modules):
+    """Which of the named modules a fresh `import perimeterguard` loads."""
+    code = f"import sys, perimeterguard; print(sorted(set({modules!r}) & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=60
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_loads_no_process_pools():
+    assert _loaded_by_import(("multiprocessing", "concurrent.futures")) == "[]"
+
+
+def test_import_leaves_the_bench_record_modules_unloaded():
+    # bench.write_json imports platform and subprocess itself, so importing
+    # the package (which perfbench's setup_s times) does not pay for them.
+    assert _loaded_by_import(("platform", "subprocess", "csv")) == "[]"
 
 
 def test_reach_recurrence_has_one_home():
