@@ -61,6 +61,30 @@ def test_json_record(tmp_path):
     assert record["rows"][0]["L"] is None and record["rows"][2]["L"] == 20
 
 
+def test_csv_format(tmp_path):
+    # The columns of the former CSV output lead each JSON row, in order.
+    rows = time_cell("table3", "mc", 2, 2, 1, 20, [0, 1])
+    out = tmp_path / "bench.json"
+    write_json(rows, str(out), "smoke", full=False)
+    record = json.loads(out.read_text())
+    assert any("U{50..500}" in line for line in record["instances"])
+    parsed = record["rows"]
+    assert len(parsed) == 3
+    assert list(parsed[0])[1:7] == ["t", "q", "m", "L", "seed", "seconds"]
+    assert [parsed[0][k] for k in ("t", "q", "m", "L", "seed")] == [2, 2, 1, 20, 0]
+    assert parsed[2]["seed"] == "mean"
+    assert isinstance(parsed[2]["seconds"], float)
+
+
+def test_blank_length_column_for_ratio_suites(tmp_path):
+    # lr cells have no length bound; the former blank CSV column is JSON null.
+    rows = time_cell("table1", "lr", 2, 2, 1, None, [0])
+    out = tmp_path / "bench.json"
+    write_json(rows, str(out), "table1", full=False)
+    record = json.loads(out.read_text())
+    assert [row["L"] for row in record["rows"]] == [None, None]
+
+
 @pytest.mark.parametrize("failure", [
     FileNotFoundError("git"), subprocess.CalledProcessError(128, "git")])
 def test_revision_is_null_without_git_or_a_checkout(tmp_path, monkeypatch, failure):
