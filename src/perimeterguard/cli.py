@@ -1,12 +1,13 @@
 """Command-line interface.
 
 Subcommands: solve, oracle, gen, bench, render.  Exit codes: 0 success,
-2 bad input, 3 infeasible decision query, 4 instance above a solver's or
-the brute-force oracle's size cap.
+1 output pipe closed early, 2 bad input, 3 infeasible decision query,
+4 instance above a solver's or the brute-force oracle's size cap.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -28,6 +29,7 @@ from .solver_mc import solve_mc_multi
 from .validate import validate_solution
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_INVALID = 2
 EXIT_INFEASIBLE = 3
 EXIT_TOO_LARGE = 4
@@ -36,6 +38,14 @@ EXIT_TOO_LARGE = 4
 def _read(path: str) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def _read_instance(path: str):
+    """Parse the instance document at path; print its notes to stderr."""
+    doc = parse_instance(_read(path))
+    for note in doc.notes:
+        print(f"note: {note}", file=sys.stderr)
+    return doc
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -63,7 +73,7 @@ def _verdict(doc, answer) -> int:
 
 
 def _cmd_solve(args) -> int:
-    doc = parse_instance(_read(args.input))
+    doc = _read_instance(args.input)
     decision = doc.ell is not None or doc.budget is not None
     if decision and args.output:
         raise ValidationError("decision queries answer yes or no; drop --output")
@@ -95,7 +105,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    doc = parse_instance(_read(args.input))
+    doc = _read_instance(args.input)
     if doc.problem == "lr":
         if doc.ell is not None:
             return _verdict(doc, brute_feasible_lr_multi(doc.perimeters, doc.fleet, doc.ell))
@@ -129,7 +139,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    instance = parse_instance(_read(args.input))
+    instance = _read_instance(args.input)
     solution = parse_solution(_read(args.solution))
     render_svg(instance, solution, args.out)
     print(f"wrote {args.out}")
@@ -180,14 +190,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:   # the reader left: silence the flush at exit (Python's SIGPIPE note)
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except InstanceTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
-    except GuardingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
+    except (GuardingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -71,14 +71,6 @@ def _as_int(value, path: str) -> int:
     return value
 
 
-def _rational(value, path: str) -> Fraction:
-    if isinstance(value, float):
-        raise ParseError(
-            f"{path}: floats are inexact, write the value as a string like \"5/2\""
-        )
-    return to_fraction(value, path)
-
-
 def _load_json(data: bytes | str, what: str) -> dict:
     try:
         if isinstance(data, bytes):
@@ -106,8 +98,8 @@ def _parse_perimeter(entry, path: str) -> tuple[Perimeter, list[str]]:
             pair = _as_list(v, f"{path}.polygon.vertices[{k}]")
             if len(pair) != 2:
                 raise ParseError(f"{path}.polygon.vertices[{k}]: expected [x, y]")
-            pts.append([_rational(pair[0], f"{path}.polygon.vertices[{k}][0]"),
-                        _rational(pair[1], f"{path}.polygon.vertices[{k}][1]")])
+            pts.append([to_fraction(pair[0], f"{path}.polygon.vertices[{k}][0]"),
+                        to_fraction(pair[1], f"{path}.polygon.vertices[{k}][1]")])
         for k, g in enumerate(guarded):
             if not isinstance(g, bool):
                 raise ParseError(f"{path}.polygon.guarded[{k}]: expected true or false")
@@ -116,11 +108,11 @@ def _parse_perimeter(entry, path: str) -> tuple[Perimeter, list[str]]:
         except GuardingError as exc:
             raise ValidationError(f"{path}.polygon: {exc}") from exc
     segments = [
-        _rational(s, f"{path}.segments[{k}]")
+        to_fraction(s, f"{path}.segments[{k}]")
         for k, s in enumerate(_as_list(_require(entry, "segments", path), f"{path}.segments"))
     ]
     gaps = [
-        _rational(g, f"{path}.gaps[{k}]")
+        to_fraction(g, f"{path}.gaps[{k}]")
         for k, g in enumerate(_as_list(entry.get("gaps", []), f"{path}.gaps"))
     ]
     try:
@@ -167,13 +159,13 @@ def parse_instance(data: bytes | str) -> InstanceDocument:
     if "ell" in doc:
         if problem != "lr":
             raise ValidationError("instance.ell: only lr documents take a ratio threshold")
-        ell = _rational(doc["ell"], "instance.ell")
+        ell = to_fraction(doc["ell"], "instance.ell")
         if ell <= 0:
             raise ValidationError("instance.ell: threshold must be positive")
     if "budget" in doc:
         if problem != "mc":
             raise ValidationError("instance.budget: only mc documents take a cost budget")
-        budget = _rational(doc["budget"], "instance.budget")
+        budget = to_fraction(doc["budget"], "instance.budget")
         if budget < 0:
             raise ValidationError("instance.budget: budget cannot be negative")
 
@@ -274,15 +266,15 @@ def parse_solution(data: bytes | str) -> SolutionDocument:
     problem = _require(doc, "problem", "solution")
     if problem not in PROBLEMS:
         raise ValidationError(f"solution.problem: expected one of {PROBLEMS}, got {problem!r}")
-    objective = _rational(_require(doc, "objective", "solution"), "solution.objective")
+    objective = to_fraction(_require(doc, "objective", "solution"), "solution.objective")
     arcs = []
     for k, entry in enumerate(_as_list(_require(doc, "arcs", "solution"), "solution.arcs")):
         entry = _as_dict(entry, f"arcs[{k}]")
         arcs.append(Arc(
             perimeter=_as_int(_require(entry, "perimeter", f"arcs[{k}]"), f"arcs[{k}].perimeter"),
             robot_type=_as_int(_require(entry, "type", f"arcs[{k}]"), f"arcs[{k}].type"),
-            start=_rational(_require(entry, "start", f"arcs[{k}]"), f"arcs[{k}].start"),
-            length=_rational(_require(entry, "length", f"arcs[{k}]"), f"arcs[{k}].length"),
+            start=to_fraction(_require(entry, "start", f"arcs[{k}]"), f"arcs[{k}].start"),
+            length=to_fraction(_require(entry, "length", f"arcs[{k}]"), f"arcs[{k}].length"),
         ))
     counts = tuple(
         _as_int(c, f"counts[{k}]")

@@ -26,6 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import isqrt, lcm
 from typing import Iterable, Sequence
 
@@ -294,15 +295,12 @@ def _exact_or_quantized_sqrt(squared: Fraction) -> tuple[Fraction, bool]:
     rn, rd = isqrt(num), isqrt(den)
     if rn * rn == num and rd * rd == den:
         return Fraction(rn, rd), True
-    scale = QUANTIZATION_DENOMINATOR
-    # k ~= scale * sqrt(num/den); compare k^2 * den against num * scale^2 exactly.
-    target = num * scale * scale
+    # k = floor(x) for x = 10^6 * sqrt(num/den); round up iff x > k + 1/2, i.e. 4x^2 > (2k + 1)^2.
+    target = num * QUANTIZATION_DENOMINATOR**2
     k = isqrt(target // den)
-    while (k + 1) * (k + 1) * den <= target:
+    if 4 * target > (2 * k + 1) ** 2 * den:
         k += 1
-    if abs((k + 1) * (k + 1) * den - target) < abs(k * k * den - target):
-        k += 1
-    return Fraction(k, scale), False
+    return Fraction(k, QUANTIZATION_DENOMINATOR), False
 
 
 def edge_lengths(spec: PolygonSpec) -> tuple[list[Fraction], list[str]]:
@@ -337,23 +335,10 @@ def from_polygon(spec: PolygonSpec) -> tuple[Perimeter, list[str]]:
     n = len(lengths)
     if not any(spec.guarded):
         raise NoGuardedEdge("polygon has no guarded edge")
-    if all(spec.guarded):
-        return Perimeter([sum(lengths, Fraction(0))], []), notes
-    # Rotate so edge 0 is guarded and edge n-1 is not: a clean run boundary.
-    start = next(
-        k for k in range(n) if spec.guarded[k] and not spec.guarded[(k - 1) % n]
-    )
-    flags = [spec.guarded[(start + k) % n] for k in range(n)]
-    lens = [lengths[(start + k) % n] for k in range(n)]
+    # Start where a guarded run follows an unguarded one (edge 0 if none does).
+    start = next((k for k in range(n) if spec.guarded[k] and not spec.guarded[k - 1]), 0)
     segments: list[Fraction] = []
     gaps: list[Fraction] = []
-    k = 0
-    while k < n:
-        run = lens[k]
-        j = k + 1
-        while j < n and flags[j] == flags[k]:
-            run += lens[j]
-            j += 1
-        (segments if flags[k] else gaps).append(run)
-        k = j
+    for guarded, run in groupby(range(start, start + n), key=lambda k: spec.guarded[k % n]):
+        (segments if guarded else gaps).append(sum(lengths[k % n] for k in run))
     return Perimeter(segments, gaps), notes

@@ -23,13 +23,14 @@ def to_fraction(value: RationalLike, where: str = "value") -> Fraction:
     each with an optional leading "-", in ASCII digits and nothing else: no
     "+", spaces, underscores, bare-dot decimals (".5", "5.") or exponent
     forms ("1e5"; a few characters of exponent can ask for an integer of
-    unbounded size).  Floats are rejected too: callers that want a float
-    quantized must do so explicitly (see perimeter.from_polygon).
+    unbounded size).  Floats are rejected too, since 0.1 is not 1/10.
     """
     if isinstance(value, bool):
         raise ParseError(f"{where}: expected a rational, got a bool")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
+    if isinstance(value, float):
+        raise ParseError(f'{where}: floats are inexact, write the value as a string like "5/2"')
     if isinstance(value, str):
         if "e" in value or "E" in value:
             raise ParseError(f"{where}: exponent forms are not accepted, got {value!r}")

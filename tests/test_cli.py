@@ -1,6 +1,8 @@
 """Command-line interface: subcommands and exit codes."""
 import json
+import os
 import re
+import sys
 import time
 
 import pytest
@@ -24,6 +26,15 @@ def put(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+# A triangle with three irrational edges, the first two guarded.
+TRIANGLE_TEXT = json.dumps({
+    "problem": "mc",
+    "perimeters": [{"polygon": {"vertices": [[0, 0], [3, 1], [1, 4]],
+                                "guarded": [True, True, False]}}],
+    "types": [{"length": 4, "cost": 1}],
+})
 
 
 def test_solve_lr_writes_solution(tmp_path, capsys):
@@ -198,6 +209,51 @@ def test_render_subcommand(tmp_path, capsys):
     assert main(["render", "--input", inp, "--solution", str(sol), "--out", str(svg)]) == 0
     assert svg.read_text().startswith("<svg ")
     capsys.readouterr()
+
+
+def test_quantization_notes_go_to_stderr(tmp_path, capsys):
+    inp = put(tmp_path, "i.json", TRIANGLE_TEXT)
+    sol = str(tmp_path / "s.json")
+    for argv in (["solve", "--input", inp, "--output", sol],
+                 ["oracle", "--input", inp],
+                 ["render", "--input", inp, "--solution", sol, "--out", str(tmp_path / "p.svg")]):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [
+            "note: perimeters[0]: edge 0: irrational length sqrt(10) quantized to "
+            "1581139/500000 (denominator 1000000)",
+            "note: perimeters[0]: edge 1: irrational length sqrt(13) quantized to "
+            "3605551/1000000 (denominator 1000000)",
+            "note: perimeters[0]: edge 2: irrational length sqrt(17) quantized to "
+            "2061553/500000 (denominator 1000000)",
+        ]
+        assert "note:" not in out
+    assert main(["solve", "--input", put(tmp_path, "j.json", MC_TEXT)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("closed", ["write", "flush"])
+def test_closed_stdout_exits_1_quietly(tmp_path, monkeypatch, capsys, closed):
+    """A reader that left early is not bad input: exit 1, print nothing, and
+    point the stdout fd at devnull so the flush at exit stays quiet."""
+    sink = tmp_path / "stdout"
+    with open(sink, "wb") as fh:
+        class ClosedPipe:
+            def write(self, text):
+                if closed == "write":
+                    raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return fh.fileno()
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["gen", "--problem", "lr", "--t", "2", "--q", "2", "--seed", "1"]) == 1
+        os.write(fh.fileno(), b"after the pipe closed")
+    assert sink.read_bytes() == b""
+    assert capsys.readouterr().err == ""
 
 
 def test_usage_error_exit_2():

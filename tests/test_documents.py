@@ -75,6 +75,39 @@ def test_parse_polygon_entry():
     assert per.gaps == (F(5),)
 
 
+def test_parse_polygon_rounds_irrational_edges_to_nearest():
+    """Edge 0 is sqrt(10)/(2 * 10^6) long: 1.58 millionths, so 2 of them."""
+    doc = parse_instance(json.dumps({
+        "problem": "mc",
+        "perimeters": [{"polygon": {
+            "vertices": [[0, 0], ["3/2000000", "1/2000000"], [0, 1]],
+            "guarded": [True, False, False],
+        }}],
+        "types": [{"length": 1, "cost": 1}],
+    }))
+    assert doc.perimeters[0].segments == (F(1, 500000),)
+    assert doc.notes[0] == ("perimeters[0]: edge 0: irrational length sqrt(1/400000000000) "
+                            "quantized to 1/500000 (denominator 1000000)")
+
+
+def test_floats_are_refused_with_their_path():
+    message = ': floats are inexact, write the value as a string like "5/2"$'
+    lr = json.loads(LR_DOC)
+    polygon = {"vertices": [[0, 0], [3, 0.5], [3, 4]], "guarded": [True, True, False]}
+    docs = {
+        r"perimeters\[0\]\.segments\[1\]": {**lr, "perimeters": [{"segments": [2, 0.5]}]},
+        r"perimeters\[0\]\.polygon\.vertices\[1\]\[1\]":
+            {**lr, "perimeters": [{"polygon": polygon}]},
+        r"instance\.ell": {**lr, "ell": 2.5},
+    }
+    for path, doc in docs.items():
+        with pytest.raises(ParseError, match="^" + path + message):
+            parse_instance(json.dumps(doc))
+    sol = json.loads(write_solution(SolutionDocument("lr", F(3), (), (2,))))
+    with pytest.raises(ParseError, match=r"^solution\.objective" + message):
+        parse_solution(json.dumps({**sol, "objective": 3.0}))
+
+
 def test_parse_error_paths():
     with pytest.raises(ParseError, match="line 1"):
         parse_instance("{nope")

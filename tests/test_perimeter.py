@@ -1,4 +1,5 @@
 """Geometry model tests: spans, normalization, polygon ingestion."""
+from decimal import ROUND_HALF_DOWN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -12,13 +13,17 @@ from perimeterguard.errors import (
     IndexOutOfRange,
     NoGuardedEdge,
     NonPositiveLength,
+    ParseError,
     ReconstructionMismatch,
 )
 from perimeterguard.perimeter import (
+    QUANTIZATION_DENOMINATOR,
     Arc,
     Perimeter,
+    _exact_or_quantized_sqrt,
     build_perimeter,
     build_polygon_spec,
+    edge_lengths,
     from_polygon,
     integer_anchors,
     place_arcs,
@@ -110,6 +115,9 @@ def test_build_errors():
         build_perimeter([2, 3], [1])
     with pytest.raises(CountMismatch):
         build_perimeter([2, 3], [])  # gapless form allows exactly one segment
+    with pytest.raises(ParseError, match=r'^segments\[0\]: floats are inexact, write the value '
+                                         r'as a string like "5/2"$'):
+        build_perimeter([1.5], [])
     per = two_segment_example()
     with pytest.raises(IndexOutOfRange):
         per.span_length(0, 2)
@@ -305,6 +313,84 @@ def test_polygon_irrational_edge_quantized():
     expected = int((Decimal(2).sqrt() * 10**6).to_integral_value(rounding="ROUND_HALF_EVEN"))
     assert per.segments == (F(expected, 10**6) + 1,)
     assert per.gaps == (F(1),)
+
+
+def test_quantized_sqrt_rounds_to_nearest():
+    # sqrt(10)/2 = 1.58..., so the nearest multiple of 1/10^6 is 2/10^6, not 1/10^6.
+    assert _exact_or_quantized_sqrt(F(10, 4 * 10**12)) == (F(1, 500000), False)
+    assert _exact_or_quantized_sqrt(F(9, 4 * 10**12)) == (F(3, 2 * 10**6), True)
+
+
+def decimal_sqrt(squared: Fraction) -> Fraction:
+    """sqrt(squared) to the nearest multiple of 1/10^6, ties down, by decimal.
+
+    Sixty digits decide every case drawn below: for a non-square num/den,
+    4 * num * 10^12 - (2k + 1)^2 * den is a nonzero integer, so the scaled
+    root sits at least 1/(8 * den * (k + 1)) from the midpoint k + 1/2,
+    above 10^-24 here.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        root = (Decimal(squared.numerator) / squared.denominator).sqrt()
+        scaled = root * QUANTIZATION_DENOMINATOR
+        return F(int(scaled.to_integral_value(rounding=ROUND_HALF_DOWN)), QUANTIZATION_DENOMINATOR)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.fractions(min_value=F(1, 10**12), max_value=F(10**9), max_denominator=10**12))
+@example(F(10, 4 * 10**12))
+@example(F(2))
+def test_quantized_sqrt_matches_decimal(squared):
+    length, exact = _exact_or_quantized_sqrt(squared)
+    if exact:
+        assert length * length == squared
+    else:
+        assert length == decimal_sqrt(squared)
+
+
+def test_polygon_counterexample_edge_rounds_to_nearest():
+    spec = build_polygon_spec([(0, 0), ("3/2000000", "1/2000000"), (0, 1)], [True, False, False])
+    lengths, notes = edge_lengths(spec)
+    assert lengths[0] == F(1, 500000)
+    assert notes[0] == "edge 0: irrational length sqrt(1/400000000000) quantized to 1/500000 " \
+                       "(denominator 1000000)"
+    per, _ = from_polygon(spec)
+    assert per.segments == (F(1, 500000),)
+
+
+def merge_runs_reference(guarded, lengths):
+    """from_polygon's run merging as it was, with explicit indices."""
+    n = len(lengths)
+    if all(guarded):
+        return [sum(lengths, F(0))], []
+    start = next(k for k in range(n) if guarded[k] and not guarded[(k - 1) % n])
+    flags = [guarded[(start + k) % n] for k in range(n)]
+    lens = [lengths[(start + k) % n] for k in range(n)]
+    segments, gaps = [], []
+    k = 0
+    while k < n:
+        run = lens[k]
+        j = k + 1
+        while j < n and flags[j] == flags[k]:
+            run += lens[j]
+            j += 1
+        (segments if flags[k] else gaps).append(run)
+        k = j
+    return segments, gaps
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.booleans(), min_size=3, max_size=12).filter(any))
+@example([True] * 5)                  # all guarded: one gapless segment
+@example([True, True, False, True])   # a single gap, runs merging across the wrap
+@example([False, True, False])        # a single segment
+def test_polygon_runs_match_reference(guarded):
+    # Vertices on a parabola make a convex polygon whose edges all differ in length.
+    spec = build_polygon_spec([(k, k * k) for k in range(len(guarded))], guarded)
+    segments, gaps = merge_runs_reference(spec.guarded, edge_lengths(spec)[0])
+    per, _ = from_polygon(spec)
+    assert per.segments == tuple(segments)
+    assert per.gaps == tuple(gaps)
 
 
 def test_polygon_errors():
