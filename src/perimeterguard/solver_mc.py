@@ -5,8 +5,11 @@ of each may be hired.  The solver covers every guarded segment at minimum
 total cost in two stages:
 
 * presolve: an unbounded covering knapsack giving the cheapest way to
-  cover each integer length up to the circumference, over undominated types
-  and periodic past a short base; sol() walks witnesses back out lazily;
+  cover each integer length up to the circumference, over undominated types;
+  it stops the recurrence once a window of l_max lengths repeats the best
+  type's step and copies the rest in blocks.  sol() walks witnesses back out
+  lazily, memoizing the robot choice per length; a length past the window
+  first drops by whole periods;
 * an interval DP over cyclic segment ranges choosing where coverage
   blocks start and end, so gaps that are expensive to bridge get skipped;
   it keeps costs only, and reconstruction re-derives the splits from them.
@@ -21,7 +24,7 @@ perimeter.place_arcs, which trims, re-checks and emits them as Arcs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Sequence
@@ -70,23 +73,38 @@ def build_types_mc(pairs: Iterable[tuple[int, int]]) -> TypesMC:
 class CostLookup:
     """costs[L] = cheapest robot multiset whose lengths sum to at least L, for
     every L in 0..max_len (interval_table reads any ceiled span).  presolve
-    drops dominated types and fills past a short base by the knapsack period."""
+    stopped its recurrence at periodic_from (max_len + 1 if the table ended
+    first) and set the rest to costs[L - lb] + cb, (lb, cb) the best kept
+    type; `choice` is sol()'s memo of robot choices, keyed by length below
+    periodic_from."""
 
     types: TypesMC
     max_len: int
     costs: list[int]
+    lb: int
+    periodic_from: int
+    choice: dict[int, int] = field(default_factory=dict)
 
 
 def presolve(types: TypesMC, max_len: int) -> CostLookup:
     """Unbounded covering knapsack over all lengths 0..max_len.
 
     Only undominated types (no other at least as long and no dearer; one copy
-    of duplicates) enter costs[L] = min c + costs[max(0, L - l)].  Let (lb, cb)
-    be a kept type of least cost per length, lmax the longest kept length.  If
-    an optimum has lb or more other robots, pigeonhole on their prefix sums mod
-    lb finds some summing to k*lb; k best robots cover as much for no more.  So
-    some optimum has under lb others, reaching at most (lb - 1)*lmax; past that
-    it holds a best robot: costs[L] = costs[L - lb] + cb (Gilmore & Gomory 1966; Hu 1969).
+    of duplicates) enter costs[n] = min c + costs[max(0, n - l)].  Let (lb, cb)
+    be a kept type of least cost per length, lmax the longest kept length.
+
+    The recurrence stops after the first window of lmax consecutive n >= lb
+    with costs[n] == costs[n - lb] + cb.  Every later n reads only the lmax
+    entries before it, all in the window or past it, so by induction
+    costs[n] = min c + costs[n - l - lb] + cb = costs[n - lb] + cb too, and
+    the tail is copied lb entries at a time.
+
+    Such a window exists by (lb - 1)*lmax + lmax: if an optimum has lb or
+    more robots other than best ones, pigeonhole on their prefix sums mod lb
+    finds some summing to k*lb, and k best robots cover as much for no more.
+    So some optimum has under lb others, reaching at most (lb - 1)*lmax; past
+    that it holds a best robot (Gilmore & Gomory 1966; Hu 1969).  In practice
+    the window closes far sooner.
     """
     if max_len < 0:
         raise ValidationError("max_len must be >= 0")
@@ -97,25 +115,41 @@ def presolve(types: TypesMC, max_len: int) -> CostLookup:
         if not kept or c < kept[-1][1]:
             kept.append((l, c))
     lb, cb = min(reversed(kept), key=lambda lc: Fraction(lc[1], lc[0]))  # shortest on ties
-    base = (lb - 1) * kept[0][0]
-    costs = [0]
-    for n in range(1, max_len + 1):
-        costs.append(min([c + costs[n - l] if l < n else c for l, c in kept])
-                     if n <= base else costs[n - lb] + cb)
-    return CostLookup(types, max_len, costs)
+    lmax = kept[0][0]
+    costs, run = [0], 0
+    while run < lmax and len(costs) <= max_len:
+        n = len(costs)
+        costs.append(min([c + costs[n - l] if l < n else c for l, c in kept]))
+        run = run + 1 if n >= lb and costs[n] == costs[n - lb] + cb else 0
+    periodic_from = len(costs)
+    while len(costs) <= max_len:
+        costs.extend([x + cb for x in costs[-lb:]])
+    del costs[max_len + 1:]
+    return CostLookup(types, max_len, costs, lb, periodic_from)
 
 
 def sol(lookup: CostLookup, length: int) -> tuple[int, tuple[int, ...]]:
     """Cheapest cover of an integer length: (cost, robot counts per type); each robot
-    is the smallest type tau with c_tau + costs[max(0, rem - l_tau)] == costs[rem]."""
+    is the smallest type tau with c_tau + costs[max(0, rem - l_tau)] == costs[rem].
+
+    At rem >= periodic_from, costs[rem] and every costs[rem - l] the test
+    reads (no type is longer than lmax) exceed the entries lb lower by cb, so
+    the choice at rem is the choice at rem - lb, over all t types, dominated
+    ones included.  So a choice is found once per length below periodic_from.
+    """
     if not 0 <= length <= lookup.max_len:
         raise OutOfTableRange(f"length {length} outside 0..{lookup.max_len}")
     lengths, tcosts, costs = lookup.types.lengths, lookup.types.costs, lookup.costs
+    lb, top, choice = lookup.lb, lookup.periodic_from, lookup.choice
     counts = [0] * len(lengths)
     rem = length
     while rem > 0:
-        tau = next(k for k, l in enumerate(lengths)
-                   if tcosts[k] + (costs[rem - l] if l < rem else 0) == costs[rem])
+        key = rem if rem < top else top - lb + (rem - top) % lb
+        tau = choice.get(key)
+        if tau is None:
+            tau = choice[key] = next(
+                k for k, l in enumerate(lengths)
+                if tcosts[k] + (costs[key - l] if l < key else 0) == costs[key])
         counts[tau] += 1
         rem -= lengths[tau]
     return costs[length], tuple(counts)
@@ -204,7 +238,8 @@ def _lay_block(table: IntervalCostTable, lookup: CostLookup, per: Perimeter,
     lengths = lookup.types.lengths
     robots: list[tuple[int, int, int]] = []
     pos = starts[0]
-    for tau in sorted(range(len(counts)), key=lambda tau: (-lengths[tau], tau)):
+    hired = (tau for tau, n in enumerate(counts) if n)
+    for tau in sorted(hired, key=lambda tau: (-lengths[tau], tau)):
         step = lengths[tau] * unit
         for _ in range(counts[tau]):
             robots.append((tau, pos, step))

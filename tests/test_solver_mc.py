@@ -8,9 +8,10 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import ceil
+from random import Random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from perimeterguard import solver_mc
@@ -132,6 +133,51 @@ def test_presolve_and_sol_match_naive_reference(pairs):
     assert lookup.costs == want_costs
     for n in range(max_len + 1):
         assert sol(lookup, n) == (want_costs[n], naive_counts(pairs, choice, n))
+
+
+@st.composite
+def catalog_types(draw):
+    """Types drawn as gen_random draws them (length 5*cost + U{1..20}): the
+    knapsack turns periodic far below the (lb - 1)*lmax proof bound."""
+    costs = draw(st.lists(st.integers(1, 20), min_size=1, max_size=6))
+    return [(5 * c + draw(st.integers(1, 20)), c) for c in costs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(catalog_types(), st.randoms(use_true_random=False))
+@example([(6, 1)], Random(0))                  # one type: periodic from 2*l
+@example([(6, 1), (11, 2)], Random(0))         # the window closes at a third of the bound
+@example([(30, 5), (26, 5), (12, 2)], Random(0))  # a dominated type ahead of two kept ones
+def test_sol_in_any_order_matches_naive_past_the_window(pairs, rng):
+    types = build_types_mc(pairs)
+    lmax = max(l for l, _ in pairs)
+    bound = presolve(types, 0).lb * lmax   # (lb - 1)*lmax + lmax: the window has closed
+    periodic_from = presolve(types, bound).periodic_from
+    max_len = 3 * periodic_from
+    assume(max_len <= bound)
+    want_costs, choice = naive_lookup(pairs, max_len)
+    order = list(range(max_len, -1, -1))
+    shuffled = order[:]
+    rng.shuffle(shuffled)
+    for lengths in (order, shuffled):
+        lookup = presolve(types, max_len)   # a fresh choice memo, shared by every call below
+        assert lookup.periodic_from == periodic_from
+        assert lookup.costs == want_costs
+        for n in lengths:
+            assert sol(lookup, n) == (want_costs[n], naive_counts(pairs, choice, n))
+
+
+@pytest.mark.parametrize("t, q, target_length, periodic_from", [
+    (100, 20, 10**4, 131),   # the mc-long cell, seed 0
+    (30, 80, 1500, 128),     # the mc-wide cell, seed 0
+])
+def test_periodic_from_pinned(t, q, target_length, periodic_from):
+    doc = gen_random("mc", t, q, 1, seed=0, target_length=target_length)
+    (per,) = doc.perimeters
+    lookup = presolve(doc.types, ceil(per.circumference))
+    assert lookup.periodic_from == periodic_from
+    pairs = list(zip(doc.types.lengths, doc.types.costs))
+    assert lookup.costs == naive_lookup(pairs, lookup.max_len)[0]
 
 
 def test_multi_presolves_once(monkeypatch):
