@@ -430,6 +430,31 @@ def test_benchmark_cells_unchanged():
     print("benchmark cells: PASS (80 solution documents match the pinned digest)")
 
 
+# sha256 over the same 80 solution documents with `stats` dropped, one sorted
+# JSON line each: a change to the solvers' work counters leaves it alone, a
+# change to an objective, arc or count does not.
+BENCHMARK_WITNESS_DIGEST = "8776b284f7b3a4f92fa40125c5a5a4388b900418785a0bf9511d8dc263327bee"
+
+
+def test_benchmark_cell_witnesses_unchanged():
+    digest = hashlib.sha256()
+    for problem, t, q, m, length in BENCHMARK_CELLS:
+        for i in range(20):
+            doc = gen_random(problem, t, q, m, seed=100_000 + i, target_length=length)
+            if problem == "lr":
+                out = solution_from_lr(solve_lr(list(doc.perimeters), doc.fleet))
+            else:
+                out = solution_from_mc(solve_mc_multi(list(doc.perimeters), doc.types))
+            body = json.loads(write_solution(out))
+            body.pop("stats", None)
+            digest.update(json.dumps(body, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == BENCHMARK_WITNESS_DIGEST, (
+        "a solution on a benchmark cell changed beyond its stats; if on purpose, "
+        "say why and re-pin"
+    )
+    print("benchmark cell witnesses: PASS (80 stats-free documents match the pinned digest)")
+
+
 # sha256 over the objectives, one per line, of perfbench's `lr-single` pool at
 # `--seed 9`: lr t=2 q=20 m=1 instances generated with seeds 900000 + i, i < 240.
 DEEP_POOL_OBJECTIVE_DIGEST = "8a83d1ea45b6c1613943c761ec51ac689d50fd77da729260f4a1be85731cab2c"
