@@ -10,20 +10,20 @@ The feasibility core is a dynamic program over allocation vectors: for a
 fixed anchor (a segment start), the table holds the furthest normalized
 reach achievable with x_tau robots of each type, where reach positions
 skip over gaps for free.  The optimum is span/D for some run of segments
-and capability sum D <= A, the fleet's total capability, so two candidate
-ratios differ by at least 1/A^2 (Farey spacing): a search that narrows
-the ratio below that window snaps to the exact answer.
+(an end minus a start on the line) and capability sum D <= A, the fleet's
+total capability, so _search probes only these candidates, a few more
+than log2 of their number, and no two of them are closer than 1/A^2.
 
 On one perimeter the optimum is the least of the anchors' own optima, so
 solve_lr eliminates anchors one at a time in a fixed shuffled order: an
 anchor fills one early-exit table at best - 1/A^2, which answers exactly
-"does it beat the best so far?", and only an anchor that does bisects on
-its own window.  In a random order the best changes about ln q times, so
-the search costs about q tables plus a few short bisections.  The last
-bisection ends on a "yes" table at the optimum, and its early-exit hit,
+"does it beat the best so far?", and only an anchor that does searches
+its own lap's candidates.  In a random order the best changes about ln q
+times, so the search costs about q tables plus a few short searches.  The
+last search ends on a "yes" table at the optimum, and its early-exit hit,
 that anchor's lex-first covering cell, is the witness vector.
 
-On several perimeters each bisection step folds the perimeters' Pareto
+On several perimeters each search step folds the perimeters' Pareto
 layers (the vectors covering a perimeter from some anchor) into totals.
 Reach grows with robots, so these sets are upward-closed: each anchor
 fills only the cells earlier anchors leave open, and a set is one int
@@ -49,7 +49,7 @@ reaches and the objective go out.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
@@ -441,55 +441,60 @@ class LrSolution:
     feasibility_calls: int = 0           # reach tables the ratio search filled
 
 
-def _bisect(lo: Fraction, hi: Fraction, a_total: int, check) -> tuple[Fraction, object]:
-    """Smallest ratio in [lo, hi] that passes check, given that hi passes.
+def _search(lo: Fraction, hi: Fraction, spans, sums, check, witness=None) -> tuple[Fraction, object]:
+    """Smallest candidate span/D in [lo, hi] that passes check, given that hi does.
 
-    check returns None for "no" and a witness for "yes".  Returns (ratio,
-    witness), the witness from the check at that ratio, which is always
-    the last check.  The answer c has denominator at most A = a_total (see
-    solve_lr), so every other such fraction lies at least 1/A^2 from c.  lo
-    is tried first, then bisection narrows [lo, hi] below 1/A^2: c is within
-    1/(2A^2) of the midpoint and every other candidate is further, so the
-    midpoint's limit_denominator(A), its closest such fraction, is c.
+    sums are the capability sums D, ascending.  check returns None for "no"
+    and a witness for "yes"; the one returned is from a check at the returned
+    ratio (witness is hi's, if known).  lo is probed first only if it is a
+    candidate.  Each span's row keeps the range [i0, i1) of sums whose ratio
+    lies strictly between the last "no" and the last "yes", and leaves once
+    it is empty.  Each probe is the middle D of a seeded random row.
     """
-    witness = check(lo)
-    if witness is not None:
-        return lo, witness
-    eps = Fraction(1, a_total * a_total)
-    if hi - lo < eps:
-        raise AssertionError("bisection window collapsed below the answer spacing")
-    while hi - lo >= eps:
-        mid = (lo + hi) / 2
-        if check(mid) is None:
-            lo = mid
-        else:
-            hi = mid
-    best = ((lo + hi) / 2).limit_denominator(a_total)
-    if not lo <= best <= hi:
-        raise AssertionError("snapped ratio fell outside the certified window")
-    witness = check(best)
-    if witness is None:
-        raise AssertionError("snapped ratio is not feasible")
-    return best, witness
+    def cut(rows, r, yes):
+        # A "no" at r lowers each row's i1 to keep s/D > r; a "yes" raises i0 to keep s/D < r.
+        n, d = r.numerator, r.denominator
+        if yes:
+            return [(s, j, i1) for s, i0, i1 in rows
+                    if (j := bisect_left(sums, s * d // n + 1, i0, i1)) < i1]
+        return [(s, i0, j) for s, i0, i1 in rows
+                if (j := bisect_left(sums, (s * d - 1) // n + 1, i0, i1)) > i0]
+
+    spans = sorted(set(spans))
+    x, y = lo.numerator, lo.denominator
+    if any(s * y % x == 0 and sums[bisect_left(sums, s * y // x + 1) - 1] * x == s * y
+           for s in spans):
+        found = check(lo)
+        if found is not None:
+            return lo, found
+    rows = cut(cut([(s, 0, len(sums)) for s in spans], lo, False), hi, True)
+    pick = random.Random(0)
+    while rows:
+        s, i0, i1 = rows[pick.randrange(len(rows))]
+        p = Fraction(s, sums[(i0 + i1) // 2])
+        found = check(p)
+        if found is not None:
+            hi, witness = p, found
+        rows = cut(rows, p, found is not None)
+    return hi, check(hi) if witness is None else witness
 
 
-def _eliminate_anchors(line, capabilities, counts, lo, hi,
-                       a_total) -> tuple[Fraction, int, int]:
+def _eliminate_anchors(line, capabilities, counts, lo, hi, sums) -> tuple[Fraction, int, int]:
     """Optimal ratio on one perimeter's line, the reach tables filled, and
     the witness cell's index.
 
     The optimum is the least of the anchors' own optima.  The anchor after
     the widest gap takes the fleet at hi, so it is searched first.  Every
     other anchor, in one fixed shuffled order, fills a single early-exit
-    table at best - 1/A^2; by the spacing of candidates, "yes" means
-    exactly that its optimum is below best, and only then does it search
-    [lo, best - 1/A^2] on its own lap.  The witness is the hit of the last
-    bisection's final table: the lex-first covering cell, at the optimum,
-    of the anchor behind the last improvement.
+    table at best - 1/A^2; no two candidates are closer than that, so "yes"
+    means exactly that its optimum is below best, and only then does it
+    search [lo, best - 1/A^2] over the spans of its own lap.  The witness
+    is the hit of the last search's final "yes": the lex-first covering
+    cell, at the optimum, of the anchor behind the last improvement.
     """
     starts, ends = line
     q = len(starts) // 2
-    eps = Fraction(1, a_total * a_total)
+    eps = Fraction(1, sums[-1] ** 2)
     tables = 0
 
     def fits(a: int):
@@ -504,16 +509,19 @@ def _eliminate_anchors(line, capabilities, counts, lo, hi,
 
         return check
 
+    def spans(a: int) -> list[int]:
+        return [ends[j] - starts[i] for i in range(a, a + q) for j in range(i, a + q)]
+
     first = (max(range(q), key=lambda j: starts[j + 1] - ends[j]) + 1) % q
     rest = [a for a in range(q) if a != first]
     random.Random(q).shuffle(rest)
-    best, hit = _bisect(lo, hi, a_total, fits(first))
+    best, hit = _search(lo, hi, spans(first), sums, fits(first))
     for a in rest:
         if best == lo:
             break
         check = fits(a)
-        if check(best - eps) is not None:
-            best, hit = _bisect(lo, best - eps, a_total, check)
+        if (found := check(best - eps)) is not None:
+            best, hit = _search(lo, best - eps, spans(a), sums, check, found)
     return best, tables, hit
 
 
@@ -522,14 +530,14 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
 
     Accepts one perimeter or a sequence of them; with several, robots are
     also optimally partitioned between perimeters.  The optimum is exact:
-    it is span/D with D <= A (A = total capability), so _bisect snaps it
-    out of a window narrower than 1/A^2; the module docstring describes
-    both searches.  The witness comes from the search's last "yes", at the
-    optimum: on one perimeter, the lex-first covering cell of the anchor
-    behind the last improvement; on several, the lex-first covering total
-    parted between perimeters by the last fold (_Grid.split).  Each vector
-    is read from a table bounded by it, from the smallest anchor reaching
-    it.  feasibility_calls counts the reach tables the search filled.
+    it is span/D with D a capability sum, and _search probes only such
+    ratios; the module docstring describes both searches.  The witness
+    comes from the search's last "yes", at the optimum: on one perimeter,
+    the lex-first covering cell of the anchor behind the last improvement;
+    on several, the lex-first covering total parted between perimeters by
+    the last fold (_Grid.split).  Each vector is read from a table bounded
+    by it, from the smallest anchor reaching it.  feasibility_calls counts
+    the reach tables the search filled.
     """
     if isinstance(perimeters, Perimeter):
         perimeters = [perimeters]
@@ -543,7 +551,7 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
     unit, scaled = integer_anchors(perimeters)
     capabilities, counts = fleet.capabilities, fleet.counts
     a_min = min(capabilities)
-    a_total = fleet.total_capability
+    sums = list(_bits(capability_sums(fleet)))[1:]   # every D > 0, ascending; A last
     grid = _Grid(counts)
 
     # Ratios here are scaled (ell * unit).  Every segment must be physically
@@ -551,16 +559,16 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
     # the anchor after the widest gap always suffices at the upper bound.
     lo = hi = Fraction(0)
     for per, (starts, ends) in zip(perimeters, scaled):
-        lo = max(lo, Fraction(sum(ends[:per.q]) - sum(starts[:per.q]), a_total))
+        lo = max(lo, Fraction(sum(ends[:per.q]) - sum(starts[:per.q]), sums[-1]))
         hi = max(hi, Fraction(starts[per.q] - max(s - e for s, e in zip(starts[1:], ends)), a_min))
 
     if len(scaled) == 1:
-        best, tables, hit = _eliminate_anchors(scaled[0], capabilities, counts, lo, hi, a_total)
+        best, tables, hit = _eliminate_anchors(scaled[0], capabilities, counts, lo, hi, sums)
         allocations = [grid.vector(hit)]
     else:
         tables = 0
         # Per perimeter, the layer at the last "no" and the last "yes" that
-        # drew it.  _bisect probes only between its last "no" (the "no" layer
+        # drew it.  _search probes only between its last "no" (the "no" layer
         # was drawn at or below it) and its last "yes" (where the "yes" layer
         # was drawn), and feasible sets only grow with the ratio, so a layer
         # equal at both ends is pinned in between: reused, not rebuilt.
@@ -581,7 +589,9 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
             (above if total else below)[:len(levels)] = [found for _, found in levels]
             return (total, levels) if total else None
 
-        best, (total, levels) = _bisect(lo, hi, a_total, check)
+        spans = [e[j] - s[i] for s, e in scaled
+                 for i in range(len(s) // 2) for j in range(i, i + len(s) // 2)]
+        best, (total, levels) = _search(lo, hi, spans, sums, check)
         allocations = grid.split(total, levels)
 
     # Reach grows with robots, so a table bounded by v reaches at all iff it

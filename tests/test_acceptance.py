@@ -411,7 +411,7 @@ BENCHMARK_CELLS = (
     ("mc", 100, 20, 1, 10_000),
     ("mc", 30, 80, 1, 1_500),
 )
-BENCHMARK_CELL_DIGEST = "c4c9901df5e7f56b3ea9287dd7e6432042bd65d766f639b7862f9e18eaed0148"
+BENCHMARK_CELL_DIGEST = "f12707bd8c4ea2420b5441aaf7f4eb840e2fdc27bfd70087b4b81dee11b8be92"
 
 
 def test_benchmark_cells_unchanged():

@@ -24,12 +24,12 @@ from perimeterguard.oracle import brute_feasible_lr, brute_feasible_lr_multi, br
 from perimeterguard.perimeter import build_perimeter
 from perimeterguard.solver_lr import (
     _at_ell,
-    _bisect,
     _bits,
     _fill_table,
     _fold_layers,
     _Grid,
     _pareto_layer,
+    _search,
     build_fleet_lr,
     coverage_table,
     feasible,
@@ -234,7 +234,7 @@ def test_solve_with_an_anchor_infeasible_at_the_upper_bound():
     assert sol.anchors == [1]
 
 
-@pytest.mark.parametrize("t, q, m, tables", [(2, 20, 1, 50), (4, 20, 1, 54), (2, 6, 3, 318)])
+@pytest.mark.parametrize("t, q, m, tables", [(2, 20, 1, 36), (4, 20, 1, 39), (2, 6, 3, 204)])
 def test_feasibility_calls_pinned(t, q, m, tables):
     """Reach tables the ratio search fills, on seeded instances: more means the
     search does more work than it did when these were pinned."""
@@ -258,12 +258,12 @@ def test_solve_scales_once_and_draws_no_layer_after_the_search():
 
     with mock.patch.multiple(solver_lr, **{name: spy(name) for name in calls}):
         sol = solve_lr(list(doc.perimeters), doc.fleet)
-    assert sol.feasibility_calls == 318
-    assert calls == {"integer_anchors": 1, "coverage_table": 0, "_pareto_layer": 318 // 6}
+    assert sol.feasibility_calls == 204
+    assert calls == {"integer_anchors": 1, "coverage_table": 0, "_pareto_layer": 204 // 6}
 
 
 def test_solve_fills_only_the_search_tables_and_one_witness_tail():
-    """One perimeter: the search's 50 tables, one bounded table to find the
+    """One perimeter: the search's 36 tables, one bounded table to find the
     witness's anchor (anchor 0) and the witness table; no rescan of anchors."""
     doc = gen_random("lr", 2, 20, 1, seed=0)
     real, calls = solver_lr._fill_table, []
@@ -274,8 +274,8 @@ def test_solve_fills_only_the_search_tables_and_one_witness_tail():
 
     with mock.patch.object(solver_lr, "_fill_table", spy):
         sol = solve_lr(list(doc.perimeters), doc.fleet)
-    assert sol.feasibility_calls == 50
-    assert len(calls) == 52
+    assert sol.feasibility_calls == 36
+    assert len(calls) == 38
     assert calls[-2:] == [sol.allocations[0]] * 2
     # Every perimeter count shares the one tail that looks up witness anchors.
     tree = ast.parse(inspect.getsource(solver_lr.solve_lr))
@@ -307,27 +307,38 @@ def test_solve_reuses_a_layer_pinned_between_no_and_yes():
     assert sol.objective == 2
     assert sol.allocations == [(1,), (2,)]
     assert [2] in built.values()          # a step filled 2 of the m·q = 3 tables
-    assert sol.feasibility_calls == 18    # 24 with every layer rebuilt
+    assert sol.feasibility_calls == 8     # 9 with every layer rebuilt
 
 
 @st.composite
-def bisect_windows(draw):
-    """(A, c, lo, hi): an answer c of denominator at most A in a window
-    [lo, hi] at least 1/A^2 wide."""
-    a_total = draw(st.integers(min_value=1, max_value=60))
-    q = draw(st.integers(min_value=1, max_value=a_total))
-    c = F(draw(st.integers(min_value=1, max_value=3 * q)), q)
-    width = F(1, a_total * a_total) * (1 + F(draw(st.integers(0, 60)), draw(st.integers(1, 10))))
-    lo = max(F(0), c - width * F(draw(st.integers(0, 10)), 10))
-    return a_total, c, lo, lo + width
+def search_windows(draw):
+    """(spans, sums, c, lo, hi): the candidates span/D, a threshold c among
+    them and a window [lo, hi] around c whose ends may or may not be candidates."""
+    sums = sorted(draw(st.sets(st.integers(1, 60), min_size=1, max_size=12)))
+    spans = draw(st.lists(st.integers(1, 200), min_size=1, max_size=12))
+    candidates = sorted({F(s, d) for s in spans for d in sums})
+    k = draw(st.integers(0, len(candidates) - 1))
+    lo = candidates[draw(st.integers(0, k))] * F(draw(st.integers(90, 100)), 100)
+    hi = candidates[draw(st.integers(k, len(candidates) - 1))] * F(draw(st.integers(100, 110)), 100)
+    return spans, sums, candidates[k], lo, hi
 
 
 @settings(max_examples=200, deadline=None)
-@given(bisect_windows())
-@example((5, F(1, 4), F(11, 50), F(7, 20)))   # the final window's lo snaps to 1/5
-def test_bisect_returns_the_one_candidate_left_in_the_window(window):
-    a_total, c, lo, hi = window
-    assert _bisect(lo, hi, a_total, lambda r: r if r >= c else None) == (c, c)
+@given(search_windows())
+@example(([6], [1, 2, 3, 4], F(3, 2), F(3, 2), F(6)))   # lo is the answer: one probe
+@example(([5, 7], [2, 3], F(5, 2), F(2), F(5, 2)))     # hi is the answer: probed last
+def test_search_returns_the_smallest_passing_candidate(window):
+    spans, sums, c, lo, hi = window
+    candidates = {F(s, d) for s in spans for d in sums if lo <= F(s, d) <= hi}
+    probes = []
+
+    def check(r):
+        probes.append(r)
+        return r if r >= c else None
+
+    assert _search(lo, hi, spans, sums, check) == (c, c)
+    assert set(probes) <= candidates
+    assert len(probes) <= len(candidates)
 
 
 def test_solve_reports_unused_robots():
