@@ -444,12 +444,12 @@ class LrSolution:
 def _search(lo: Fraction, hi: Fraction, spans, sums, check, witness=None) -> tuple[Fraction, object]:
     """Smallest candidate span/D in [lo, hi] that passes check, given that hi does.
 
-    sums are the capability sums D, ascending.  check returns None for "no"
-    and a witness for "yes"; the one returned is from a check at the returned
-    ratio (witness is hi's, if known).  lo is probed first only if it is a
-    candidate.  Each span's row keeps the range [i0, i1) of sums whose ratio
-    lies strictly between the last "no" and the last "yes", and leaves once
-    it is empty.  Each probe is the middle D of a seeded random row.
+    spans are run lengths, sums the capability sums D ascending.  check
+    returns None for "no", else a witness; the one returned is from a check
+    at the returned ratio (witness is hi's, if known).  lo is probed first
+    only if it is a candidate.  Each span's row keeps the range [i0, i1) of
+    sums whose ratio is strictly between the last "no" and "yes", and leaves
+    once empty.  Each probe is the middle D of a seeded random row.
     """
     def cut(rows, r, yes):
         # A "no" at r lowers each row's i1 to keep s/D > r; a "yes" raises i0 to keep s/D < r.

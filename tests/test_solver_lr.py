@@ -334,11 +334,11 @@ def test_search_returns_the_smallest_passing_candidate(window):
 
     def check(r):
         probes.append(r)
+        assert len(probes) <= len(candidates), "more probes than candidates"
         return r if r >= c else None
 
     assert _search(lo, hi, spans, sums, check) == (c, c)
     assert set(probes) <= candidates
-    assert len(probes) <= len(candidates)
 
 
 def test_solve_reports_unused_robots():
