@@ -9,10 +9,9 @@ perimeter.
 The feasibility core is a dynamic program over allocation vectors: for a
 fixed anchor (a segment start), the table holds the furthest normalized
 reach achievable with x_tau robots of each type, where reach positions
-skip over gaps for free.  The optimum is span/D for some run of segments
-(an end minus a start on the line) and capability sum D <= A, the fleet's
-total capability, so _search probes only these candidates, a few more
-than log2 of their number, and no two of them are closer than 1/A^2.
+skip over gaps for free.  The optimum is span/D, a run of segments (an
+end minus a start on the line) over a capability sum D <= A, the fleet's
+total; _search probes only these, no two of them closer than 1/A^2.
 
 On one perimeter the optimum is the least of the anchors' own optima, so
 solve_lr eliminates anchors one at a time in a fixed shuffled order: an
@@ -441,6 +440,11 @@ class LrSolution:
     feasibility_calls: int = 0           # reach tables the ratio search filled
 
 
+def _lap_spans(starts, ends, a: int, q: int) -> list[int]:
+    """The run lengths ends[j] - starts[i], a <= i <= j < a + q, of anchor a's lap."""
+    return [ends[j] - starts[i] for i in range(a, a + q) for j in range(i, a + q)]
+
+
 def _search(lo: Fraction, hi: Fraction, spans, sums, check, witness=None) -> tuple[Fraction, object]:
     """Smallest candidate span/D in [lo, hi] that passes check, given that hi does.
 
@@ -509,19 +513,16 @@ def _eliminate_anchors(line, capabilities, counts, lo, hi, sums) -> tuple[Fracti
 
         return check
 
-    def spans(a: int) -> list[int]:
-        return [ends[j] - starts[i] for i in range(a, a + q) for j in range(i, a + q)]
-
     first = (max(range(q), key=lambda j: starts[j + 1] - ends[j]) + 1) % q
     rest = [a for a in range(q) if a != first]
     random.Random(q).shuffle(rest)
-    best, hit = _search(lo, hi, spans(first), sums, fits(first))
+    best, hit = _search(lo, hi, _lap_spans(starts, ends, first, q), sums, fits(first))
     for a in rest:
         if best == lo:
             break
         check = fits(a)
         if (found := check(best - eps)) is not None:
-            best, hit = _search(lo, best - eps, spans(a), sums, check, found)
+            best, hit = _search(lo, best - eps, _lap_spans(starts, ends, a, q), sums, check, found)
     return best, tables, hit
 
 
@@ -551,8 +552,8 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
     unit, scaled = integer_anchors(perimeters)
     capabilities, counts = fleet.capabilities, fleet.counts
     a_min = min(capabilities)
-    sums = list(_bits(capability_sums(fleet)))[1:]   # every D > 0, ascending; A last
-    grid = _Grid(counts)
+    grid = _Grid(counts)           # refuses an oversized fleet before the sums are listed
+    sums = capability_sums(fleet)  # every D > 0, ascending; A last
 
     # Ratios here are scaled (ell * unit).  Every segment must be physically
     # covered, so ell is at least (total guarded length)/A; one robot from
@@ -589,8 +590,8 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
             (above if total else below)[:len(levels)] = [found for _, found in levels]
             return (total, levels) if total else None
 
-        spans = [e[j] - s[i] for s, e in scaled
-                 for i in range(len(s) // 2) for j in range(i, i + len(s) // 2)]
+        spans = {x for s, e in scaled for a in range(len(s) // 2)
+                 for x in _lap_spans(s, e, a, len(s) // 2)}
         best, (total, levels) = _search(lo, hi, spans, sums, check)
         allocations = grid.split(total, levels)
 
@@ -615,13 +616,13 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
     )
 
 
-def capability_sums(fleet: FleetLR) -> int:
-    """Bitmask of sums a_1*x_1+...+a_t*x_t over sub-multisets (bit k = sum k)."""
-    bits = 1
+def capability_sums(fleet: FleetLR) -> list[int]:
+    """The sums a_1*x_1+...+a_t*x_t > 0 over sub-multisets, ascending.  Each
+    type's pass costs its output's size, at most the allocation cells."""
+    sums = {0}
     for a, n in zip(fleet.capabilities, fleet.counts):
-        for _ in range(n):
-            bits |= bits << a
-    return bits
+        sums = {x + a * c for x in sums for c in range(n + 1)}
+    return sorted(sums)[1:]
 
 
 def ratio_certificate(
@@ -635,12 +636,11 @@ def ratio_certificate(
     """
     if isinstance(perimeters, Perimeter):
         perimeters = [perimeters]
-    sums = capability_sums(fleet)
-    a_total = fleet.total_capability
+    sums = set(capability_sums(fleet))
     for k, per in enumerate(perimeters):
         for i in range(per.q):
             for j in range(per.q):
                 d = per.span_length(i, j) / objective
-                if d.denominator == 1 and 1 <= d <= a_total and (sums >> int(d)) & 1:
+                if d.denominator == 1 and d in sums:
                     return k, i, j, int(d)
     return None

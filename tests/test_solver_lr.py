@@ -739,3 +739,16 @@ def test_grid_refuses_more_cells_than_the_cap_before_allocating():
         solve_lr(per, fleet)
     with pytest.raises(InstanceTooLarge):
         partition_feasible([per], fleet, F(1))
+
+
+def test_solve_cost_does_not_grow_with_the_capabilities():
+    # One robot covers from the anchor after the widest gap to the lap's end;
+    # listing the capability sums must not walk a range as wide as A = 10**12.
+    big = 10**12
+    per = per_2seg()
+    sol = solve_lr(per, build_fleet_lr([(big, 1)]))
+    assert sol.objective == F(6, big)
+    assert ratio_certificate(per, build_fleet_lr([(big, 1)]), sol.objective)[3] == big
+    sol = solve_lr([per, build_perimeter([5], [5])], build_fleet_lr([(big, 2)]))
+    assert sol.objective == F(6, big)
+    assert sol.allocations == [(1,), (1,)]
