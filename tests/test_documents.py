@@ -202,6 +202,24 @@ def test_instance_round_trip():
     assert parse_instance(write_instance(with_extras)) == with_extras
 
 
+def test_write_instance_spells_each_catalog_by_its_own_fields():
+    per = (build_perimeter([2], [1]),)
+    lr = InstanceDocument("lr", per, fleet=build_fleet_lr([(1, 2), (3, 1)]))
+    mc = InstanceDocument("mc", per, types=build_types_mc([(4, 5), (3, 1)]))
+    assert write_instance(lr).endswith(
+        '  "types": [\n'
+        '    {\n      "capability": 1,\n      "count": 2\n    },\n'
+        '    {\n      "capability": 3,\n      "count": 1\n    }\n'
+        "  ]\n}\n"
+    )
+    assert write_instance(mc).endswith(
+        '  "types": [\n'
+        '    {\n      "length": 4,\n      "cost": 5\n    },\n'
+        '    {\n      "length": 3,\n      "cost": 1\n    }\n'
+        "  ]\n}\n"
+    )
+
+
 def test_solution_round_trip():
     instance = parse_instance(LR_DOC)
     sol = solution_from_lr(solve_lr(instance.perimeters, instance.fleet), wall_time=0.25)

@@ -36,6 +36,11 @@ def test_one_cover_element_per_robot():
     assert 'version="1.1"' in svg
 
 
+def test_lr_legend_names_capability_and_count():
+    svg = render_svg(*lr_pair())
+    assert ">type 0: capability 1, count 2</text>" in svg
+
+
 def test_two_perimeters_render_two_circles():
     instance = parse_instance(
         '{"problem": "mc", "perimeters": [{"segments": [2, 3], "gaps": [1, 2]},'
