@@ -74,28 +74,21 @@ def _verdict(doc, answer) -> int:
 
 def _cmd_solve(args) -> int:
     doc = _read_instance(args.input)
-    decision = doc.ell is not None or doc.budget is not None
-    if decision and args.output:
+    if (doc.ell is not None or doc.budget is not None) and args.output:
         raise ValidationError("decision queries answer yes or no; drop --output")
+    if doc.ell is not None:
+        return _verdict(doc, partition_feasible(doc.perimeters, doc.fleet, doc.ell))
+
+    lr = doc.problem == "lr"
+    tick = time.perf_counter()
+    out = (solution_from_lr(solve_lr(doc.perimeters, doc.fleet)) if lr
+           else solution_from_mc(solve_mc_multi(doc.perimeters, doc.types)))
+    out.stats["wall_time_seconds"] = wall = time.perf_counter() - tick
+    if doc.budget is not None:
+        return _verdict(doc, out.objective)
 
     summary = sys.stderr if args.output == "-" else sys.stdout   # so a stdout solution parses
-    if doc.problem == "lr":
-        if doc.ell is not None:
-            return _verdict(doc, partition_feasible(doc.perimeters, doc.fleet, doc.ell))
-        tick = time.perf_counter()
-        sol = solve_lr(doc.perimeters, doc.fleet)
-        wall = time.perf_counter() - tick
-        out = solution_from_lr(sol, wall_time=wall)
-        print(f"objective {sol.objective}", file=summary)
-    else:
-        tick = time.perf_counter()
-        sol = solve_mc_multi(doc.perimeters, doc.types)
-        wall = time.perf_counter() - tick
-        if doc.budget is not None:
-            return _verdict(doc, sol.total_cost)
-        out = solution_from_mc(sol, wall_time=wall)
-        print(f"cost {sol.total_cost}", file=summary)
-
+    print(f"{'objective' if lr else 'cost'} {out.objective}", file=summary)
     print(f"robots per type: {list(out.counts)}", file=summary)
     print(f"solved in {wall:.3f}s", file=summary)
     validate_solution(doc, out)

@@ -18,7 +18,11 @@ from .rationals import to_fraction
 from .solver_lr import FleetLR, LrSolution, build_fleet_lr
 from .solver_mc import McSolution, TypesMC, build_types_mc
 
-PROBLEMS = ("lr", "mc")
+# Each problem's robot catalog as a document spells it, two integer fields per
+# type, and the JSON text write_instance gives one type, those names baked in.
+CATALOG_FIELDS = {"lr": ("capability", "count"), "mc": ("length", "cost")}
+_TYPE_TEXT = {p: '{\n      "%s": %%d,\n      "%s": %%d\n    }' % f for p, f in CATALOG_FIELDS.items()}
+PROBLEMS = tuple(CATALOG_FIELDS)
 
 
 @dataclass
@@ -34,6 +38,13 @@ class InstanceDocument:
     seed: int | None = None
     metadata: dict | None = None
     notes: tuple[str, ...] = field(default=(), compare=False)  # quantization remarks
+
+    @property
+    def catalog(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        """The robot catalog's two (field name, column) pairs, one entry per type."""
+        columns = ((self.fleet.capabilities, self.fleet.counts) if self.problem == "lr"
+                   else (self.types.lengths, self.types.costs))
+        return tuple(zip(CATALOG_FIELDS[self.problem], columns))
 
 
 @dataclass
@@ -146,7 +157,7 @@ def parse_instance(data: bytes | str) -> InstanceDocument:
     raw_types = _as_list(_require(doc, "types", "instance"), "instance.types")
     if not raw_types:
         raise ValidationError("instance.types: need at least one robot type")
-    names = ("capability", "count") if problem == "lr" else ("length", "cost")
+    names = CATALOG_FIELDS[problem]
     pairs = []
     for k, entry in enumerate(raw_types):
         entry = _as_dict(entry, f"types[{k}]")
@@ -230,16 +241,8 @@ def write_instance(doc: InstanceDocument) -> str:
         f'\n      "gaps": {_json_list([_json_rational(g) for g in per.gaps], "      ")}\n    }}'
         for per in doc.perimeters
     ]
-    if doc.problem == "lr":
-        types = [
-            f'{{\n      "capability": {a},\n      "count": {n}\n    }}'
-            for a, n in zip(doc.fleet.capabilities, doc.fleet.counts)
-        ]
-    else:
-        types = [
-            f'{{\n      "length": {l},\n      "cost": {c}\n    }}'
-            for l, c in zip(doc.types.lengths, doc.types.costs)
-        ]
+    (_, firsts), (_, seconds) = doc.catalog
+    types = [_TYPE_TEXT[doc.problem] % pair for pair in zip(firsts, seconds)]
     fields = [
         f'"problem": {_json_value(doc.problem, "  ")}',
         f'"perimeters": {_json_list(perimeters, "  ")}',
@@ -315,34 +318,27 @@ def write_solution(doc: SolutionDocument) -> str:
     return _json_object(fields)
 
 
-def solution_from_lr(sol: LrSolution, wall_time: float | None = None) -> SolutionDocument:
+def solution_from_lr(sol: LrSolution) -> SolutionDocument:
     """Package a ratio-minimizing deployment as a document."""
     t = len(sol.unused)
     counts = [0] * t
     for alloc in sol.allocations:
         for tau, n in enumerate(alloc):
             counts[tau] += n
-    stats: dict = {"feasibility_calls": sol.feasibility_calls}
-    if wall_time is not None:
-        stats["wall_time_seconds"] = wall_time
     return SolutionDocument(
         problem="lr",
         objective=sol.objective,
         arcs=tuple(sol.arcs),
         counts=tuple(counts),
-        stats=stats,
+        stats={"feasibility_calls": sol.feasibility_calls},
     )
 
 
-def solution_from_mc(sol: McSolution, wall_time: float | None = None) -> SolutionDocument:
+def solution_from_mc(sol: McSolution) -> SolutionDocument:
     """Package a minimum-cost deployment as a document."""
-    stats: dict = {}
-    if wall_time is not None:
-        stats["wall_time_seconds"] = wall_time
     return SolutionDocument(
         problem="mc",
         objective=Fraction(sol.total_cost),
         arcs=tuple(sol.arcs),
         counts=sol.counts,
-        stats=stats,
     )

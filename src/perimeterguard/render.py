@@ -53,8 +53,8 @@ def render_svg(
     """
     validate_solution(instance, solution)
     m = len(instance.perimeters)
-    lr = instance.problem == "lr"
-    t = instance.fleet.t if lr else instance.types.t
+    (first, xs), (second, ys) = instance.catalog
+    t = len(xs)
 
     width = CELL * m + 40
     height = TOP + 2 * RADIUS + 150 + 18 * t
@@ -128,16 +128,7 @@ def render_svg(
     for tau in range(t):
         ly += 16
         color = PALETTE[tau % len(PALETTE)]
-        if lr:
-            label = (
-                f"type {tau}: capability {instance.fleet.capabilities[tau]}, "
-                f"count {instance.fleet.counts[tau]}"
-            )
-        else:
-            label = (
-                f"type {tau}: length {instance.types.lengths[tau]}, "
-                f"cost {instance.types.costs[tau]}"
-            )
+        label = f"type {tau}: {first} {xs[tau]}, {second} {ys[tau]}"
         out.append(
             f'<line x1="24" x2="54" y1="{ly - 4}" y2="{ly - 4}" '
             f'stroke="{color}" stroke-width="5"/>'

@@ -46,6 +46,7 @@ def test_solve_lr_writes_solution(tmp_path, capsys):
     assert sol.objective == 3
     assert sol.counts == (2,)
     assert sol.stats["feasibility_calls"] >= 1
+    assert isinstance(sol.stats["wall_time_seconds"], float)
 
 
 def test_solve_mc(tmp_path, capsys):
@@ -53,7 +54,9 @@ def test_solve_mc(tmp_path, capsys):
     out = tmp_path / "s.json"
     assert main(["solve", "--input", inp, "--output", str(out)]) == 0
     assert "cost 5" in capsys.readouterr().out
-    assert parse_solution(out.read_text()).objective == 5
+    sol = parse_solution(out.read_text())
+    assert sol.objective == 5
+    assert isinstance(sol.stats["wall_time_seconds"], float)
 
 
 def test_solve_output_dash_writes_only_the_solution_to_stdout(tmp_path, capsys):
