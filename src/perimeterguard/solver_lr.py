@@ -31,7 +31,10 @@ and a mask (_Grid).  Feasible sets grow with the ratio, so a layer equal
 at the last "no" and "yes" ratios is pinned in between and reused.  The
 search ends on a "yes" at the optimum, whose fold gives the witness.
 Either way, each witness vector is read from the smallest anchor that
-reaches it.
+reaches it.  A fold's vectors are minimal, but one perimeter's is the
+best anchor's lex-first cell, and from a smaller anchor a cell below it
+may already cover: the walk then ends on a robot with nothing left to
+cover, which gets no arc and counts as unused.
 
 The DP runs on integers only.  perimeter.integer_anchors scales lengths
 in once per solve, by the lcm of their denominators, as one line of
@@ -596,7 +599,9 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
         allocations = grid.split(total, levels)
 
     # Reach grows with robots, so a table bounded by v reaches at all iff it
-    # reaches at v: _decide gives the smallest anchor reaching v.
+    # reaches at v: _decide gives the smallest anchor reaching v.  Its walk
+    # may end on a robot left nothing to cover (see the module docstring),
+    # whose empty arc place_arcs drops, so only robots given an arc count.
     grids, steps = _at(scaled, capabilities, best)
     anchors = [_decide(line, steps, v) for line, v in zip(grids, allocations)]
 
@@ -604,7 +609,9 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
     arcs: list[Arc] = []
     for k, (line, v, anchor) in enumerate(zip(grids, allocations, anchors)):
         table = CoverageTable(line, anchor, steps, v, unit * best.denominator, ell_star)
-        arcs.extend(reconstruct_lr(table, v, perimeter_index=k))
+        placed = reconstruct_lr(table, v, perimeter_index=k)
+        arcs.extend(placed)
+        allocations[k] = tuple(sum(a.robot_type == tau for a in placed) for tau in range(len(v)))
     unused = tuple(n - sum(col) for n, col in zip(counts, zip(*allocations)))
     return LrSolution(
         objective=ell_star,

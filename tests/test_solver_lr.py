@@ -211,6 +211,22 @@ def test_solve_witness_is_the_last_improving_anchors_cell_on_a_tie():
     validate_solution(InstanceDocument("lr", (per,), fleet=fleet), solution_from_lr(sol))
 
 
+def test_solve_leaves_the_robot_a_smaller_anchor_does_not_need_unused():
+    # The best anchor's lex-first cell holds a type-0 robot that the witness
+    # anchor, smaller, does not need: it gets no arc and stays unused.
+    cases = [
+        (build_perimeter([6, 6, 2, 3], [3, 4, 3, 3]), [(1, 1), (6, 2)], (0, 2)),
+        (build_perimeter([4, 3, 2, 1, 4], [2, 2, 3, 3, 2]), [(1, 1), (3, 1), (2, 3)], (0, 1, 3)),
+    ]
+    for per, pairs, used in cases:
+        fleet = build_fleet_lr(pairs)
+        sol = solve_lr(per, fleet)
+        assert sol.objective == brute_solve_lr([per], fleet) == 2
+        assert sol.allocations == [used]
+        assert sol.unused == (1,) + (0,) * (fleet.t - 1)
+        validate_solution(InstanceDocument("lr", (per,), fleet=fleet), solution_from_lr(sol))
+
+
 def test_solve_witness_comes_from_the_last_improvement():
     # Anchor 3, after the widest gap, is searched first: its optimum 11/3
     # needs only (0, 3), which covers from no anchor at the optimum 10/3.
@@ -726,7 +742,7 @@ def test_solution_arcs_are_sound(inst):
         for tau, c in enumerate(v):
             used[tau] += c
     assert tuple(n - u for n, u in zip(fleet.counts, used)) == sol.unused
-    assert len(sol.arcs) <= sum(used)
+    assert len(sol.arcs) == sum(used)
 
 
 def test_grid_refuses_more_cells_than_the_cap_before_allocating():
