@@ -99,15 +99,14 @@ def _cmd_solve(args) -> int:
 
 def _cmd_oracle(args) -> int:
     doc = _read_instance(args.input)
-    if doc.problem == "lr":
-        if doc.ell is not None:
-            return _verdict(doc, brute_feasible_lr_multi(doc.perimeters, doc.fleet, doc.ell))
-        print(f"objective {brute_solve_lr(doc.perimeters, doc.fleet)}")
-        return EXIT_OK
-    cost = sum(brute_solve_mc(per, doc.types) for per in doc.perimeters)
+    if doc.ell is not None:
+        return _verdict(doc, brute_feasible_lr_multi(doc.perimeters, doc.fleet, doc.ell))
+    lr = doc.problem == "lr"
+    answer = (brute_solve_lr(doc.perimeters, doc.fleet) if lr
+              else sum(brute_solve_mc(per, doc.types) for per in doc.perimeters))
     if doc.budget is not None:
-        return _verdict(doc, cost)
-    print(f"cost {cost}")
+        return _verdict(doc, answer)
+    print(f"{'objective' if lr else 'cost'} {answer}")
     return EXIT_OK
 
 
