@@ -11,6 +11,7 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass
+from fnmatch import fnmatchcase
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
@@ -71,10 +72,8 @@ def time_cell(
     for seed in seeds:
         doc = gen_random(problem, t=t, q=q, m=m, seed=seed, target_length=L)
         tick = time.perf_counter()
-        if problem == "lr":
-            sol = solve_lr(doc.perimeters, doc.fleet)
-        else:
-            sol = solve_mc_multi(doc.perimeters, doc.types)
+        sol = (solve_lr(doc.perimeters, doc.fleet) if problem == "lr"
+               else solve_mc_multi(doc.perimeters, doc.types))
         seconds = time.perf_counter() - tick
         calls = getattr(sol, "feasibility_calls", None)
         rows.append(BenchRow(suite, t, q, m, L, seed, seconds, calls, len(sol.arcs)))
@@ -88,19 +87,31 @@ def run_suite(suite: str, seeds: int = DEFAULT_SEEDS, full: bool = False) -> lis
     return [row for cell in _grid(suite, full) for row in time_cell(suite, *cell, seed_list)]
 
 
+def _revision(cwd: str) -> str | None:
+    """git describe of the checkout holding cwd, None outside one.  -dirty
+    marks a tracked file other than a root BENCH_*.json record that differs
+    from HEAD, so a record written in place after another is not marked."""
+    import subprocess   # not at the top: `import perimeterguard` loads this module
+
+    def git(*args: str) -> str:
+        return subprocess.run(["git", *args], check=True, capture_output=True, text=True,
+                              cwd=cwd).stdout
+    try:
+        revision = git("describe", "--always").strip()
+        changed = git("diff", "--name-only", "HEAD").splitlines()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return revision + ("-dirty" if any(not fnmatchcase(p, "BENCH_*.json") for p in changed) else "")
+
+
 def write_json(rows: Iterable[BenchRow], path: str, suite: str, full: bool) -> None:
     """Write a suite's rows as one JSON document, with what they were run on."""
-    import platform, subprocess   # not at the top: `import perimeterguard` loads this module
-    try:
-        revision = subprocess.run(["git", "describe", "--always", "--dirty"], check=True,
-                                  capture_output=True, text=True,
-                                  cwd=os.path.dirname(os.path.abspath(__file__))).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        revision = None
+    import platform   # not at the top: `import perimeterguard` loads this module
     doc = {
         "suite": suite, "scale": "full" if full else "desk", "timed": "the solve call only",
         "instances": list(INSTANCES), "python": platform.python_version(),
-        "platform": platform.platform(), "cpus": os.cpu_count(), "revision": revision,
+        "platform": platform.platform(), "cpus": os.cpu_count(),
+        "revision": _revision(os.path.dirname(os.path.abspath(__file__))),
         "rows": [asdict(row) for row in rows],
     }
     with open(path, "w", encoding="utf-8") as fh:

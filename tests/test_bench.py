@@ -6,7 +6,15 @@ from pathlib import Path
 
 import pytest
 
-from perimeterguard.bench import INSTANCES, BenchRow, _grid, run_suite, time_cell, write_json
+from perimeterguard.bench import (
+    INSTANCES,
+    BenchRow,
+    _grid,
+    _revision,
+    run_suite,
+    time_cell,
+    write_json,
+)
 from perimeterguard.errors import ValidationError
 from perimeterguard.generate import gen_random
 from perimeterguard.solver_lr import solve_lr
@@ -59,6 +67,34 @@ def test_json_record(tmp_path):
     assert record["cpus"] >= 1 and record["python"].count(".") == 2
     assert [BenchRow(**row) for row in record["rows"]] == rows
     assert record["rows"][0]["L"] is None and record["rows"][2]["L"] == 20
+
+
+def test_revision_is_dirty_only_past_the_bench_records(tmp_path):
+    """Writing BENCH_table2.json after BENCH_table1.json in place must not
+    record the second run as -dirty; any other tracked edit must."""
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+                               *args], cwd=tmp_path, check=True, capture_output=True,
+                              text=True).stdout.strip()
+
+    git("init", "-q")
+    (tmp_path / "pkg").mkdir()
+    for name in ("BENCH_table1.json", "BENCH_table2.json", "pkg/code.py"):
+        (tmp_path / name).write_text("{}\n")
+    git("add", ".")
+    git("commit", "-q", "-m", "seed")
+    head = git("describe", "--always")
+    where = str(tmp_path / "pkg")
+    assert _revision(where) == head
+    (tmp_path / "BENCH_table1.json").write_text('{"rows": []}\n')
+    (tmp_path / "untracked.txt").write_text("")
+    assert _revision(where) == head
+    (tmp_path / "pkg" / "code.py").write_text("[]\n")
+    assert _revision(where) == head + "-dirty"
+    git("checkout", "--", "pkg")
+    (tmp_path / "pkg" / "BENCH_table3.json").write_text("")   # a record only at the root
+    git("add", "pkg")
+    assert _revision(where) == head + "-dirty"
 
 
 def test_csv_format(tmp_path):
