@@ -18,10 +18,10 @@ from .rationals import to_fraction
 from .solver_lr import FleetLR, LrSolution, build_fleet_lr
 from .solver_mc import McSolution, TypesMC, build_types_mc
 
-# Each problem's robot catalog as a document spells it, two integer fields per
-# type, and the JSON text write_instance gives one type, those names baked in.
+# The two integer fields a document gives each robot type, per problem, and
+# the JSON text write_instance writes for one type, those names baked in.
 CATALOG_FIELDS = {"lr": ("capability", "count"), "mc": ("length", "cost")}
-_TYPE_TEXT = {p: '{\n      "%s": %%d,\n      "%s": %%d\n    }' % f for p, f in CATALOG_FIELDS.items()}
+_TYPE_TEXT = {p: '{\n      "%s": %%s,\n      "%s": %%s\n    }' % f for p, f in CATALOG_FIELDS.items()}
 PROBLEMS = tuple(CATALOG_FIELDS)
 
 
