@@ -73,7 +73,8 @@ def test_revision_is_dirty_only_past_the_bench_records(tmp_path):
     """Writing BENCH_table2.json after BENCH_table1.json in place must not
     record the second run as -dirty; any other tracked edit must."""
     def git(*args):
-        config = ["-c", "user.name=t", "-c", "user.email=t@example.com", "-c", "commit.gpgsign=false"]
+        config = ["-c", "user.name=t", "-c", "user.email=t@example.com",
+                  "-c", "commit.gpgsign=false"]
         return subprocess.run(["git", *config, *args], cwd=tmp_path, check=True,
                               capture_output=True, text=True).stdout.strip()
 
