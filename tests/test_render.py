@@ -1,4 +1,5 @@
-"""SVG rendering: element counts, colors, validation gate."""
+"""SVG rendering: element counts, colors, validation gate, pinned bytes."""
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from perimeterguard.documents import (
     solution_from_mc,
 )
 from perimeterguard.errors import ValidationError
+from perimeterguard.generate import gen_random
 from perimeterguard.perimeter import Arc, build_perimeter
 from perimeterguard.render import render_svg
 from perimeterguard.solver_lr import solve_lr
@@ -95,3 +97,54 @@ def test_render_writes_file(tmp_path):
     out = tmp_path / "plan.svg"
     text = render_svg(instance, sol, str(out))
     assert out.read_text() == text
+
+
+def _solve(instance):
+    if instance.problem == "lr":
+        return solution_from_lr(solve_lr(instance.perimeters, instance.fleet))
+    return solution_from_mc(solve_mc_multi(instance.perimeters, instance.types))
+
+
+def svg_corpus():
+    """(instance, solution) pairs covering every element the renderer writes."""
+    cells = (
+        ("lr", 2, 5, 1, None),
+        ("lr", 2, 4, 2, None),
+        ("mc", 3, 5, 1, 200),
+        ("mc", 4, 3, 2, 300),
+        ("mc", 10, 4, 1, 200),   # more types than PALETTE colors: the palette wraps
+    )
+    for problem, t, q, m, length in cells:
+        for seed in range(12):
+            instance = gen_random(problem, t, q, m, seed=seed, target_length=length)
+            yield instance, _solve(instance)
+    gapless = parse_instance(
+        '{"problem": "mc", "perimeters": [{"segments": [9]}],'
+        ' "types": [{"length": 2, "cost": 1}, {"length": 5, "cost": 2}]}'
+    )
+    yield gapless, _solve(gapless)
+    circle = InstanceDocument(
+        problem="mc", perimeters=(build_perimeter([4], []),), types=build_types_mc([(4, 1)])
+    )
+    yield circle, SolutionDocument(
+        problem="mc", objective=F(1), counts=(1,),
+        arcs=(Arc(perimeter=0, robot_type=0, start=F(0), length=F(4)),),
+    )
+    polygon = parse_instance(   # the edge (3, 1)-(1, 4) is sqrt(13) long
+        '{"problem": "lr", "perimeters": [{"polygon": {"vertices": [[0, 0], [3, 1], [1, 4]],'
+        ' "guarded": [true, true, false]}}], "types": [{"capability": 2, "count": 3}]}'
+    )
+    yield polygon, _solve(polygon)
+
+
+# sha256 over the render_svg text of every svg_corpus pair.
+SVG_DIGEST = "a063718ff5196143cd0ed6835e0802d543ac69266c9879807fbf86ebc799717f"
+
+
+def test_svg_bytes_unchanged():
+    digest = hashlib.sha256()
+    for instance, solution in svg_corpus():
+        digest.update(render_svg(instance, solution).encode())
+    assert digest.hexdigest() == SVG_DIGEST, (
+        "the SVG text changed; if on purpose, say why and re-pin"
+    )
