@@ -46,9 +46,11 @@ solution = solution_from_lr(solve_lr([perimeter], fleet))
 print("optimal ratio:", solution.objective)
 
 # The renderer validates the solution against the instance first, then
-# draws segments, gaps, and the covering arcs in offset lanes.
+# draws segments, gaps, and the covering arcs in offset lanes.  It returns
+# the SVG text; the demo writes it to footprint.svg next to this script.
 out = os.path.join(os.path.dirname(__file__), "footprint.svg")
-render_svg(instance, solution, out)
+with open(out, "w", encoding="utf-8") as fh:
+    fh.write(render_svg(instance, solution))
 print("wrote", out)
 
 # The JSON form round-trips exactly; rationals appear as ints or

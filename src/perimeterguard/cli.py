@@ -87,11 +87,11 @@ def _cmd_solve(args) -> int:
     if doc.budget is not None:
         return _verdict(doc, out.objective)
 
+    validate_solution(doc, out)
     summary = sys.stderr if args.output == "-" else sys.stdout   # so a stdout solution parses
     print(f"{'objective' if lr else 'cost'} {out.objective}", file=summary)
     print(f"robots per type: {list(out.counts)}", file=summary)
     print(f"solved in {wall:.3f}s", file=summary)
-    validate_solution(doc, out)
     if args.output:
         _write_text(args.output, write_solution(out))
     return EXIT_OK
@@ -133,7 +133,9 @@ def _cmd_bench(args) -> int:
 def _cmd_render(args) -> int:
     instance = _read_instance(args.input)
     solution = parse_solution(_read(args.solution))
-    render_svg(instance, solution, args.out)
+    text = render_svg(instance, solution)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(text)
     print(f"wrote {args.out}")
     return EXIT_OK
 

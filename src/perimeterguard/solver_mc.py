@@ -214,11 +214,15 @@ def _direct_blocks(table: IntervalCostTable, lookup: CostLookup,
     of its halves at the smallest split offset d whose costs sum to it.
     """
     cost, q = table.cost, len(table.cost)
-    if lookup.costs[table.span(i, k)] == cost[i][k]:
-        return [(i, k)]
-    d = next(d for d in range(k) if cost[i][d] + cost[(i + d + 1) % q][k - d - 1] == cost[i][k])
-    return (_direct_blocks(table, lookup, i, d)
-            + _direct_blocks(table, lookup, (i + d + 1) % q, k - d - 1))
+    blocks, todo = [], [(i, k)]
+    while todo:   # an explicit stack: a range may hold q blocks, past the recursion limit
+        i, k = todo.pop()
+        if lookup.costs[table.span(i, k)] == cost[i][k]:
+            blocks.append((i, k))
+            continue
+        d = next(d for d in range(k) if cost[i][d] + cost[(i + d + 1) % q][k - d - 1] == cost[i][k])
+        todo += [((i + d + 1) % q, k - d - 1), (i, d)]   # left half on top: cyclic order
+    return blocks
 
 
 def _lay_block(table: IntervalCostTable, lookup: CostLookup, per: Perimeter,

@@ -9,6 +9,7 @@ import pytest
 
 from perimeterguard.cli import main
 from perimeterguard.documents import parse_instance, parse_solution, write_instance
+from perimeterguard.errors import ValidationError
 
 LR_TEXT = json.dumps({
     "problem": "lr",
@@ -104,6 +105,18 @@ def test_decision_refuses_output(tmp_path, capsys):
     inp = put(tmp_path, "i.json", json.dumps(doc))
     assert main(["solve", "--input", inp, "--output", str(tmp_path / "s.json")]) == 2
     assert "drop --output" in capsys.readouterr().err
+
+
+def test_rejected_solve_prints_no_summary(tmp_path, monkeypatch, capsys):
+    def reject(doc, out):
+        raise ValidationError("rejected")
+
+    monkeypatch.setattr("perimeterguard.cli.validate_solution", reject)
+    for text in (LR_TEXT, MC_TEXT):
+        assert main(["solve", "--input", put(tmp_path, "i.json", text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: rejected\n"
 
 
 def test_invalid_document_exits_2(tmp_path, capsys):

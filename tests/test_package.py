@@ -76,3 +76,20 @@ def test_reach_recurrence_has_one_home():
     assert uses, "solver_lr no longer uses bisect_right; update this test"
     outside = [node.lineno for node in uses if id(node) not in inside]
     assert not outside, f"bisect_right used outside _fill_table at lines {outside}"
+
+
+def test_no_function_recurses():
+    # Recursion depth would grow with the input, and Python's stack is small:
+    # walk with an explicit stack instead.  The brute-force oracles recurse
+    # only as deep as their MAX_LR_ROBOTS and MAX_MC_TYPES caps allow.
+    recursive = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "oracle.py":
+            continue
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls = (node for node in ast.walk(func) if isinstance(node, ast.Call))
+                if any(isinstance(call.func, ast.Name) and call.func.id == func.name
+                       for call in calls):
+                    recursive.append(f"{path.name}:{func.name}")
+    assert not recursive, f"functions that call themselves: {recursive}"

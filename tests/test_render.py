@@ -92,13 +92,6 @@ def test_render_refuses_invalid_solution():
         render_svg(instance, broken)
 
 
-def test_render_writes_file(tmp_path):
-    instance, sol = lr_pair()
-    out = tmp_path / "plan.svg"
-    text = render_svg(instance, sol, str(out))
-    assert out.read_text() == text
-
-
 def _solve(instance):
     if instance.problem == "lr":
         return solution_from_lr(solve_lr(instance.perimeters, instance.fleet))

@@ -4,6 +4,8 @@ reference_interval_dp below is the split-pointer interval DP the solver
 used before it kept costs only; it stays here as the reference for
 interval_table and _direct_blocks.
 """
+import inspect
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -447,3 +449,19 @@ def test_interval_table_and_direct_blocks_match_the_split_pointer_reference(inst
     q = per.q
     for i, k in product(range(q), range(q)):
         assert _direct_blocks(table, lookup, i, k) == reference_blocks(split, i, k, q)
+
+
+def test_direct_blocks_needs_no_stack_per_block():
+    # One-length segments 50 apart and robots of length 2: every segment is
+    # its own block, so a walk that recursed per block would need q frames.
+    per = build_perimeter([1] * 150, [50] * 150)
+    lookup = presolve(build_types_mc([(2, 1)]), ceil(per.circumference))
+    table = interval_table(per, lookup)
+    limit = sys.getrecursionlimit()
+    depth = len(inspect.stack(0))
+    sys.setrecursionlimit(depth + 60)
+    try:
+        blocks = _direct_blocks(table, lookup, 0, per.q - 1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert blocks == [(i, 0) for i in range(150)]
