@@ -133,7 +133,7 @@ def _cmd_bench(args) -> int:
 def _cmd_render(args) -> int:
     instance = _read_instance(args.input)
     solution = parse_solution(_read(args.solution))
-    text = render_svg(instance, solution)
+    text = render_svg(instance, solution)   # first, so a rejected solution leaves --out alone
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
     print(f"wrote {args.out}")
