@@ -40,7 +40,10 @@ def _type_stroke(tau: int) -> str:
 
 
 def _arc(cx, cy, r, start_frac, len_frac, stroke: str, cls: str = "") -> str:
-    """An unfilled <path> arc from start_frac over len_frac of the circle; cls is COVER or ""."""
+    """An unfilled arc from start_frac over len_frac of the circle; cls is COVER or "".
+    A full turn is a <circle>: SVG omits an arc whose endpoints coincide (1.1, F.6.2)."""
+    if len_frac >= 1.0:
+        return f'<circle{cls} cx="{cx:.3f}" cy="{cy:.3f}" r="{r}" fill="none" {stroke}/>'
     x1, y1 = _point(cx, cy, r, start_frac)
     x2, y2 = _point(cx, cy, r, start_frac + len_frac)
     large = 1 if len_frac > 0.5 else 0
@@ -76,13 +79,8 @@ def render_svg(instance: InstanceDocument, solution: SolutionDocument) -> str:
         )
         for idx, arc in enumerate(arcs):
             r = RADIUS + 18 + 11 * (idx % 2)
-            stroke = _type_stroke(arc.robot_type)
-            frac_len = float(arc.length / c)
-            if frac_len >= 1.0:
-                out.append(f'<circle{COVER} cx="{cx:.3f}" cy="{cy:.3f}" r="{r}" '
-                           f'fill="none" {stroke}/>')
-            else:
-                out.append(_arc(cx, cy, r, float(arc.start / c), frac_len, stroke, COVER))
+            out.append(_arc(cx, cy, r, float(arc.start / c), float(arc.length / c),
+                            _type_stroke(arc.robot_type), COVER))
         out.append(
             f'<text x="{cx:.3f}" y="{cy + RADIUS + 46:.3f}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="14">perimeter {k}</text>'

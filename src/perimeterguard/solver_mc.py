@@ -13,6 +13,8 @@ total cost in two stages:
 * an interval DP over cyclic segment ranges choosing where coverage
   blocks start and end, so gaps that are expensive to bridge get skipped;
   it keeps costs only, and reconstruction re-derives the splits from them.
+  No optimal block crosses a gap of at least 2*lb (lb the best type's
+  length), so a range holding one costs its two sides, in O(1).
 
 Both stages run on integers.  The interval DP reads spans off
 perimeter.integer_anchors' line, in units of 1/unit (range i..i+k spans
@@ -162,12 +164,14 @@ def sol(lookup: CostLookup, length: int) -> tuple[int, tuple[int, ...]]:
 class IntervalCostTable:
     """cost[i][k]: cheapest cover of segments i..i+k (cyclic), by one direct
     block or split into two sub-ranges; _direct_blocks re-derives which.
-    unit, starts and ends are the integer_anchors line it was built on."""
+    unit, starts and ends are the integer_anchors line it was built on;
+    scanned counts the ranges (k >= 1) that took the min over their splits."""
 
     cost: list[list[int]]
     unit: int
     starts: list[int]
     ends: list[int]
+    scanned: int = 0
 
     def span(self, i: int, k: int) -> int:
         """Range i..i+k's span, ceiled to a whole length (robot lengths are integers)."""
@@ -180,6 +184,16 @@ def interval_table(per: Perimeter, lookup: CostLookup) -> IntervalCostTable:
     A range is covered directly (one block over its span) or split at a
     segment boundary.  The splits of i..i+k pair cost[i][:k] with the
     ranges ending at e = i + k, by_end[e][j] = cost[e - j][j], reversed.
+
+    A range holding a wide gap, one of at least 2*lb, skips that scan.  With
+    (lb, cb) the best type by cost per length, n*cb/lb <= costs[n] <=
+    ceil(n/lb)*cb for every n.  A block over sides of spans s1 and s2 with a
+    gap g between them costs at least (s1 + g + s2)*cb/lb, and covering the
+    sides apart costs less than (s1 + s2 + 2*lb)*cb/lb.  So when g >= 2*lb
+    no optimal partition has a block across the gap, and cost[i][k] =
+    cost[i][d] + cost[i + d + 1][k - d - 1] at its offset d; the direct
+    cover is strictly dearer, so _direct_blocks still splits there.
+    nxt[j] is the first segment j' >= j on the line that a wide gap follows.
     """
     q = per.q
     unit, ((starts, ends),) = integer_anchors([per])
@@ -187,10 +201,17 @@ def interval_table(per: Perimeter, lookup: CostLookup) -> IntervalCostTable:
     cost, costs, span = table.cost, lookup.costs, table.span
     cost.extend([costs[span(i, 0)]] for i in range(q))
     by_end = [row[:] for row in cost]
+    wide, nxt = 2 * lookup.lb * unit, [2 * q] * (2 * q)
+    for j in range(2 * q - 2, -1, -1):
+        nxt[j] = j if starts[j + 1] - ends[j] >= wide else nxt[j + 1]
     for k in range(1, q):
         for i in range(q):
-            right = by_end[(i + k) % q]
-            best = min(costs[span(i, k)], min(map(add, cost[i], reversed(right))))
+            right, d = by_end[(i + k) % q], nxt[i] - i
+            if d < k:
+                best = cost[i][d] + cost[(i + d + 1) % q][k - d - 1]
+            else:
+                table.scanned += 1
+                best = min(costs[span(i, k)], min(map(add, cost[i], reversed(right))))
             cost[i].append(best)
             right.append(best)
     return table

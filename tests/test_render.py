@@ -15,7 +15,7 @@ from perimeterguard.documents import (
 from perimeterguard.errors import ValidationError
 from perimeterguard.generate import gen_random
 from perimeterguard.perimeter import Arc, build_perimeter
-from perimeterguard.render import render_svg
+from perimeterguard.render import SEGMENT_STROKE, render_svg
 from perimeterguard.solver_lr import solve_lr
 from perimeterguard.solver_mc import build_types_mc, solve_mc_multi
 
@@ -85,6 +85,18 @@ def test_full_circle_cover_renders_as_circle():
     assert '<circle class="cover"' in svg
 
 
+def test_gapless_segment_renders_as_one_circle():
+    # An arc whose endpoints coincide is not drawn (SVG 1.1, F.6.2), so the
+    # guarded ring of a gapless perimeter must be a <circle>.
+    instance = parse_instance(
+        '{"problem": "mc", "perimeters": [{"segments": [9]}], "types": [{"length": 2, "cost": 1}]}'
+    )
+    svg = render_svg(instance, solution_from_mc(solve_mc_multi(instance.perimeters, instance.types)))
+    segments = [line for line in svg.splitlines()
+                if SEGMENT_STROKE in line and not line.startswith("<line")]   # not the legend
+    assert segments == [f'<circle cx="210.000" cy="210.000" r="140" fill="none" {SEGMENT_STROKE}/>']
+
+
 def test_render_refuses_invalid_solution():
     instance, sol = lr_pair()
     broken = replace(sol, arcs=sol.arcs[:1], counts=(1,))
@@ -131,7 +143,7 @@ def svg_corpus():
 
 
 # sha256 over the render_svg text of every svg_corpus pair.
-SVG_DIGEST = "a063718ff5196143cd0ed6835e0802d543ac69266c9879807fbf86ebc799717f"
+SVG_DIGEST = "edcfc48a873f5b7d381759507fba77fb8a2608105e345bbf6fbce2c4fe925b75"
 
 
 def test_svg_bytes_unchanged():

@@ -465,3 +465,63 @@ def test_direct_blocks_needs_no_stack_per_block():
     finally:
         sys.setrecursionlimit(limit)
     assert blocks == [(i, 0) for i in range(150)]
+
+
+# -- the wide-gap cut: a range over a gap of at least 2 * lb costs its two sides --
+
+
+@st.composite
+def wide_gap_instances(draw):
+    """Gaps drawn on both sides of 2 * lb, the best type's length, and on it;
+    segments and gaps over denominators 1 to 3; sometimes one gapless segment."""
+    types = build_types_mc(
+        (draw(st.integers(min_value=1, max_value=6)), draw(st.integers(min_value=1, max_value=9)))
+        for _ in range(draw(st.integers(min_value=1, max_value=3)))
+    )
+    lb = presolve(types, 0).lb
+    den = draw(st.integers(min_value=1, max_value=3))
+    q = draw(st.integers(min_value=1, max_value=7))
+    segs = [F(draw(st.integers(min_value=1, max_value=8 * den)), den) for _ in range(q)]
+    if q == 1 and draw(st.booleans()):
+        return build_perimeter(segs, []), types
+    gaps = [max(F(1, den), 2 * lb + F(draw(st.integers(min_value=-2 * den, max_value=2 * den)), den))
+            for _ in range(q)]
+    return build_perimeter(segs, gaps), types
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_gap_instances())
+@example((build_perimeter([1] * 5, [4] * 5), build_types_mc([(2, 1)])))        # every gap wide
+@example((build_perimeter([1] * 5, [F(7, 2)] * 5), build_types_mc([(2, 1)])))  # none wide
+@example((build_perimeter([F(3, 2), 1, 2, F(1, 3)], [4, 3, F(13, 3), 1]),
+          build_types_mc([(2, 1), (3, 2)])))                                     # a mix
+@example((build_perimeter([5], []), build_types_mc([(2, 1), (3, 2)])))          # gapless
+def test_wide_gap_cut_matches_the_split_pointer_reference(inst):
+    per, types = inst
+    lookup = presolve(types, ceil(per.circumference))
+    table = interval_table(per, lookup)
+    cost, split = reference_interval_dp(per, lookup)
+    assert table.cost == cost
+    q = per.q
+    for i, k in product(range(q), range(q)):
+        assert _direct_blocks(table, lookup, i, k) == reference_blocks(split, i, k, q)
+    wide = [g >= 2 * lookup.lb for g in per.gaps]
+    assert table.scanned == sum(
+        not any(wide[(i + j) % q] for j in range(k)) for i in range(q) for k in range(1, q))
+
+
+def _mc_wide(seed):
+    doc = gen_random("mc", 30, 80, 1, seed=seed, target_length=1500)
+    return doc.perimeters[0], doc.types
+
+
+@pytest.mark.parametrize("per, types, scanned", [
+    (build_perimeter([1] * 150, [50] * 150), build_types_mc([(2, 1)]), 0),   # every gap wide
+    (build_perimeter([1] * 40, [1] * 40), build_types_mc([(2, 1)]), 40 * 39),  # none wide
+    (*_mc_wide(0), 44),
+    (*_mc_wide(1), 19),
+    (*_mc_wide(2), 22),
+], ids=["all-wide", "all-narrow", "mc-wide-0", "mc-wide-1", "mc-wide-2"])
+def test_scanned_pinned(per, types, scanned):
+    lookup = presolve(types, ceil(per.circumference))
+    assert interval_table(per, lookup).scanned == scanned
