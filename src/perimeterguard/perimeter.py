@@ -11,22 +11,23 @@ Positions come in two flavors:
   segment 0;
 * anchored offsets, measured along the circle from a chosen segment start.
 
-Perimeter's own geometry is exact fractions.Fraction arithmetic, never
-floats; the validator and the oracles use it.
+Perimeter checks each length once and keeps its piece boundaries as ints
+over unit, the lcm of its denominators.  Its geometry returns exact
+Fractions, never floats; the validator and the oracles use it.
 
 The solvers instead work on an integer line, and this module owns both of
-its edges.  integer_anchors scales in: every length times the lcm of the
-denominators, laid out in global positions over two laps, so anchor a's
-view is a plain slice and the dynamic programs run on ints.  place_arcs
-scales out: it lays robots on a slice of the line, re-checks the
-deployment and wraps each arc's start back into the first lap.
+its edges.  integer_anchors scales in: every perimeter's bounds times
+the lcm of their units over its own, laid out over two laps, so anchor
+a's view is a plain slice and the dynamic programs run on ints.
+place_arcs scales out: it lays robots on a slice of the line, re-checks
+the deployment and wraps each arc's start back into the first lap.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import accumulate, groupby
 from math import isqrt, lcm
 from typing import Iterable, Sequence
 
@@ -61,36 +62,32 @@ class Arc:
 class Perimeter:
     """Immutable alternating cycle of guarded segments and gaps.
 
-    Instances are plain value objects: construct once, never mutate.  Use
-    build_perimeter / from_polygon rather than calling this directly with
-    unchecked data.
+    Lengths are ints, Fractions or 'num/den' strings (rationals.to_fraction),
+    checked here once.  Instances are plain value objects: construct once,
+    never mutate.
     """
 
-    __slots__ = ("segments", "gaps", "q", "circumference", "_bounds")
+    __slots__ = ("segments", "gaps", "q", "_unit", "_bounds")
 
-    def __init__(self, segments: Sequence[Fraction], gaps: Sequence[Fraction]):
-        if len(segments) == 0:
+    def __init__(self, segments: Sequence[RationalLike], gaps: Sequence[RationalLike]):
+        self.segments = tuple(to_fraction(s, f"segments[{k}]") for k, s in enumerate(segments))
+        self.gaps = tuple(to_fraction(g, f"gaps[{k}]") for k, g in enumerate(gaps))
+        q = self.q = len(self.segments)
+        if q == 0:
             raise EmptySegments("at least one guarded segment is required")
-        if len(gaps) != len(segments) and not (len(gaps) == 0 and len(segments) == 1):
+        if len(self.gaps) != q and not (len(self.gaps) == 0 and q == 1):
             raise CountMismatch(
-                f"{len(segments)} segments need {len(segments)} gaps "
-                f"(or none for a single fully guarded circle), got {len(gaps)}"
+                f"{q} segments need {q} gaps "
+                f"(or none for a single fully guarded circle), got {len(self.gaps)}"
             )
-        for name, lengths in (("segment", segments), ("gap", gaps)):
+        for name, lengths in (("segment", self.segments), ("gap", self.gaps)):
             for k, v in enumerate(lengths):
-                if v <= 0:
+                if v.numerator <= 0:
                     raise NonPositiveLength(f"{name} {k} has non-positive length {v}")
-        self.segments: tuple[Fraction, ...] = tuple(Fraction(s) for s in segments)
-        self.gaps: tuple[Fraction, ...] = tuple(Fraction(g) for g in gaps)
-        self.q = len(self.segments)
-        # Piece boundaries in global coordinates: S0 G0 S1 G1 ... (gapless: just S0).
-        bounds = [Fraction(0)]
-        for i in range(self.q):
-            bounds.append(bounds[-1] + self.segments[i])
-            if self.gaps:
-                bounds.append(bounds[-1] + self.gaps[i])
-        self._bounds = bounds
-        self.circumference: Fraction = bounds[-1]
+        # Piece boundaries in global positions, times unit: S0 G0 S1 G1 ... (gapless: just S0).
+        pieces = [x for pair in zip(self.segments, self.gaps) for x in pair] or self.segments
+        unit = self._unit = lcm(*(x.denominator for x in pieces))
+        self._bounds = [0, *accumulate(x.numerator * (unit // x.denominator) for x in pieces)]
 
     # -- basic geometry -------------------------------------------------
 
@@ -98,14 +95,18 @@ class Perimeter:
         if not 0 <= i < self.q:
             raise IndexOutOfRange(f"segment index {i} outside 0..{self.q - 1}")
 
+    @property
+    def circumference(self) -> Fraction:
+        return Fraction(self._bounds[-1], self._unit)
+
     def seg_start(self, i: int) -> Fraction:
         """Global position of the start (anchor) of segment i."""
         self._check_index(i)
-        return self._bounds[2 * i]
+        return Fraction(self._bounds[2 * i], self._unit)
 
     def seg_end(self, i: int) -> Fraction:
         self._check_index(i)
-        return self._bounds[2 * i + 1]
+        return Fraction(self._bounds[2 * i + 1], self._unit)
 
     def span_length(self, i: int, j: int) -> Fraction:
         """Arc length from the start of segment i to the end of segment j.
@@ -116,9 +117,9 @@ class Perimeter:
         """
         self._check_index(i)
         self._check_index(j)
-        if j >= i:
-            return self.seg_end(j) - self.seg_start(i)
-        return self.circumference - self.seg_start(i) + self.seg_end(j)
+        bounds = self._bounds
+        span = bounds[2 * j + 1] - bounds[2 * i] + (bounds[-1] if j < i else 0)
+        return Fraction(span, self._unit)
 
     def required_span(self, anchor: int) -> Fraction:
         """Length of the full working range from an anchor: everything up to
@@ -188,17 +189,17 @@ class Perimeter:
 def integer_anchors(perimeters: Sequence[Perimeter]):
     """(unit, per perimeter: its integer line (starts, ends)).
 
-    unit is the lcm of every length's denominator; a bound is a sum of
-    lengths, so bound * unit is an int.  A line holds those ints in global
+    unit is the lcm of the perimeters' own units, so each one's integer
+    bounds scale to it exactly.  A line holds those ints in global
     positions from the start of segment 0, over two laps: 2q entries each,
     the circumference at starts[q].  Anchor a's view is the slice a:a+q,
     which less starts[a] is perimeters[k].unrolled(a) scaled by unit.
     """
-    unit = lcm(*(x.denominator for per in perimeters for x in (*per.segments, *per.gaps)))
+    unit = lcm(*(per._unit for per in perimeters))
     lines = []
     for per in perimeters:
-        # S0 G0 S1 G1 ... (gapless: just S0)
-        bounds = [b.numerator * (unit // b.denominator) for b in per._bounds]
+        scale = unit // per._unit
+        bounds = [b * scale for b in per._bounds]   # S0 G0 S1 G1 ... (gapless: just S0)
         starts, ends, circ = bounds[:-1:2], bounds[1::2], bounds[-1]
         lines.append((starts + [s + circ for s in starts], ends + [e + circ for e in ends]))
     return unit, lines
@@ -244,14 +245,7 @@ def place_arcs(unit: int, circ: int, starts: Sequence[int], ends: Sequence[int],
     return arcs
 
 
-def build_perimeter(
-    segments: Sequence[RationalLike], gaps: Sequence[RationalLike]
-) -> Perimeter:
-    """Validate raw lengths (ints, Fractions, or 'num/den' strings) and build."""
-    return Perimeter(
-        [to_fraction(s, f"segments[{k}]") for k, s in enumerate(segments)],
-        [to_fraction(g, f"gaps[{k}]") for k, g in enumerate(gaps)],
-    )
+build_perimeter = Perimeter
 
 
 # -- polygon ingestion ----------------------------------------------------

@@ -17,7 +17,7 @@ _RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*|\.[0-9]+)?")
 
 
 def to_fraction(value: RationalLike, where: str = "value") -> Fraction:
-    """Coerce an int, Fraction, or string to a Fraction.
+    """Coerce an int, Fraction, or string to a Fraction; a Fraction comes back unchanged.
 
     Strings hold an integer ("3"), a ratio ("5/4") or a decimal ("2.25"),
     each with an optional leading "-", in ASCII digits and nothing else: no
@@ -27,7 +27,9 @@ def to_fraction(value: RationalLike, where: str = "value") -> Fraction:
     """
     if isinstance(value, bool):
         raise ParseError(f"{where}: expected a rational, got a bool")
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
         raise ParseError(f'{where}: floats are inexact, write the value as a string like "5/2"')

@@ -350,6 +350,7 @@ class CoverageTable:
 
 def coverage_table(per: Perimeter, anchor: int, fleet: FleetLR, ell: Fraction) -> CoverageTable:
     """Build the full reach table for one anchor at ratio ell."""
+    per._check_index(anchor)
     unit, lines = integer_anchors([per])
     ratio = Fraction(ell) * unit
     (line,), steps = _at(lines, fleet.capabilities, ratio)

@@ -287,6 +287,7 @@ def reconstruct_mc(
     Each direct block is laid out by _lay_block; the rebuilt total cost is
     re-checked against the table entry.
     """
+    per._check_index(anchor)
     blocks = _direct_blocks(table, lookup, anchor, per.q - 1)
     arcs: list[Arc] = []
     spent = 0

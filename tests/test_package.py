@@ -22,11 +22,13 @@ def test_all_exports_public_names_not_submodules():
 
 def test_references_share_no_solver_code():
     # The oracles and the validator check the solvers, so they may take only
-    # the fleet and catalog types from them, neither integer view edge, and
-    # not the solvers' scaling helpers: the validator takes its own math.lcm.
+    # the fleet and catalog types from them, neither integer view edge, not
+    # the solvers' scaling helpers (the validator takes its own math.lcm),
+    # and not the integer line Perimeter keeps for the solvers to scale.
     allowed = {"FleetLR", "TypesMC", "build_fleet_lr", "build_types_mc"}
     solvers = {"solver_lr", "solver_mc"}
-    banned = {"integer_anchors", "place_arcs", "common_denominator", "scaled_ints"}
+    banned = {"integer_anchors", "place_arcs", "common_denominator", "scaled_ints",
+              "_bounds", "_unit"}
     for name in ("oracle.py", "validate.py"):
         for node in ast.walk(ast.parse((PACKAGE / name).read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and (node.module or "").endswith(tuple(solvers)):

@@ -98,7 +98,8 @@ def test_single_segment_with_gap():
 
 
 def test_rational_lengths_parse():
-    per = build_perimeter(["5/2", 3], ["1/2", "0.5"])
+    assert build_perimeter is Perimeter
+    per = Perimeter(["5/2", 3], ["1/2", "0.5"])
     assert per.segments == (F(5, 2), F(3))
     assert per.gaps == (F(1, 2), F(1, 2))
     assert per.circumference == F(13, 2)
@@ -115,9 +116,12 @@ def test_build_errors():
         build_perimeter([2, 3], [1])
     with pytest.raises(CountMismatch):
         build_perimeter([2, 3], [])  # gapless form allows exactly one segment
-    with pytest.raises(ParseError, match=r'^segments\[0\]: floats are inexact, write the value '
-                                         r'as a string like "5/2"$'):
-        build_perimeter([1.5], [])
+    for build, value in ((build_perimeter, 1.5), (Perimeter, 0.1)):
+        with pytest.raises(ParseError, match=r'^segments\[0\]: floats are inexact, write the '
+                                             r'value as a string like "5/2"$'):
+            build([value], [])
+    with pytest.raises(ParseError, match=r"^gaps\[1\]: "):
+        Perimeter([1, 2], [3, "x"])
     per = two_segment_example()
     with pytest.raises(IndexOutOfRange):
         per.span_length(0, 2)
@@ -238,6 +242,16 @@ def test_span_matches_linear_scan(per):
                 == per.circumference
 
 
+@settings(max_examples=100, deadline=None)
+@given(perimeters())
+def test_positions_match_fraction_sums(per):
+    # The integer bounds against plain Fraction sums, gapless circles included.
+    for i in range(per.q):
+        assert per.seg_start(i) == sum(per.segments[:i]) + sum(per.gaps[:i])
+        assert per.seg_end(i) == sum(per.segments[:i + 1]) + sum(per.gaps[:i])
+    assert per.circumference == sum(per.segments) + sum(per.gaps)
+
+
 @st.composite
 def thirds_perimeters(draw):
     """Lengths over denominators 1 to 3; a single segment may be a gapless circle."""
@@ -261,7 +275,8 @@ def test_integer_anchors_scale_unrolled(pers):
     for per, (starts, ends) in zip(pers, lines):
         assert len(starts) == len(ends) == 2 * per.q
         assert all(type(v) is int for v in starts + ends)
-        assert starts[per.q] == per.circumference * unit
+        # Not per.circumference, which reads the bounds this line is scaled from.
+        assert starts[per.q] == (sum(per.segments) + sum(per.gaps)) * unit
         for a in range(per.q):
             want_starts, want_ends = per.unrolled(a)
             origin = starts[a]

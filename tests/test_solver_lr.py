@@ -18,7 +18,12 @@ from hypothesis import strategies as st
 
 from perimeterguard import solver_lr
 from perimeterguard.documents import InstanceDocument, solution_from_lr
-from perimeterguard.errors import InstanceTooLarge, ReconstructionMismatch, ValidationError
+from perimeterguard.errors import (
+    IndexOutOfRange,
+    InstanceTooLarge,
+    ReconstructionMismatch,
+    ValidationError,
+)
 from perimeterguard.generate import gen_random
 from perimeterguard.oracle import brute_feasible_lr, brute_feasible_lr_multi, brute_solve_lr
 from perimeterguard.perimeter import build_perimeter
@@ -136,6 +141,16 @@ def test_coverage_table_single_type():
     assert weak.value((1,)) == 3  # reach 2 is the gap start, normalized to 3
     assert weak.value((2,)) == 5
     assert not weak.feasible_at((2,))
+
+
+def test_coverage_table_refuses_an_anchor_outside_the_perimeter():
+    # Anchors 4 and 5 used to slice the second lap: they reported a cover
+    # that feasible, which tries every real anchor, does not find.
+    per, fleet = build_perimeter([2, 3, 4], [1, 2, 5]), build_fleet_lr([(3, 3)])
+    assert feasible(per, fleet, F(1)) == (False, None)
+    for anchor in (-1, 3, 4, 5):
+        with pytest.raises(IndexOutOfRange, match=rf"segment index {anchor} outside 0\.\.2"):
+            coverage_table(per, anchor, fleet, F(1))
 
 
 def test_coverage_values_monotone_in_allocation():

@@ -17,7 +17,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from perimeterguard import solver_mc
-from perimeterguard.errors import InstanceTooLarge, OutOfTableRange, ReconstructionMismatch
+from perimeterguard.errors import (
+    IndexOutOfRange,
+    InstanceTooLarge,
+    OutOfTableRange,
+    ReconstructionMismatch,
+)
 from perimeterguard.generate import gen_random
 from perimeterguard.oracle import brute_solve_mc
 from perimeterguard.perimeter import build_perimeter, integer_anchors
@@ -26,6 +31,7 @@ from perimeterguard.solver_mc import (
     build_types_mc,
     interval_table,
     presolve,
+    reconstruct_mc,
     sol,
     solve_mc,
     solve_mc_multi,
@@ -233,6 +239,15 @@ def test_reconstruction_examples():
     ]
     got = solve_mc(build_perimeter([4], []), build_types_mc([(4, 1)]))
     assert [(a.robot_type, a.start, a.length) for a in got.arcs] == [(0, F(0), F(4))]
+
+
+def test_reconstruct_refuses_an_anchor_outside_the_perimeter():
+    per, types = build_perimeter([2, 3], [1, 2]), types_example()
+    lookup = presolve(types, ceil(per.circumference))
+    table = interval_table(per, lookup)
+    for anchor in (-1, per.q):
+        with pytest.raises(IndexOutOfRange, match=rf"segment index {anchor} outside 0\.\.1"):
+            reconstruct_mc(table, lookup, per, anchor)
 
 
 def test_surplus_robot_is_a_reconstruction_mismatch(monkeypatch):
