@@ -123,6 +123,81 @@ def test_parse_error_paths():
             '{"problem": "lr", "perimeters": [{"segments": [2]}],'
             ' "types": [{"capability": 1, "count": "two"}]}'
         )
+    for polygon, path, what in (
+        ('{"vertices": [[0, 0], [3, 0, 1], [3, 4]], "guarded": [true, true, false]}',
+         r"vertices\[1\]", r"expected \[x, y\]"),
+        ('{"vertices": [[0, 0], [3, 0], [3, 4]], "guarded": [true, 1, false]}',
+         r"guarded\[1\]", "expected true or false"),
+    ):
+        with pytest.raises(ParseError, match=rf"^perimeters\[0\]\.polygon\.{path}: {what}$"):
+            parse_instance(
+                f'{{"problem": "lr", "perimeters": [{{"polygon": {polygon}}}],'
+                ' "types": [{"capability": 1, "count": 1}]}'
+            )
+
+
+_TRIANGLE = {"vertices": [[0, 0], [3, 0], [3, 4]], "guarded": [True, True, False]}
+_FLOAT = 'floats are inexact, write the value as a string like "5/2"'
+
+# One perimeter entry with one fault each, and the (error class, message)
+# parse_instance gives it as the second perimeter of an otherwise valid document.
+PERIMETER_FAULTS = [
+    ("x", ParseError, "perimeters[1]: expected an object, got str"),
+    ({"gaps": [1]}, ParseError, "perimeters[1]: missing required field 'segments'"),
+    ({"segments": 5}, ParseError, "perimeters[1].segments: expected an array, got int"),
+    ({"segments": [2], "gaps": "x"}, ParseError,
+     "perimeters[1].gaps: expected an array, got str"),
+    ({"segments": [2, 0.5], "gaps": [1, 1]}, ParseError, f"perimeters[1].segments[1]: {_FLOAT}"),
+    ({"segments": [2, 3], "gaps": [True, 1]}, ParseError,
+     "perimeters[1].gaps[0]: expected a rational, got a bool"),
+    ({"segments": ["1e3", 3], "gaps": [1, 1]}, ParseError,
+     "perimeters[1].segments[0]: exponent forms are not accepted, got '1e3'"),
+    ({"segments": [2, 3], "gaps": [1, "3/"]}, ParseError,
+     "perimeters[1].gaps[1]: cannot parse rational from '3/'"),
+    ({"segments": [], "gaps": []}, ValidationError,
+     "perimeters[1]: at least one guarded segment is required"),
+    ({"segments": [2, 3], "gaps": [1]}, ValidationError,
+     "perimeters[1]: 2 segments need 2 gaps (or none for a single fully guarded circle), got 1"),
+    ({"segments": [2, 0], "gaps": [1, 1]}, ValidationError,
+     "perimeters[1]: segment 1 has non-positive length 0"),
+    ({"segments": [2, 3], "gaps": [1, "-1/2"]}, ValidationError,
+     "perimeters[1]: gap 1 has non-positive length -1/2"),
+    ({"polygon": [[0, 0]]}, ParseError, "perimeters[1].polygon: expected an object, got list"),
+    ({"polygon": {"guarded": _TRIANGLE["guarded"]}}, ParseError,
+     "perimeters[1].polygon: missing required field 'vertices'"),
+    ({"polygon": {**_TRIANGLE, "vertices": 3}}, ParseError,
+     "perimeters[1].polygon.vertices: expected an array, got int"),
+    ({"polygon": {"vertices": _TRIANGLE["vertices"]}}, ParseError,
+     "perimeters[1].polygon: missing required field 'guarded'"),
+    ({"polygon": {**_TRIANGLE, "guarded": "yes"}}, ParseError,
+     "perimeters[1].polygon.guarded: expected an array, got str"),
+    ({"polygon": {**_TRIANGLE, "vertices": [[0, 0], 3, [3, 4]]}}, ParseError,
+     "perimeters[1].polygon.vertices[1]: expected an array, got int"),
+    ({"polygon": {**_TRIANGLE, "vertices": [[0, 0], [3, 0, 1], [3, 4]]}}, ParseError,
+     "perimeters[1].polygon.vertices[1]: expected [x, y]"),
+    ({"polygon": {**_TRIANGLE, "vertices": [[0, 0], [3, 0.5], [3, 4]]}}, ParseError,
+     f"perimeters[1].polygon.vertices[1][1]: {_FLOAT}"),
+    ({"polygon": {**_TRIANGLE, "vertices": [[0, 0], [3, 0], ["3", "4e0"]]}}, ParseError,
+     "perimeters[1].polygon.vertices[2][1]: exponent forms are not accepted, got '4e0'"),
+    ({"polygon": {**_TRIANGLE, "guarded": [True, 1, False]}}, ParseError,
+     "perimeters[1].polygon.guarded[1]: expected true or false"),
+    ({"polygon": {"vertices": [[0, 0], [3, 0]], "guarded": [True, True]}}, ValidationError,
+     "perimeters[1].polygon: need at least 3 vertices, got 2"),
+    ({"polygon": {**_TRIANGLE, "guarded": [True, True]}}, ValidationError,
+     "perimeters[1].polygon: 3 edges need 3 guarded flags, got 2"),
+    ({"polygon": {**_TRIANGLE, "vertices": [[0, 0], [3, 0], [3, 0]]}}, ValidationError,
+     "perimeters[1].polygon: edge 1 has zero length"),
+    ({"polygon": {**_TRIANGLE, "guarded": [False, False, False]}}, ValidationError,
+     "perimeters[1].polygon: polygon has no guarded edge"),
+]
+
+
+@pytest.mark.parametrize("entry, error, message", PERIMETER_FAULTS)
+def test_a_perimeter_fault_keeps_its_class_and_message(entry, error, message):
+    doc = {**json.loads(LR_DOC), "perimeters": [{"segments": [1]}, entry]}
+    with pytest.raises(GuardingError) as info:
+        parse_instance(json.dumps(doc))
+    assert (type(info.value), str(info.value)) == (error, message)
 
 
 def test_deep_nesting_is_a_parse_error():
