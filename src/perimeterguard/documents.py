@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import GuardingError, ParseError, ValidationError
-from .perimeter import Arc, Perimeter, build_perimeter, build_polygon_spec, from_polygon
+from .perimeter import Arc, Perimeter, build_polygon_spec, from_polygon
 from .rationals import to_fraction
 from .solver_lr import FleetLR, LrSolution, build_fleet_lr
 from .solver_mc import McSolution, TypesMC, build_types_mc
@@ -99,35 +99,28 @@ def _load_json(data: bytes | str, what: str) -> dict:
 
 
 def _parse_perimeter(entry, path: str) -> tuple[Perimeter, list[str]]:
+    """Check an entry's JSON shape; Perimeter and build_polygon_spec convert its numbers."""
     entry = _as_dict(entry, path)
     if "polygon" in entry:
-        poly = _as_dict(entry["polygon"], f"{path}.polygon")
-        vertices = _as_list(_require(poly, "vertices", f"{path}.polygon"), f"{path}.polygon.vertices")
-        guarded = _as_list(_require(poly, "guarded", f"{path}.polygon"), f"{path}.polygon.guarded")
-        pts = []
+        path += ".polygon"
+        poly = _as_dict(entry["polygon"], path)
+        vertices = _as_list(_require(poly, "vertices", path), f"{path}.vertices")
+        guarded = _as_list(_require(poly, "guarded", path), f"{path}.guarded")
         for k, v in enumerate(vertices):
-            pair = _as_list(v, f"{path}.polygon.vertices[{k}]")
-            if len(pair) != 2:
-                raise ParseError(f"{path}.polygon.vertices[{k}]: expected [x, y]")
-            pts.append([to_fraction(pair[0], f"{path}.polygon.vertices[{k}][0]"),
-                        to_fraction(pair[1], f"{path}.polygon.vertices[{k}][1]")])
+            if len(_as_list(v, f"{path}.vertices[{k}]")) != 2:
+                raise ParseError(f"{path}.vertices[{k}]: expected [x, y]")
         for k, g in enumerate(guarded):
             if not isinstance(g, bool):
-                raise ParseError(f"{path}.polygon.guarded[{k}]: expected true or false")
-        try:
-            return from_polygon(build_polygon_spec(pts, guarded))
-        except GuardingError as exc:
-            raise ValidationError(f"{path}.polygon: {exc}") from exc
-    segments = [
-        to_fraction(s, f"{path}.segments[{k}]")
-        for k, s in enumerate(_as_list(_require(entry, "segments", path), f"{path}.segments"))
-    ]
-    gaps = [
-        to_fraction(g, f"{path}.gaps[{k}]")
-        for k, g in enumerate(_as_list(entry.get("gaps", []), f"{path}.gaps"))
-    ]
+                raise ParseError(f"{path}.guarded[{k}]: expected true or false")
+    else:
+        segments = _as_list(_require(entry, "segments", path), f"{path}.segments")
+        gaps = _as_list(entry.get("gaps", []), f"{path}.gaps")
     try:
-        return build_perimeter(segments, gaps), []
+        if "polygon" in entry:
+            return from_polygon(build_polygon_spec(vertices, guarded))
+        return Perimeter(segments, gaps), []
+    except ParseError as exc:
+        raise ParseError(f"{path}.{exc}") from exc
     except GuardingError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 

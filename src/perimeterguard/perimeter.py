@@ -276,9 +276,7 @@ def build_polygon_spec(
     for k, v in enumerate(vertices):
         if len(v) != 2:
             raise DegeneratePolygon(f"vertex {k} is not an (x, y) pair")
-        vs.append(
-            (to_fraction(v[0], f"vertices[{k}].x"), to_fraction(v[1], f"vertices[{k}].y"))
-        )
+        vs.append((to_fraction(v[0], f"vertices[{k}][0]"), to_fraction(v[1], f"vertices[{k}][1]")))
     return PolygonSpec(tuple(vs), tuple(bool(g) for g in guarded))
 
 

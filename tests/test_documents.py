@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perimeterguard import documents, perimeter
 from perimeterguard.documents import (
     InstanceDocument,
     SolutionDocument,
@@ -22,6 +23,7 @@ from perimeterguard.documents import (
 from perimeterguard.errors import GuardingError, ParseError, ValidationError
 from perimeterguard.generate import gen_random
 from perimeterguard.perimeter import Arc, build_perimeter
+from perimeterguard.rationals import to_fraction
 from perimeterguard.solver_lr import build_fleet_lr, solve_lr
 from perimeterguard.solver_mc import build_types_mc, solve_mc_multi
 from perimeterguard.validate import validate_solution
@@ -199,6 +201,28 @@ def test_a_perimeter_fault_keeps_its_class_and_message(entry, error, message):
         parse_instance(json.dumps(doc))
     assert (type(info.value), str(info.value)) == (error, message)
 
+
+def test_parse_converts_each_geometry_literal_once(monkeypatch):
+    """documents checks the JSON shape; Perimeter reads each length and
+    build_polygon_spec each coordinate, under the labels they report."""
+    labels = []
+
+    def spy(value, where="value"):
+        labels.append(where)
+        return to_fraction(value, where)
+
+    monkeypatch.setattr(documents, "to_fraction", spy)
+    monkeypatch.setattr(perimeter, "to_fraction", spy)
+    parse_instance(json.dumps({**json.loads(LR_DOC), "perimeters": [
+        {"segments": [2, "5/2", 3], "gaps": ["1.5", 2, 1]}]}))
+    assert labels == [f"{name}[{k}]" for name in ("segments", "gaps") for k in range(3)]
+    labels.clear()
+    parse_instance(json.dumps({**json.loads(LR_DOC), "perimeters": [{"polygon": {
+        "vertices": [[0, 0], [2, 0], ["2", "3/2"], [0, 2]],
+        "guarded": [True, False, True, False]}}]}))
+    # Two per vertex, then from_polygon's merged runs, Fractions handed back as is.
+    assert labels == ([f"vertices[{k}][{c}]" for k in range(4) for c in (0, 1)]
+                      + [f"{name}[{k}]" for name in ("segments", "gaps") for k in range(2)])
 
 def test_deep_nesting_is_a_parse_error():
     for text in ("[" * 100_000, "[" * 100_000 + "]" * 100_000, '{"a":' * 50_000):
