@@ -59,6 +59,7 @@ from typing import Iterable, Sequence
 
 from .errors import IndexOutOfRange, InstanceTooLarge, ReconstructionMismatch, ValidationError
 from .perimeter import Arc, Perimeter, integer_anchors, place_arcs
+from .rationals import RationalLike, to_fraction
 
 # The most cells an allocation grid may hold: every table and fold is one
 # grid, so this refuses an instance before any of them is allocated.
@@ -127,10 +128,10 @@ def _at(scaled, capabilities: Sequence[int], ratio: Fraction):
     return grids, [a * p for a in capabilities]
 
 
-def _at_ell(perimeters: Sequence[Perimeter], fleet: FleetLR, ell: Fraction):
-    """_at for an unscaled ratio ell, as the public decision functions take it."""
+def _at_ell(perimeters: Sequence[Perimeter], fleet: FleetLR, ell: RationalLike):
+    """_at for an unscaled ratio ell, a rational literal as documents take it."""
     unit, scaled = integer_anchors(perimeters)
-    return _at(scaled, fleet.capabilities, Fraction(ell) * unit)
+    return _at(scaled, fleet.capabilities, to_fraction(ell, "ell") * unit)
 
 
 # -- the reach DP -----------------------------------------------------------------
@@ -292,7 +293,7 @@ class CoverageTable:
                  ell: Fraction):
         starts, ends = line
         q = len(starts) // 2
-        self.ell = Fraction(ell)
+        self.ell = ell
         self.bounds = tuple(bounds)
         self._unit = unit
         self._steps = steps
@@ -348,16 +349,18 @@ class CoverageTable:
         return chain
 
 
-def coverage_table(per: Perimeter, anchor: int, fleet: FleetLR, ell: Fraction) -> CoverageTable:
+def coverage_table(per: Perimeter, anchor: int, fleet: FleetLR,
+                   ell: RationalLike) -> CoverageTable:
     """Build the full reach table for one anchor at ratio ell."""
     per._check_index(anchor)
+    ell = to_fraction(ell, "ell")
     unit, lines = integer_anchors([per])
-    ratio = Fraction(ell) * unit
+    ratio = ell * unit
     (line,), steps = _at(lines, fleet.capabilities, ratio)
     return CoverageTable(line, anchor, steps, fleet.counts, unit * ratio.denominator, ell)
 
 
-def feasible(per: Perimeter, fleet: FleetLR, ell: Fraction) -> tuple[bool, int | None]:
+def feasible(per: Perimeter, fleet: FleetLR, ell: RationalLike) -> tuple[bool, int | None]:
     """Can the whole fleet cover the perimeter at ratio ell from some anchor?
 
     Returns (ok, witness_anchor) with the smallest witness anchor index.
@@ -367,7 +370,8 @@ def feasible(per: Perimeter, fleet: FleetLR, ell: Fraction) -> tuple[bool, int |
     return anchor is not None, anchor
 
 
-def pareto_feasible_vectors(per: Perimeter, fleet: FleetLR, ell: Fraction) -> list[AllocationVector]:
+def pareto_feasible_vectors(per: Perimeter, fleet: FleetLR,
+                            ell: RationalLike) -> list[AllocationVector]:
     """All minimal allocation vectors that cover the perimeter at ratio ell."""
     (line,), steps = _at_ell([per], fleet, ell)
     grid = _Grid(fleet.counts)
@@ -395,7 +399,7 @@ def _fold_layers(layers, grid: _Grid) -> tuple[int, list[tuple[int, int]]]:
 
 
 def partition_feasible(
-    perimeters: Sequence[Perimeter], fleet: FleetLR, ell: Fraction
+    perimeters: Sequence[Perimeter], fleet: FleetLR, ell: RationalLike
 ) -> bool:
     """Can the fleet be split so every perimeter is covered at ratio ell?"""
     if not perimeters:
@@ -600,16 +604,17 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
         allocations = grid.split(total, levels)
 
     # Reach grows with robots, so a table bounded by v reaches at all iff it
-    # reaches at v: _decide gives the smallest anchor reaching v.  Its walk
-    # may end on a robot left nothing to cover (see the module docstring),
-    # whose empty arc place_arcs drops, so only robots given an arc count.
+    # reaches at v: the first anchor whose table does is the smallest reaching
+    # v, and its table is the witness's.  The walk may end on a robot left
+    # nothing to cover (see the module docstring), whose empty arc
+    # place_arcs drops, so only robots given an arc count.
     grids, steps = _at(scaled, capabilities, best)
-    anchors = [_decide(line, steps, v) for line, v in zip(grids, allocations)]
-
     ell_star = best / unit
     arcs: list[Arc] = []
-    for k, (line, v, anchor) in enumerate(zip(grids, allocations, anchors)):
-        table = CoverageTable(line, anchor, steps, v, unit * best.denominator, ell_star)
+    anchors: list[int] = []
+    for k, (per, line, v) in enumerate(zip(perimeters, grids, allocations)):
+        anchors.append(next(a for a in range(per.q) if (table := CoverageTable(
+            line, a, steps, v, unit * best.denominator, ell_star)).feasible_at(v)))
         placed = reconstruct_lr(table, v, perimeter_index=k)
         arcs.extend(placed)
         allocations[k] = tuple(sum(a.robot_type == tau for a in placed) for tau in range(len(v)))
@@ -634,14 +639,18 @@ def capability_sums(fleet: FleetLR) -> list[int]:
 
 
 def ratio_certificate(
-    perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR, objective: Fraction
+    perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR, objective: RationalLike
 ) -> tuple[int, int, int, int] | None:
     """Exhibit the span/capability-sum factorization of an optimal ratio.
 
     Searches for (perimeter k, segments i..j, D) with span(i, j) == D *
     objective and D a capability sum of some sub-multiset of the fleet.
-    Returns None when no factorization exists (which disproves optimality).
+    Returns None when no factorization exists (which disproves optimality),
+    as for an objective <= 0.
     """
+    objective = to_fraction(objective, "objective")
+    if objective <= 0:
+        return None
     if isinstance(perimeters, Perimeter):
         perimeters = [perimeters]
     sums = set(capability_sums(fleet))

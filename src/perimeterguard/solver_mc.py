@@ -130,6 +130,12 @@ def presolve(types: TypesMC, max_len: int) -> CostLookup:
     return CostLookup(types, max_len, costs, lb, periodic_from)
 
 
+def _check_covers(lookup: CostLookup, length: int) -> None:
+    """Refuse a length the lookup's table does not reach."""
+    if not 0 <= length <= lookup.max_len:
+        raise OutOfTableRange(f"length {length} outside 0..{lookup.max_len}")
+
+
 def sol(lookup: CostLookup, length: int) -> tuple[int, tuple[int, ...]]:
     """Cheapest cover of an integer length: (cost, robot counts per type); each robot
     is the smallest type tau with c_tau + costs[max(0, rem - l_tau)] == costs[rem].
@@ -139,8 +145,7 @@ def sol(lookup: CostLookup, length: int) -> tuple[int, tuple[int, ...]]:
     the choice at rem is the choice at rem - lb, over all t types, dominated
     ones included.  So a choice is found once per length below periodic_from.
     """
-    if not 0 <= length <= lookup.max_len:
-        raise OutOfTableRange(f"length {length} outside 0..{lookup.max_len}")
+    _check_covers(lookup, length)
     lengths, tcosts, costs = lookup.types.lengths, lookup.types.costs, lookup.costs
     lb, top, choice = lookup.lb, lookup.periodic_from, lookup.choice
     counts = [0] * len(lengths)
@@ -194,11 +199,13 @@ def interval_table(per: Perimeter, lookup: CostLookup) -> IntervalCostTable:
     cost[i][d] + cost[i + d + 1][k - d - 1] at its offset d; the direct
     cover is strictly dearer, so _direct_blocks still splits there.
     nxt[j] is the first segment j' >= j on the line that a wide gap follows.
+    Raises OutOfTableRange if lookup is too short for a whole lap's span.
     """
     q = per.q
     unit, ((starts, ends),) = integer_anchors([per])
     table = IntervalCostTable([], unit, starts, ends)
     cost, costs, span = table.cost, lookup.costs, table.span
+    _check_covers(lookup, max(span(i, q - 1) for i in range(q)))
     cost.extend([costs[span(i, 0)]] for i in range(q))
     by_end = [row[:] for row in cost]
     wide, nxt = 2 * lookup.lb * unit, [2 * q] * (2 * q)
@@ -288,6 +295,7 @@ def reconstruct_mc(
     re-checked against the table entry.
     """
     per._check_index(anchor)
+    _check_covers(lookup, table.span(anchor, per.q - 1))
     blocks = _direct_blocks(table, lookup, anchor, per.q - 1)
     arcs: list[Arc] = []
     spent = 0

@@ -21,6 +21,7 @@ from perimeterguard.documents import InstanceDocument, solution_from_lr
 from perimeterguard.errors import (
     IndexOutOfRange,
     InstanceTooLarge,
+    ParseError,
     ReconstructionMismatch,
     ValidationError,
 )
@@ -152,6 +153,49 @@ def test_coverage_table_refuses_an_anchor_outside_the_perimeter():
         with pytest.raises(IndexOutOfRange, match=rf"segment index {anchor} outside 0\.\.2"):
             coverage_table(per, anchor, fleet, F(1))
 
+
+def test_the_lr_api_reads_its_ratio_as_a_rational_literal():
+    # The decision calls, the tables and the oracles read ell as documents
+    # do: a float is not its decimal (0.1 was decided at 3602879701896397/2**55),
+    # and an exponent or a padded string is no literal at all.
+    per, fleet = build_perimeter([10, 20], [5, 5]), build_fleet_lr([(3, 2), (5, 3)])
+    other = build_perimeter([2, 3], [1, 1])
+    calls = {
+        "feasible": lambda ell: feasible(per, fleet, ell),
+        "partition_feasible": lambda ell: partition_feasible([per, other], fleet, ell),
+        "pareto_feasible_vectors": lambda ell: pareto_feasible_vectors(per, fleet, ell),
+        "coverage_table": lambda ell: (coverage_table(per, 1, fleet, ell).ell,
+                                       coverage_table(per, 1, fleet, ell).value((1, 2))),
+        "brute_feasible_lr": lambda ell: brute_feasible_lr(per, fleet, ell),
+        "brute_feasible_lr_multi": lambda ell: brute_feasible_lr_multi([per, other], fleet, ell),
+    }
+    answers = {   # at ell = 1, 2, 7/3 and 5/2
+        "feasible": [(False, None), (True, 0), (True, 0), (True, 0)],
+        "partition_feasible": [False, True, True, True],
+        "pareto_feasible_vectors": [[], [(0, 3), (2, 2)], [(0, 3), (2, 2)], [(0, 3), (1, 2)]],
+        "coverage_table": [(1, 13), (2, 31), (F(7, 3), 32), (F(5, 2), 35)],
+        "brute_feasible_lr": [False, True, True, True],
+        "brute_feasible_lr_multi": [False, True, True, True],
+    }
+    for name, call in calls.items():
+        assert [call(ell) for ell in (1, F(2), F(7, 3), "5/2")] == answers[name], name
+        for bad, what in ((0.1, "floats are inexact"), ("1e3", "exponent forms"),
+                          (" 5/2 ", "cannot parse")):
+            with pytest.raises(ParseError, match=f"^ell: {what}"):
+                call(bad)
+    assert type(coverage_table(per, 1, fleet, 2).ell) is Fraction
+
+
+def test_ratio_certificate_reads_its_objective_as_a_rational_literal():
+    per, fleet = build_perimeter([10, 20], [5, 5]), build_fleet_lr([(3, 2), (5, 3)])
+    assert solve_lr(per, fleet).objective == F(20, 13)
+    assert ratio_certificate(per, fleet, F(20, 13)) == ratio_certificate(per, fleet, "20/13")
+    assert ratio_certificate(per, fleet, "20/13") == (0, 1, 1, 13)
+    with pytest.raises(ParseError, match="^objective: floats are inexact"):
+        ratio_certificate(per, fleet, 2.5)
+    # No span is D times a ratio <= 0: there is nothing to factor.
+    for objective in (0, -1, "-20/13"):
+        assert ratio_certificate(per, fleet, objective) is None
 
 def test_coverage_values_monotone_in_allocation():
     per = per_2seg()
@@ -294,8 +338,8 @@ def test_solve_scales_once_and_draws_no_layer_after_the_search():
 
 
 def test_solve_fills_only_the_search_tables_and_one_witness_tail():
-    """One perimeter: the search's 36 tables, one bounded table to find the
-    witness's anchor (anchor 0) and the witness table; no rescan of anchors."""
+    """One perimeter: the search's 36 tables, then the witness table, bounded
+    by the witness vector, from anchor 0, the first that reaches it."""
     doc = gen_random("lr", 2, 20, 1, seed=0)
     real, calls = solver_lr._fill_table, []
 
@@ -306,11 +350,11 @@ def test_solve_fills_only_the_search_tables_and_one_witness_tail():
     with mock.patch.object(solver_lr, "_fill_table", spy):
         sol = solve_lr(list(doc.perimeters), doc.fleet)
     assert sol.feasibility_calls == 36
-    assert len(calls) == 38
-    assert calls[-2:] == [sol.allocations[0]] * 2
-    # Every perimeter count shares the one tail that looks up witness anchors.
+    assert len(calls) == 37
+    assert calls[-1] == sol.allocations[0] and sol.anchors == [0]
+    # Every perimeter count shares the one tail that builds witness tables.
     tree = ast.parse(inspect.getsource(solver_lr.solve_lr))
-    assert sum(isinstance(n, ast.Name) and n.id == "_decide" for n in ast.walk(tree)) == 1
+    assert sum(isinstance(n, ast.Name) and n.id == "CoverageTable" for n in ast.walk(tree)) == 1
 
 
 def test_solve_two_perimeters():
