@@ -2,6 +2,10 @@
 
 An int, a Fraction, or a string in a narrow ASCII syntax (to_fraction);
 never a float.  Arithmetic on them is Fraction's and the math module's.
+to_fraction's callers: Perimeter (lengths), build_polygon_spec
+(coordinates), the lr decision functions, coverage_table and oracles
+(ell), ratio_certificate (objective), and documents (ell, budget, the
+objective, each arc's start and length).
 """
 from __future__ import annotations
 

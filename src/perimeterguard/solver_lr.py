@@ -605,9 +605,8 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
 
     # Reach grows with robots, so a table bounded by v reaches at all iff it
     # reaches at v: the first anchor whose table does is the smallest reaching
-    # v, and its table is the witness's.  The walk may end on a robot left
-    # nothing to cover (see the module docstring), whose empty arc
-    # place_arcs drops, so only robots given an arc count.
+    # v.  Its walk may end on a robot left nothing to cover (module docstring),
+    # whose empty arc place_arcs drops, so only robots given an arc count.
     grids, steps = _at(scaled, capabilities, best)
     ell_star = best / unit
     arcs: list[Arc] = []
@@ -645,8 +644,7 @@ def ratio_certificate(
 
     Searches for (perimeter k, segments i..j, D) with span(i, j) == D *
     objective and D a capability sum of some sub-multiset of the fleet.
-    Returns None when no factorization exists (which disproves optimality),
-    as for an objective <= 0.
+    Returns None when none exists (disproving optimality), as for objective <= 0.
     """
     objective = to_fraction(objective, "objective")
     if objective <= 0:
