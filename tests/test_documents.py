@@ -224,6 +224,7 @@ def test_parse_converts_each_geometry_literal_once(monkeypatch):
     assert labels == ([f"vertices[{k}][{c}]" for k in range(4) for c in (0, 1)]
                       + [f"{name}[{k}]" for name in ("segments", "gaps") for k in range(2)])
 
+
 def test_deep_nesting_is_a_parse_error():
     for text in ("[" * 100_000, "[" * 100_000 + "]" * 100_000, '{"a":' * 50_000):
         with pytest.raises(ParseError, match="nested too deeply"):

@@ -156,16 +156,20 @@ def test_coverage_table_refuses_an_anchor_outside_the_perimeter():
 
 def test_the_lr_api_reads_its_ratio_as_a_rational_literal():
     # The decision calls, the tables and the oracles read ell as documents
-    # do: a float is not its decimal (0.1 was decided at 3602879701896397/2**55),
+    # do: a float is not its decimal (0.1 is 3602879701896397/2**55),
     # and an exponent or a padded string is no literal at all.
     per, fleet = build_perimeter([10, 20], [5, 5]), build_fleet_lr([(3, 2), (5, 3)])
     other = build_perimeter([2, 3], [1, 1])
+
+    def table_at(ell):
+        table = coverage_table(per, 1, fleet, ell)
+        return table.ell, table.value((1, 2))
+
     calls = {
         "feasible": lambda ell: feasible(per, fleet, ell),
         "partition_feasible": lambda ell: partition_feasible([per, other], fleet, ell),
         "pareto_feasible_vectors": lambda ell: pareto_feasible_vectors(per, fleet, ell),
-        "coverage_table": lambda ell: (coverage_table(per, 1, fleet, ell).ell,
-                                       coverage_table(per, 1, fleet, ell).value((1, 2))),
+        "coverage_table": table_at,
         "brute_feasible_lr": lambda ell: brute_feasible_lr(per, fleet, ell),
         "brute_feasible_lr_multi": lambda ell: brute_feasible_lr_multi([per, other], fleet, ell),
     }
@@ -196,6 +200,7 @@ def test_ratio_certificate_reads_its_objective_as_a_rational_literal():
     # No span is D times a ratio <= 0: there is nothing to factor.
     for objective in (0, -1, "-20/13"):
         assert ratio_certificate(per, fleet, objective) is None
+
 
 def test_coverage_values_monotone_in_allocation():
     per = per_2seg()

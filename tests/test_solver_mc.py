@@ -251,7 +251,7 @@ def test_reconstruct_refuses_an_anchor_outside_the_perimeter():
 
 
 def test_a_lookup_shorter_than_a_lap_is_refused_up_front():
-    # Both used to raise a bare IndexError from deep inside the table walk.
+    # Checked before any work, not found by an index past the cost table.
     per, types = build_perimeter([10, 20], [5, 5]), types_example()
     table = interval_table(per, presolve(types, 40))
     for max_len in (12, 34):   # every anchor's lap spans 35
@@ -264,6 +264,7 @@ def test_a_lookup_shorter_than_a_lap_is_refused_up_front():
     exact = presolve(types, 35)
     assert interval_table(per, exact).cost == table.cost
     assert reconstruct_mc(table, exact, per, 0) == reconstruct_mc(table, presolve(types, 40), per, 0)
+
 
 def test_surplus_robot_is_a_reconstruction_mismatch(monkeypatch):
     # One more robot of the shortest type at the same cost: it lands past the
