@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import GuardingError, ParseError, ValidationError
 from .perimeter import Arc, Perimeter, build_polygon_spec, from_polygon
-from .rationals import to_fraction
+from .rationals import to_fraction, to_threshold
 from .solver_lr import FleetLR, LrSolution, build_fleet_lr
 from .solver_mc import McSolution, TypesMC, build_types_mc
 
@@ -163,9 +163,7 @@ def parse_instance(data: bytes | str) -> InstanceDocument:
     if "ell" in doc:
         if problem != "lr":
             raise ValidationError("instance.ell: only lr documents take a ratio threshold")
-        ell = to_fraction(doc["ell"], "instance.ell")
-        if ell <= 0:
-            raise ValidationError("instance.ell: threshold must be positive")
+        ell = to_threshold(doc["ell"], "instance.ell")
     if "budget" in doc:
         if problem != "mc":
             raise ValidationError("instance.budget: only mc documents take a cost budget")

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .errors import InstanceTooLarge, InvalidSpec, ValidationError
 from .perimeter import Perimeter, build_perimeter
-from .rationals import RationalLike, to_fraction
+from .rationals import RationalLike, to_threshold
 from .solver_lr import FleetLR, build_fleet_lr
 from .solver_mc import TypesMC, build_types_mc
 
@@ -63,7 +63,7 @@ def brute_feasible_lr(per: Perimeter, fleet: FleetLR, ell: RationalLike) -> bool
     """Reference for solver_lr.feasible: explicit orderings, no DP."""
     if fleet.total_count > MAX_LR_ROBOTS:
         raise InstanceTooLarge(f"brute force capped at {MAX_LR_ROBOTS} robots")
-    ell = to_fraction(ell, "ell")
+    ell = to_threshold(ell, "ell")
     arc_lengths = [a * ell for a in fleet.capabilities]
     return _brute_reachable(per, arc_lengths, fleet.counts)
 
@@ -79,7 +79,7 @@ def brute_feasible_lr_multi(
     for per in perimeters:
         if per.q > MAX_LR_SEGMENTS:
             raise InstanceTooLarge(f"brute force capped at {MAX_LR_SEGMENTS} segments")
-    ell = to_fraction(ell, "ell")
+    ell = to_threshold(ell, "ell")
     arc_lengths = [a * ell for a in fleet.capabilities]
     m = len(perimeters)
     feas_memo: list[dict[tuple[int, ...], bool]] = [{} for _ in range(m)]

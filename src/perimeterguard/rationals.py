@@ -3,16 +3,17 @@
 An int, a Fraction, or a string in a narrow ASCII syntax (to_fraction);
 never a float.  Arithmetic on them is Fraction's and the math module's.
 to_fraction's callers: Perimeter (lengths), build_polygon_spec
-(coordinates), the lr decision functions, coverage_table and oracles
-(ell), ratio_certificate (objective), and documents (ell, budget, the
-objective, each arc's start and length).
+(coordinates), ratio_certificate (objective), and documents (budget, the
+objective, each arc's start and length).  to_threshold reads an lr
+ratio, which must be positive: documents' ell, the lr decision
+functions, coverage_table and the oracles.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 
 RationalLike = int | str | Fraction
 
@@ -48,3 +49,10 @@ def to_fraction(value: RationalLike, where: str = "value") -> Fraction:
             raise ParseError(f"{where}: {exc}") from exc
     raise ParseError(f"{where}: expected int or 'num/den' string, got {type(value).__name__}")
 
+
+def to_threshold(value: RationalLike, where: str) -> Fraction:
+    """to_fraction for a ratio threshold, refusing one that is not positive."""
+    ratio = to_fraction(value, where)
+    if ratio <= 0:
+        raise ValidationError(f"{where}: threshold must be positive")
+    return ratio

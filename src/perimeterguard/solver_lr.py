@@ -13,14 +13,23 @@ skip over gaps for free.  The optimum is span/D, a run of segments (an
 end minus a start on the line) over a capability sum D <= A, the fleet's
 total; _search probes only these, no two of them closer than 1/A^2.
 
-On one perimeter the optimum is the least of the anchors' own optima, so
-solve_lr eliminates anchors one at a time in a fixed shuffled order: an
+On one perimeter the optimum is the least of the anchors' own optima:
+solve_lr searches the anchor after the widest gap, then each further
 anchor fills one early-exit table at best - 1/A^2, which answers exactly
 "does it beat the best so far?", and only an anchor that does searches
-its own lap's candidates.  In a random order the best changes about ln q
-times, so the search costs about q tables plus a few short searches.  The
-last search ends on a "yes" table at the optimum, and its early-exit hit,
-that anchor's lex-first covering cell, is the witness vector.
+its own lap's candidates.  The last search ends on a "yes" table at the
+optimum, and its early-exit hit, that anchor's lex-first covering cell,
+is the witness vector.
+
+Anchors go by the gap before them, widest first, until a slack bound
+(_by_gap).  A cover by robots of capability sum C at ratio r lays at
+most C * r of arc, over the guarded length G and every gap it spans
+whole.  So once the gaps before the visited anchors exceed C * r - G, it
+leaves part of a visited gap open, and cut there it covers from the
+anchor after that gap, already visited.  This ends the walk above at
+C * r = A * (best - 1/A^2), as no candidate lies in between, a decision
+at ell at A * ell, and a Pareto layer (below) at the open cell of most
+C, since the open cells are downward-closed.
 
 On several perimeters each search step folds the perimeters' Pareto
 layers (the vectors covering a perimeter from some anchor) into totals.
@@ -55,11 +64,12 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import IndexOutOfRange, InstanceTooLarge, ReconstructionMismatch, ValidationError
 from .perimeter import Arc, Perimeter, integer_anchors, place_arcs
-from .rationals import RationalLike, to_fraction
+from .rationals import RationalLike, to_fraction, to_threshold
 
 # The most cells an allocation grid may hold: every table and fold is one
 # grid, so this refuses an instance before any of them is allocated.
@@ -131,7 +141,7 @@ def _at(scaled, capabilities: Sequence[int], ratio: Fraction):
 def _at_ell(perimeters: Sequence[Perimeter], fleet: FleetLR, ell: RationalLike):
     """_at for an unscaled ratio ell, a rational literal as documents take it."""
     unit, scaled = integer_anchors(perimeters)
-    return _at(scaled, fleet.capabilities, to_fraction(ell, "ell") * unit)
+    return _at(scaled, fleet.capabilities, to_threshold(ell, "ell") * unit)
 
 
 # -- the reach DP -----------------------------------------------------------------
@@ -187,6 +197,11 @@ class _Grid:
         for stride in self.strides:
             below |= (cells << stride) & self.above(stride)
         return cells & ~below
+
+    def by_capacity(self, capabilities: Sequence[int]) -> list[int]:
+        """The cell indices by capability sum x . capabilities, largest first."""
+        caps = [sum(map(mul, x, capabilities)) for x in product(*map(range, self.sizes))]
+        return sorted(range(self.total), key=caps.__getitem__, reverse=True)
 
     def split(self, total: int, levels) -> list[AllocationVector]:
         """One vector per level of _fold_layers, summing to total's lex-first cell w.
@@ -256,11 +271,26 @@ def _fill_table(starts, ends, steps, bounds, done: bytearray | None = None):
     return values, backptr, hit
 
 
-def _decide(line, steps, counts) -> int | None:
-    """The smallest anchor from which the fleet covers one perimeter's line, or None."""
+def _by_gap(line, room):
+    """A line's anchors a, widest gap starts[a + q] - ends[a + q - 1] first, ties
+    to the smaller a - 1 (mod q); after the first, they stop once G plus their
+    gaps exceeds room(), the arc of the caller's robots (module docstring)."""
     starts, ends = line
     q = len(starts) // 2
-    for a in range(q):
+    gaps = [starts[a + q] - ends[a + q - 1] for a in range(q)]
+    need = starts[q] - starts[0] - sum(gaps)   # G, plus each gap given
+    for k, a in enumerate(sorted(range(q), key=lambda a: (-gaps[a], (a - 1) % q))):
+        if k and need > room():
+            return
+        yield a
+        need += gaps[a]
+
+
+def _decide(line, steps, counts, anchors=None) -> int | None:
+    """The first anchor, by index or in `anchors`, whose table covers the line, or None."""
+    starts, ends = line
+    q = len(starts) // 2
+    for a in range(q) if anchors is None else anchors:
         if _fill_table(starts[a:a + q], ends[a:a + q], steps, counts)[2] >= 0:
             return a
     return None
@@ -269,16 +299,27 @@ def _decide(line, steps, counts) -> int | None:
 _BITS = bytes.maketrans(b"\0\1", b"01")
 
 
-def _pareto_layer(line, counts, steps) -> int:
+def _pareto_layer(line, counts, steps, order) -> tuple[int, int]:
     """The vectors 0 <= x <= counts that cover one perimeter from some anchor, as
-    an upward-closed _Grid bitset.  line is its integer (starts, ends) over two laps.
-    Each anchor's table fills the cells no earlier anchor covers and marks its own."""
-    feas = bytearray(_Grid(counts).total)
+    an upward-closed _Grid bitset, and the tables filled.  line is its integer
+    (starts, ends) over two laps.  Each anchor, in gap order, fills the cells no
+    earlier anchor covers and marks its own, until the open cell first in
+    `order` (_Grid.by_capacity; never past the origin, which no table marks) has no room."""
+    grid = _Grid(counts)
+    feas = bytearray(grid.total)
     starts, ends = line
     q = len(starts) // 2
-    for a in range(q):
+    top = 0
+
+    def room() -> int:
+        nonlocal top
+        while feas[order[top]]:
+            top += 1
+        return sum(map(mul, grid.vector(order[top]), steps))
+
+    for tables, a in enumerate(_by_gap(line, room), 1):
         _fill_table(starts[a:a + q], ends[a:a + q], steps, counts, feas)
-    return int(feas.translate(_BITS)[::-1], 2)
+    return int(feas.translate(_BITS)[::-1], 2), tables
 
 
 class CoverageTable:
@@ -353,7 +394,7 @@ def coverage_table(per: Perimeter, anchor: int, fleet: FleetLR,
                    ell: RationalLike) -> CoverageTable:
     """Build the full reach table for one anchor at ratio ell."""
     per._check_index(anchor)
-    ell = to_fraction(ell, "ell")
+    ell = to_threshold(ell, "ell")
     unit, lines = integer_anchors([per])
     ratio = ell * unit
     (line,), steps = _at(lines, fleet.capabilities, ratio)
@@ -375,7 +416,8 @@ def pareto_feasible_vectors(per: Perimeter, fleet: FleetLR,
     """All minimal allocation vectors that cover the perimeter at ratio ell."""
     (line,), steps = _at_ell([per], fleet, ell)
     grid = _Grid(fleet.counts)
-    return [grid.vector(i) for i in _bits(grid.minimal(_pareto_layer(line, fleet.counts, steps)))]
+    layer, _ = _pareto_layer(line, fleet.counts, steps, grid.by_capacity(fleet.capabilities))
+    return [grid.vector(i) for i in _bits(grid.minimal(layer))]
 
 
 def _fold_layers(layers, grid: _Grid) -> tuple[int, list[tuple[int, int]]]:
@@ -401,14 +443,18 @@ def _fold_layers(layers, grid: _Grid) -> tuple[int, list[tuple[int, int]]]:
 def partition_feasible(
     perimeters: Sequence[Perimeter], fleet: FleetLR, ell: RationalLike
 ) -> bool:
-    """Can the fleet be split so every perimeter is covered at ratio ell?"""
+    """Can the fleet be split so every perimeter is covered at ratio ell?  One
+    perimeter stops its early-exit tables on the whole fleet's arc (_by_gap)."""
     if not perimeters:
         raise ValidationError("need at least one perimeter")
     grids, steps = _at_ell(perimeters, fleet, ell)
     if len(grids) == 1:
-        return _decide(grids[0], steps, fleet.counts) is not None
-    layers = (_pareto_layer(line, fleet.counts, steps) for line in grids)
-    return _fold_layers(layers, _Grid(fleet.counts))[0] != 0
+        arc = sum(map(mul, fleet.counts, steps))
+        return _decide(grids[0], steps, fleet.counts, _by_gap(grids[0], lambda: arc)) is not None
+    grid = _Grid(fleet.counts)
+    order = grid.by_capacity(fleet.capabilities)
+    layers = (_pareto_layer(line, fleet.counts, steps, order)[0] for line in grids)
+    return _fold_layers(layers, grid)[0] != 0
 
 
 # -- reconstruction -------------------------------------------------------------
@@ -495,14 +541,14 @@ def _eliminate_anchors(line, capabilities, counts, lo, hi, sums) -> tuple[Fracti
     """Optimal ratio on one perimeter's line, the reach tables filled, and
     the witness cell's index.
 
-    The optimum is the least of the anchors' own optima.  The anchor after
-    the widest gap takes the fleet at hi, so it is searched first.  Every
-    other anchor, in one fixed shuffled order, fills a single early-exit
-    table at best - 1/A^2; no two candidates are closer than that, so "yes"
-    means exactly that its optimum is below best, and only then does it
-    search [lo, best - 1/A^2] over the spans of its own lap.  The witness
-    is the hit of the last search's final "yes": the lex-first covering
-    cell, at the optimum, of the anchor behind the last improvement.
+    The optimum is the least of the anchors' own optima.  Anchors go in gap
+    order: the first takes the fleet at hi, so it is searched.  Every other
+    fills a single early-exit table at best - 1/A^2; no two candidates are
+    closer than that, so "yes" means exactly that its optimum is below
+    best, and only then does it search [lo, best - 1/A^2] over the spans of
+    its own lap.  room() is A * (best - 1/A^2), below G at best = lo.  The
+    witness is the hit of the last search's final "yes": the lex-first
+    covering cell, at the optimum, of the anchor behind the last improvement.
     """
     starts, ends = line
     q = len(starts) // 2
@@ -521,13 +567,10 @@ def _eliminate_anchors(line, capabilities, counts, lo, hi, sums) -> tuple[Fracti
 
         return check
 
-    first = (max(range(q), key=lambda j: starts[j + 1] - ends[j]) + 1) % q
-    rest = [a for a in range(q) if a != first]
-    random.Random(q).shuffle(rest)
+    order = _by_gap(line, lambda: sums[-1] * (best - eps))
+    first = next(order)
     best, hit = _search(lo, hi, _lap_spans(starts, ends, first, q), sums, fits(first))
-    for a in rest:
-        if best == lo:
-            break
+    for a in order:
         check = fits(a)
         if (found := check(best - eps)) is not None:
             best, hit = _search(lo, best - eps, _lap_spans(starts, ends, a, q), sums, check, found)
@@ -583,6 +626,7 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
         # equal at both ends is pinned in between: reused, not rebuilt.
         below: list = [None] * len(scaled)
         above: list = [None] * len(scaled)
+        order = grid.by_capacity(capabilities)
 
         def check(ratio: Fraction):
             grids, steps = _at(scaled, capabilities, ratio)
@@ -591,8 +635,9 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
                 nonlocal tables
                 if below[k] is not None and below[k] == above[k]:
                     return above[k]
-                tables += len(grids[k][0]) // 2
-                return _pareto_layer(grids[k], counts, steps)
+                found, filled = _pareto_layer(grids[k], counts, steps, order)
+                tables += filled
+                return found
 
             total, levels = _fold_layers(map(layer, range(len(grids))), grid)
             (above if total else below)[:len(levels)] = [found for _, found in levels]

@@ -411,7 +411,7 @@ BENCHMARK_CELLS = (
     ("mc", 100, 20, 1, 10_000),
     ("mc", 30, 80, 1, 1_500),
 )
-BENCHMARK_CELL_DIGEST = "f12707bd8c4ea2420b5441aaf7f4eb840e2fdc27bfd70087b4b81dee11b8be92"
+BENCHMARK_CELL_DIGEST = "dcfdaf8ede67dcec37b4e00d2aa383c56952ecb58bc0743c1f7f71e21b25555a"
 
 
 def test_benchmark_cells_unchanged():

@@ -4,10 +4,14 @@ _minimal and _fold_step below are the list-and-dict Pareto fold the
 solver used before it kept allocation sets as bitsets (_Grid); they stay
 here as references for _Grid.minimal, _fold_layers and _Grid.split.  inc
 is the reach recurrence's step on Perimeter's exact geometry.
+full_layer and full_elimination are the anchor loops the solver ran
+before it walked anchors in gap order with a slack stop (_by_gap).
 """
 import ast
 import inspect
 import math
+import random
+import textwrap
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -27,16 +31,22 @@ from perimeterguard.errors import (
 )
 from perimeterguard.generate import gen_random
 from perimeterguard.oracle import brute_feasible_lr, brute_feasible_lr_multi, brute_solve_lr
-from perimeterguard.perimeter import build_perimeter
+from perimeterguard.perimeter import build_perimeter, integer_anchors
 from perimeterguard.solver_lr import (
+    _at,
     _at_ell,
     _bits,
+    _by_gap,
+    _decide,
+    _eliminate_anchors,
     _fill_table,
     _fold_layers,
     _Grid,
+    _lap_spans,
     _pareto_layer,
     _search,
     build_fleet_lr,
+    capability_sums,
     coverage_table,
     feasible,
     pareto_feasible_vectors,
@@ -190,6 +200,44 @@ def test_the_lr_api_reads_its_ratio_as_a_rational_literal():
     assert type(coverage_table(per, 1, fleet, 2).ell) is Fraction
 
 
+def ell_case():
+    return build_perimeter([10, 20], [5, 5]), build_fleet_lr([(3, 2), (5, 3)])
+
+
+@pytest.mark.parametrize("ell", [0, -1, "-1/2"])
+def test_lr_decisions_refuse_a_ratio_that_is_not_positive(ell):
+    # Documents refuse such a ratio; the API did not, and answered (False,
+    # None) and [] where the question has no answer.
+    per, fleet = ell_case()
+    for call in (lambda: feasible(per, fleet, ell),
+                 lambda: pareto_feasible_vectors(per, fleet, ell),
+                 lambda: partition_feasible([per, per], fleet, ell),
+                 lambda: _at_ell([per], fleet, ell)):
+        with pytest.raises(ValidationError, match="^ell: threshold must be positive$"):
+            call()
+
+
+@pytest.mark.parametrize("ell", [0, -1, "-1/2"])
+def test_coverage_table_refuses_a_ratio_that_is_not_positive(ell):
+    per, fleet = ell_case()     # at ell = -1 the parent reported a reach of -1
+    with pytest.raises(ValidationError, match="^ell: threshold must be positive$"):
+        coverage_table(per, 0, fleet, ell)
+
+
+@pytest.mark.parametrize("ell", [0, -1, "-1/2"])
+def test_brute_feasible_lr_refuses_a_ratio_that_is_not_positive(ell):
+    per, fleet = ell_case()     # at ell = -1 the parent raised IndexOutOfRange
+    with pytest.raises(ValidationError, match="^ell: threshold must be positive$"):
+        brute_feasible_lr(per, fleet, ell)
+
+
+@pytest.mark.parametrize("ell", [0, -1, "-1/2"])
+def test_brute_feasible_lr_multi_refuses_a_ratio_that_is_not_positive(ell):
+    per, fleet = ell_case()
+    with pytest.raises(ValidationError, match="^ell: threshold must be positive$"):
+        brute_feasible_lr_multi([per, per], fleet, ell)
+
+
 def test_ratio_certificate_reads_its_objective_as_a_rational_literal():
     per, fleet = build_perimeter([10, 20], [5, 5]), build_fleet_lr([(3, 2), (5, 3)])
     assert solve_lr(per, fleet).objective == F(20, 13)
@@ -314,7 +362,7 @@ def test_solve_with_an_anchor_infeasible_at_the_upper_bound():
     assert sol.anchors == [1]
 
 
-@pytest.mark.parametrize("t, q, m, tables", [(2, 20, 1, 36), (4, 20, 1, 39), (2, 6, 3, 204)])
+@pytest.mark.parametrize("t, q, m, tables", [(2, 20, 1, 25), (4, 20, 1, 23), (2, 6, 3, 73)])
 def test_feasibility_calls_pinned(t, q, m, tables):
     """Reach tables the ratio search fills, on seeded instances: more means the
     search does more work than it did when these were pinned."""
@@ -324,7 +372,8 @@ def test_feasibility_calls_pinned(t, q, m, tables):
 
 def test_solve_scales_once_and_draws_no_layer_after_the_search():
     """The witness comes from the search's last "yes": one integer scaling,
-    no coverage_table, and one layer of q tables per layer the search drew."""
+    no coverage_table, and one layer per layer the search drew, each filling
+    at most q tables."""
     doc = gen_random("lr", 2, 6, 3, seed=0)
     calls = dict.fromkeys(("integer_anchors", "coverage_table", "_pareto_layer"), 0)
 
@@ -338,12 +387,12 @@ def test_solve_scales_once_and_draws_no_layer_after_the_search():
 
     with mock.patch.multiple(solver_lr, **{name: spy(name) for name in calls}):
         sol = solve_lr(list(doc.perimeters), doc.fleet)
-    assert sol.feasibility_calls == 204
-    assert calls == {"integer_anchors": 1, "coverage_table": 0, "_pareto_layer": 204 // 6}
+    assert sol.feasibility_calls == 73      # 204, q = 6 a layer, without the slack stop
+    assert calls == {"integer_anchors": 1, "coverage_table": 0, "_pareto_layer": 34}
 
 
 def test_solve_fills_only_the_search_tables_and_one_witness_tail():
-    """One perimeter: the search's 36 tables, then the witness table, bounded
+    """One perimeter: the search's 25 tables, then the witness table, bounded
     by the witness vector, from anchor 0, the first that reaches it."""
     doc = gen_random("lr", 2, 20, 1, seed=0)
     real, calls = solver_lr._fill_table, []
@@ -354,8 +403,8 @@ def test_solve_fills_only_the_search_tables_and_one_witness_tail():
 
     with mock.patch.object(solver_lr, "_fill_table", spy):
         sol = solve_lr(list(doc.perimeters), doc.fleet)
-    assert sol.feasibility_calls == 36
-    assert len(calls) == 37
+    assert sol.feasibility_calls == 25
+    assert len(calls) == 26
     assert calls[-1] == sol.allocations[0] and sol.anchors == [0]
     # Every perimeter count shares the one tail that builds witness tables.
     tree = ast.parse(inspect.getsource(solver_lr.solve_lr))
@@ -378,16 +427,18 @@ def test_solve_reuses_a_layer_pinned_between_no_and_yes():
     built: dict[tuple, list[int]] = {}
     real = solver_lr._pareto_layer
 
-    def spy(line, counts, steps):
+    def spy(line, counts, steps, order):
         built.setdefault(tuple(steps), []).append(len(line[0]) // 2)
-        return real(line, counts, steps)
+        return real(line, counts, steps, order)
 
     with mock.patch.object(solver_lr, "_pareto_layer", spy):
         sol = solve_lr(pers, fleet)
     assert sol.objective == 2
     assert sol.allocations == [(1,), (2,)]
-    assert [2] in built.values()          # a step filled 2 of the m·q = 3 tables
-    assert sol.feasibility_calls == 8     # 9 with every layer rebuilt
+    assert [2] in built.values()          # a step drew 2 of the m·q = 3 anchors' layers
+    # Each layer fills one table: the slack stop cuts the second anchor of the
+    # symmetric two-segment perimeter.  6 with every layer rebuilt.
+    assert sol.feasibility_calls == 5
 
 
 @st.composite
@@ -596,10 +647,137 @@ def test_pareto_layer_matches_full_tables(inst, ell):
             x for x in covering
             if not any(c and x[:k] + (c - 1,) + x[k + 1:] in covering for k, c in enumerate(x))
         ]
-        assert _pareto_layer(line, fleet.counts, steps) == sum(
+        order = _Grid(fleet.counts).by_capacity(fleet.capabilities)
+        assert _pareto_layer(line, fleet.counts, steps, order)[0] == sum(
             1 << sum(c * s for c, s in zip(x, strides)) for x in covering
         )
         assert pareto_feasible_vectors(per, fleet, ell) == sorted(minimal)
+
+
+# -- the gap-order walks against the full anchor loop ------------------------------
+
+
+def full_layer(line, counts, steps) -> int:
+    """_pareto_layer with a table from every anchor, in index order."""
+    starts, ends = line
+    q = len(starts) // 2
+    feas = bytearray(_Grid(counts).total)
+    for a in range(q):
+        _fill_table(starts[a:a + q], ends[a:a + q], steps, counts, feas)
+    return as_int(feas)
+
+
+def full_elimination(line, capabilities, counts, lo, hi, sums):
+    """_eliminate_anchors over every anchor in a fixed shuffled order, stopping
+    only at the lower bound: (best, hit)."""
+    starts, ends = line
+    q = len(starts) // 2
+    eps = F(1, sums[-1] ** 2)
+
+    def fits(a):
+        lap = [(starts[a:a + q], ends[a:a + q])]
+
+        def check(ratio):
+            ((s, e),), steps = _at(lap, capabilities, ratio)
+            hit = _fill_table(s, e, steps, counts)[2]
+            return hit if hit >= 0 else None
+        return check
+
+    first = (max(range(q), key=lambda j: starts[j + 1] - ends[j]) + 1) % q
+    rest = [a for a in range(q) if a != first]
+    random.Random(q).shuffle(rest)
+    best, hit = _search(lo, hi, _lap_spans(starts, ends, first, q), sums, fits(first))
+    for a in rest:
+        if best == lo:
+            break
+        check = fits(a)
+        if (found := check(best - eps)) is not None:
+            best, hit = _search(lo, best - eps, _lap_spans(starts, ends, a, q), sums, check, found)
+    return best, hit
+
+
+@st.composite
+def gapped_instances(draw, max_q=6):
+    """One perimeter of q <= 6 segments over denominators 1-3, gaps up to
+    200 or none, a fleet of at most 3 types and 5 robots, and a ratio
+    between half and four times the lower bound G/A."""
+    den = draw(st.integers(min_value=1, max_value=3))
+    q = draw(st.integers(min_value=1, max_value=max_q))
+    lengths = st.integers(min_value=1, max_value=200)
+    segs = [F(draw(lengths), den) for _ in range(q)]
+    gapless = q == 1 and draw(st.booleans())
+    per = build_perimeter(segs, [] if gapless else [F(draw(lengths), den) for _ in range(q)])
+    pairs = draw(st.lists(st.tuples(st.integers(min_value=1, max_value=9),
+                                    st.integers(min_value=1, max_value=2)),
+                          min_size=1, max_size=3))
+    fleet = build_fleet_lr(pairs)
+    ell = sum(segs) / fleet.total_capability * draw(
+        st.fractions(min_value=F(1, 2), max_value=F(4), max_denominator=12))
+    return per, fleet, ell
+
+
+# Tight: G = 12, the fleet's arc at ratio 4 is 16, and anchor 1, after the
+# widest gap (4), fails; so the walk must go on while G plus the gaps seen
+# equals the arc, and a later anchor covers.
+TIGHT = (build_perimeter([6, 2, 4], [4, 3, 3]), build_fleet_lr([(3, 1), (1, 1)]), F(4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(gapped_instances())
+@example(TIGHT)
+def test_pareto_layer_equals_the_full_anchor_loop(inst):
+    per, fleet, ell = inst
+    (line,), steps = _at_ell([per], fleet, ell)
+    order = _Grid(fleet.counts).by_capacity(fleet.capabilities)
+    layer, tables = _pareto_layer(line, fleet.counts, steps, order)
+    assert layer == full_layer(line, fleet.counts, steps)
+    assert 1 <= tables <= per.q
+
+
+@settings(max_examples=150, deadline=None)
+@given(gapped_instances())
+@example(TIGHT)
+def test_partition_feasible_on_one_perimeter_agrees_with_decide(inst):
+    per, fleet, ell = inst
+    (line,), steps = _at_ell([per], fleet, ell)
+    assert partition_feasible([per], fleet, ell) == (_decide(line, steps, fleet.counts) is not None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gapped_instances())
+def test_eliminate_anchors_equals_the_shuffled_full_loop(inst):
+    per, fleet, _ = inst
+    unit, (line,) = integer_anchors([per])
+    starts, ends = line
+    sums = capability_sums(fleet)
+    lo = F(sum(ends[:per.q]) - sum(starts[:per.q]), sums[-1])
+    hi = F(starts[per.q] - max(s - e for s, e in zip(starts[1:], ends)), min(fleet.capabilities))
+    best, tables, hit = _eliminate_anchors(line, fleet.capabilities, fleet.counts, lo, hi, sums)
+    assert (best, hit) == full_elimination(line, fleet.capabilities, fleet.counts, lo, hi, sums)
+
+
+def test_every_anchor_walk_takes_its_order_from_by_gap():
+    """The three anchor walks call _by_gap and loop over no range of anchors of
+    their own, and nothing in the module shuffles an order."""
+    for fn in (solver_lr._eliminate_anchors, solver_lr._pareto_layer, solver_lr.partition_feasible):
+        nodes = list(ast.walk(ast.parse(textwrap.dedent(inspect.getsource(fn)))))
+        assert any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_by_gap"
+                   for n in nodes), fn.__name__
+        loops = [n.iter for n in nodes if isinstance(n, (ast.For, ast.comprehension))]
+        assert not any(isinstance(it, ast.Call) and getattr(it.func, "id", None) == "range"
+                       for it in loops), fn.__name__
+    module = ast.walk(ast.parse(inspect.getsource(solver_lr)))
+    assert not any(getattr(n, "attr", getattr(n, "id", None)) == "shuffle" for n in module)
+
+
+def test_by_gap_puts_the_widest_gap_first_and_stops_on_the_slack():
+    # Gaps before anchors 0..3 are 4, 1, 4, 2 and G = 10; ties go to the
+    # smaller anchor - 1 (mod q), so anchor 2 (after gap 1) precedes anchor 0.
+    per = build_perimeter([1, 2, 3, 4], [1, 4, 2, 4])
+    _, (line,) = integer_anchors([per])
+    assert list(_by_gap(line, lambda: 10**6)) == [2, 0, 3, 1]
+    assert list(_by_gap(line, lambda: 10 + 8)) == [2, 0, 3]   # stops once 4 + 4 + 2 > 8
+    assert list(_by_gap(line, lambda: 0)) == [2]              # the first anchor always comes
 
 
 # -- allocation sets as bitsets, against per-cell references -----------------------
@@ -817,8 +995,9 @@ def test_grid_refuses_more_cells_than_the_cap_before_allocating():
     fleet = build_fleet_lr([(1, 400), (2, 400), (3, 400)])
     with pytest.raises(InstanceTooLarge):
         solve_lr(per, fleet)
-    with pytest.raises(InstanceTooLarge):
-        partition_feasible([per], fleet, F(1))
+    for perimeters in ([per], [per, per]):
+        with pytest.raises(InstanceTooLarge):
+            partition_feasible(perimeters, fleet, F(1))
 
 
 def test_solve_cost_does_not_grow_with_the_capabilities():
