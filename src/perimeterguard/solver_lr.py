@@ -273,14 +273,14 @@ def _fill_table(starts, ends, steps, bounds, done: bytearray | None = None):
 
 def _by_gap(line, room):
     """A line's anchors a, widest gap starts[a + q] - ends[a + q - 1] first, ties
-    to the smaller a - 1 (mod q); after the first, they stop once G plus their
-    gaps exceeds room(), the arc of the caller's robots (module docstring)."""
+    to the smaller a - 1 (mod q), until G plus the gaps before those given
+    exceeds room(), the arc of the caller's robots (module docstring)."""
     starts, ends = line
     q = len(starts) // 2
     gaps = [starts[a + q] - ends[a + q - 1] for a in range(q)]
     need = starts[q] - starts[0] - sum(gaps)   # G, plus each gap given
-    for k, a in enumerate(sorted(range(q), key=lambda a: (-gaps[a], (a - 1) % q))):
-        if k and need > room():
+    for a in sorted(range(q), key=lambda a: (-gaps[a], (a - 1) % q)):
+        if need > room():
             return
         yield a
         need += gaps[a]
@@ -309,7 +309,7 @@ def _pareto_layer(line, counts, steps, order) -> tuple[int, int]:
     feas = bytearray(grid.total)
     starts, ends = line
     q = len(starts) // 2
-    top = 0
+    top = tables = 0
 
     def room() -> int:
         nonlocal top
@@ -567,6 +567,7 @@ def _eliminate_anchors(line, capabilities, counts, lo, hi, sums) -> tuple[Fracti
 
         return check
 
+    best = hi + eps   # room A * hi >= G: the first anchor always comes
     order = _by_gap(line, lambda: sums[-1] * (best - eps))
     first = next(order)
     best, hit = _search(lo, hi, _lap_spans(starts, ends, first, q), sums, fits(first))

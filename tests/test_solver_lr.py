@@ -731,7 +731,8 @@ def test_pareto_layer_equals_the_full_anchor_loop(inst):
     order = _Grid(fleet.counts).by_capacity(fleet.capabilities)
     layer, tables = _pareto_layer(line, fleet.counts, steps, order)
     assert layer == full_layer(line, fleet.counts, steps)
-    assert 1 <= tables <= per.q
+    assert tables <= per.q
+    assert (tables == 0) == (fleet.total_capability * ell < sum(per.segments))
 
 
 @settings(max_examples=150, deadline=None)
@@ -741,6 +742,26 @@ def test_partition_feasible_on_one_perimeter_agrees_with_decide(inst):
     per, fleet, ell = inst
     (line,), steps = _at_ell([per], fleet, ell)
     assert partition_feasible([per], fleet, ell) == (_decide(line, steps, fleet.counts) is not None)
+
+
+def test_a_decision_below_the_guarded_length_fills_no_table():
+    # The whole fleet's arc, 4 * 3 = 12, is short of G = 13: the answer is
+    # "no" before any table, where the full loop filled one per anchor.
+    per, fleet = build_perimeter([6, 2, 5], [4, 3, 3]), build_fleet_lr([(3, 1), (1, 1)])
+    (line,), steps = _at_ell([per], fleet, 3)
+    order = _Grid(fleet.counts).by_capacity(fleet.capabilities)
+    real, calls = solver_lr._fill_table, []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    with mock.patch.object(solver_lr, "_fill_table", spy):
+        assert not partition_feasible([per], fleet, 3)
+        assert _pareto_layer(line, fleet.counts, steps, order) == (0, 0)
+        assert calls == []
+        partition_feasible([per], fleet, "13/4")   # the arc is G: the walk starts
+        assert calls
 
 
 @settings(max_examples=100, deadline=None)
@@ -777,7 +798,8 @@ def test_by_gap_puts_the_widest_gap_first_and_stops_on_the_slack():
     _, (line,) = integer_anchors([per])
     assert list(_by_gap(line, lambda: 10**6)) == [2, 0, 3, 1]
     assert list(_by_gap(line, lambda: 10 + 8)) == [2, 0, 3]   # stops once 4 + 4 + 2 > 8
-    assert list(_by_gap(line, lambda: 0)) == [2]              # the first anchor always comes
+    assert list(_by_gap(line, lambda: 10)) == [2]             # G alone fits
+    assert list(_by_gap(line, lambda: 9)) == []               # not even G fits
 
 
 # -- allocation sets as bitsets, against per-cell references -----------------------
