@@ -219,14 +219,14 @@ def test_lr_decisions_refuse_a_ratio_that_is_not_positive(ell):
 
 @pytest.mark.parametrize("ell", [0, -1, "-1/2"])
 def test_coverage_table_refuses_a_ratio_that_is_not_positive(ell):
-    per, fleet = ell_case()     # at ell = -1 the parent reported a reach of -1
+    per, fleet = ell_case()     # at ell = -1 it used to report a reach of -1
     with pytest.raises(ValidationError, match="^ell: threshold must be positive$"):
         coverage_table(per, 0, fleet, ell)
 
 
 @pytest.mark.parametrize("ell", [0, -1, "-1/2"])
 def test_brute_feasible_lr_refuses_a_ratio_that_is_not_positive(ell):
-    per, fleet = ell_case()     # at ell = -1 the parent raised IndexOutOfRange
+    per, fleet = ell_case()     # at ell = -1 it used to raise IndexOutOfRange
     with pytest.raises(ValidationError, match="^ell: threshold must be positive$"):
         brute_feasible_lr(per, fleet, ell)
 
