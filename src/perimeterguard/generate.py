@@ -105,7 +105,7 @@ def gen_random(
 
     if target_length is None:
         raise ValidationError("mc instances need a target_length")
-    if not isinstance(target_length, int) or target_length < q:
+    if not isinstance(target_length, int) or isinstance(target_length, bool) or target_length < q:
         raise ValidationError(
             f"target_length must be an integer >= q = {q}, got {target_length!r}"
         )

@@ -21,15 +21,16 @@ its own lap's candidates.  The last search ends on a "yes" table at the
 optimum, and its early-exit hit, that anchor's lex-first covering cell,
 is the witness vector.
 
-Anchors go by the gap before them, widest first, until a slack bound
-(_by_gap).  A cover by robots of capability sum C at ratio r lays at
-most C * r of arc, over the guarded length G and every gap it spans
-whole.  So once the gaps before the visited anchors exceed C * r - G, it
-leaves part of a visited gap open, and cut there it covers from the
-anchor after that gap, already visited.  This ends the walk above at
-C * r = A * (best - 1/A^2), as no candidate lies in between, a decision
-at ell at A * ell, and a Pareto layer (below) at the open cell of most
-C, since the open cells are downward-closed.
+Anchors go by the gap before them, widest first, each with its need:
+the guarded length G plus the gaps before the anchors ahead (_by_gap).
+A cover by robots of capability sum C at ratio r lays at most C * r of
+arc, over G and every gap it spans whole.  So once a need exceeds C * r,
+it leaves part of a visited gap open, and cut there it covers from the
+anchor after that gap, already visited: a walk stops at the first need
+above its arc.  That arc is A * (best - 1/A^2) above, as no candidate
+lies in between, A * ell for a decision at ell, and for a Pareto layer
+(below) C * r of the open cell of most C, the open cells being
+downward-closed.
 
 On several perimeters each search step folds the perimeters' Pareto
 layers (the vectors covering a perimeter from some anchor) into totals.
@@ -63,7 +64,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product
+from itertools import accumulate, islice, product
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -219,10 +220,10 @@ class _Grid:
         return out
 
 
-def _fill_table(starts, ends, steps, bounds, done: bytearray | None = None):
-    """Reach DP over all allocation vectors, in lexicographic cell order.
+def _fill_table(starts, ends, steps, grid: _Grid, done: bytearray | None = None):
+    """Reach DP over the vectors of `grid`, in lexicographic cell order.
 
-    starts, ends and steps are integers on one grid (see _at), the bounds
+    starts, ends and steps are integers on one scale (see _at), the bounds
     one anchor's lap.  Cell x holds the furthest normalized reach from
     starts[0] using x_tau robots per type, capped at the working range's
     end ends[-1]; ties between types resolve to the smallest type index.
@@ -235,12 +236,11 @@ def _fill_table(starts, ends, steps, bounds, done: bytearray | None = None):
     filled), and every filled cell equals the full table's.
     """
     required = ends[-1]
-    grid = _Grid(bounds)
     values = [starts[0]] * grid.total
     backptr = [-1] * grid.total
     hit = -1
     br = bisect_right
-    axes = list(zip(range(len(bounds)), grid.strides, steps))
+    axes = list(zip(range(len(steps)), grid.strides, steps))
     for idx, x in enumerate(islice(product(*map(range, grid.sizes)), 1, None), 1):
         if done and done[idx]:
             continue
@@ -271,27 +271,24 @@ def _fill_table(starts, ends, steps, bounds, done: bytearray | None = None):
     return values, backptr, hit
 
 
-def _by_gap(line, room):
-    """A line's anchors a, widest gap starts[a + q] - ends[a + q - 1] first, ties
-    to the smaller a - 1 (mod q), until G plus the gaps before those given
-    exceeds room(), the arc of the caller's robots (module docstring)."""
+def _by_gap(line) -> list[tuple[int, int]]:
+    """A line's (need, anchor a) pairs, widest gap starts[a + q] - ends[a + q - 1]
+    first, ties to the smaller a - 1 (mod q); need is G plus the gaps before
+    the anchors ahead of a, and a walk stops at the first above its arc."""
     starts, ends = line
     q = len(starts) // 2
     gaps = [starts[a + q] - ends[a + q - 1] for a in range(q)]
-    need = starts[q] - starts[0] - sum(gaps)   # G, plus each gap given
-    for a in sorted(range(q), key=lambda a: (-gaps[a], (a - 1) % q)):
-        if need > room():
-            return
-        yield a
-        need += gaps[a]
+    order = sorted(range(q), key=lambda a: (-gaps[a], (a - 1) % q))
+    guarded = starts[q] - starts[0] - sum(gaps)   # G
+    return list(zip(accumulate((gaps[a] for a in order), initial=guarded), order))
 
 
-def _decide(line, steps, counts, anchors=None) -> int | None:
-    """The first anchor, by index or in `anchors`, whose table covers the line, or None."""
+def _decide(line, steps, grid: _Grid, anchors: Iterable[int]) -> int | None:
+    """The first of `anchors` whose table covers the line, or None."""
     starts, ends = line
     q = len(starts) // 2
-    for a in range(q) if anchors is None else anchors:
-        if _fill_table(starts[a:a + q], ends[a:a + q], steps, counts)[2] >= 0:
+    for a in anchors:
+        if _fill_table(starts[a:a + q], ends[a:a + q], steps, grid)[2] >= 0:
             return a
     return None
 
@@ -299,26 +296,24 @@ def _decide(line, steps, counts, anchors=None) -> int | None:
 _BITS = bytes.maketrans(b"\0\1", b"01")
 
 
-def _pareto_layer(line, counts, steps, order) -> tuple[int, int]:
-    """The vectors 0 <= x <= counts that cover one perimeter from some anchor, as
-    an upward-closed _Grid bitset, and the tables filled.  line is its integer
-    (starts, ends) over two laps.  Each anchor, in gap order, fills the cells no
-    earlier anchor covers and marks its own, until the open cell first in
-    `order` (_Grid.by_capacity; never past the origin, which no table marks) has no room."""
-    grid = _Grid(counts)
+def _pareto_layer(line, grid: _Grid, steps, order) -> tuple[int, int]:
+    """The cells of `grid` that cover one perimeter from some anchor, as an
+    upward-closed bitset, and the tables filled.  line is its integer (starts,
+    ends) over two laps.  Each anchor, in gap order (_by_gap), fills the cells
+    no earlier anchor covers and marks its own, until its need exceeds the arc
+    of the open cell first in `order` (_Grid.by_capacity; never past the
+    origin, which no table marks)."""
     feas = bytearray(grid.total)
     starts, ends = line
     q = len(starts) // 2
     top = tables = 0
-
-    def room() -> int:
-        nonlocal top
+    for need, a in _by_gap(line):
         while feas[order[top]]:
             top += 1
-        return sum(map(mul, grid.vector(order[top]), steps))
-
-    for tables, a in enumerate(_by_gap(line, room), 1):
-        _fill_table(starts[a:a + q], ends[a:a + q], steps, counts, feas)
+        if need > sum(map(mul, grid.vector(order[top]), steps)):
+            break
+        _fill_table(starts[a:a + q], ends[a:a + q], steps, grid, feas)
+        tables += 1
     return int(feas.translate(_BITS)[::-1], 2), tables
 
 
@@ -343,7 +338,7 @@ class CoverageTable:
         grid = _Grid(self.bounds)
         self._stride_list = grid.strides
         self._values, self._backptr, _ = _fill_table(self._starts, self._ends, steps,
-                                                     self.bounds, bytearray(grid.total))
+                                                     grid, bytearray(grid.total))
 
     def _index(self, allocation: AllocationVector) -> int:
         if len(allocation) != len(self.bounds):
@@ -407,7 +402,7 @@ def feasible(per: Perimeter, fleet: FleetLR, ell: RationalLike) -> tuple[bool, i
     Returns (ok, witness_anchor) with the smallest witness anchor index.
     """
     (line,), steps = _at_ell([per], fleet, ell)
-    anchor = _decide(line, steps, fleet.counts)
+    anchor = _decide(line, steps, _Grid(fleet.counts), range(per.q))
     return anchor is not None, anchor
 
 
@@ -416,7 +411,7 @@ def pareto_feasible_vectors(per: Perimeter, fleet: FleetLR,
     """All minimal allocation vectors that cover the perimeter at ratio ell."""
     (line,), steps = _at_ell([per], fleet, ell)
     grid = _Grid(fleet.counts)
-    layer, _ = _pareto_layer(line, fleet.counts, steps, grid.by_capacity(fleet.capabilities))
+    layer, _ = _pareto_layer(line, grid, steps, grid.by_capacity(fleet.capabilities))
     return [grid.vector(i) for i in _bits(grid.minimal(layer))]
 
 
@@ -441,19 +436,21 @@ def _fold_layers(layers, grid: _Grid) -> tuple[int, list[tuple[int, int]]]:
 
 
 def partition_feasible(
-    perimeters: Sequence[Perimeter], fleet: FleetLR, ell: RationalLike
+    perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR, ell: RationalLike
 ) -> bool:
     """Can the fleet be split so every perimeter is covered at ratio ell?  One
     perimeter stops its early-exit tables on the whole fleet's arc (_by_gap)."""
+    perimeters = [perimeters] if isinstance(perimeters, Perimeter) else perimeters
     if not perimeters:
         raise ValidationError("need at least one perimeter")
     grids, steps = _at_ell(perimeters, fleet, ell)
+    grid = _Grid(fleet.counts)
     if len(grids) == 1:
         arc = sum(map(mul, fleet.counts, steps))
-        return _decide(grids[0], steps, fleet.counts, _by_gap(grids[0], lambda: arc)) is not None
-    grid = _Grid(fleet.counts)
+        anchors = [a for need, a in _by_gap(grids[0]) if need <= arc]
+        return _decide(grids[0], steps, grid, anchors) is not None
     order = grid.by_capacity(fleet.capabilities)
-    layers = (_pareto_layer(line, fleet.counts, steps, order)[0] for line in grids)
+    layers = (_pareto_layer(line, grid, steps, order)[0] for line in grids)
     return _fold_layers(layers, grid)[0] != 0
 
 
@@ -537,7 +534,7 @@ def _search(lo: Fraction, hi: Fraction, spans, sums, check, witness=None) -> tup
     return hi, check(hi) if witness is None else witness
 
 
-def _eliminate_anchors(line, capabilities, counts, lo, hi, sums) -> tuple[Fraction, int, int]:
+def _eliminate_anchors(line, capabilities, grid: _Grid, lo, hi, sums) -> tuple[Fraction, int, int]:
     """Optimal ratio on one perimeter's line, the reach tables filled, and
     the witness cell's index.
 
@@ -546,36 +543,36 @@ def _eliminate_anchors(line, capabilities, counts, lo, hi, sums) -> tuple[Fracti
     fills a single early-exit table at best - 1/A^2; no two candidates are
     closer than that, so "yes" means exactly that its optimum is below
     best, and only then does it search [lo, best - 1/A^2] over the spans of
-    its own lap.  room() is A * (best - 1/A^2), below G at best = lo.  The
-    witness is the hit of the last search's final "yes": the lex-first
-    covering cell, at the optimum, of the anchor behind the last improvement.
+    its own lap.  The walk stops at the first need above A * (best - 1/A^2),
+    below G once best = lo.  The witness is the hit of the last search's
+    final "yes": the lex-first covering cell, at the optimum, of the anchor
+    behind the last improvement.
     """
     starts, ends = line
     q = len(starts) // 2
     eps = Fraction(1, sums[-1] ** 2)
-    tables = 0
+    probes: list[Fraction] = []
 
     def fits(a: int):
         lap = [(starts[a:a + q], ends[a:a + q])]
 
         def check(ratio: Fraction) -> int | None:
-            nonlocal tables
-            tables += 1
+            probes.append(ratio)
             ((s, e),), steps = _at(lap, capabilities, ratio)
-            hit = _fill_table(s, e, steps, counts)[2]
+            hit = _fill_table(s, e, steps, grid)[2]
             return hit if hit >= 0 else None
 
         return check
 
-    best = hi + eps   # room A * hi >= G: the first anchor always comes
-    order = _by_gap(line, lambda: sums[-1] * (best - eps))
-    first = next(order)
+    (_, first), *rest = _by_gap(line)   # its need G is within A * hi
     best, hit = _search(lo, hi, _lap_spans(starts, ends, first, q), sums, fits(first))
-    for a in order:
+    for need, a in rest:
+        if need > sums[-1] * (best - eps):
+            break
         check = fits(a)
         if (found := check(best - eps)) is not None:
             best, hit = _search(lo, best - eps, _lap_spans(starts, ends, a, q), sums, check, found)
-    return best, tables, hit
+    return best, len(probes), hit
 
 
 def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrSolution:
@@ -592,9 +589,7 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
     by it, from the smallest anchor reaching it.  feasibility_calls counts
     the reach tables the search filled.
     """
-    if isinstance(perimeters, Perimeter):
-        perimeters = [perimeters]
-    perimeters = list(perimeters)
+    perimeters = [perimeters] if isinstance(perimeters, Perimeter) else list(perimeters)
     if not perimeters:
         raise ValidationError("need at least one perimeter")
     if fleet.total_count < len(perimeters):
@@ -616,10 +611,10 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
         hi = max(hi, Fraction(starts[per.q] - max(s - e for s, e in zip(starts[1:], ends)), a_min))
 
     if len(scaled) == 1:
-        best, tables, hit = _eliminate_anchors(scaled[0], capabilities, counts, lo, hi, sums)
+        best, tables, hit = _eliminate_anchors(scaled[0], capabilities, grid, lo, hi, sums)
         allocations = [grid.vector(hit)]
     else:
-        tables = 0
+        filled: list[int] = []   # tables per layer built
         # Per perimeter, the layer at the last "no" and the last "yes" that
         # drew it.  _search probes only between its last "no" (the "no" layer
         # was drawn at or below it) and its last "yes" (where the "yes" layer
@@ -633,21 +628,22 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
             grids, steps = _at(scaled, capabilities, ratio)
 
             def layer(k: int) -> int:
-                nonlocal tables
                 if below[k] is not None and below[k] == above[k]:
                     return above[k]
-                found, filled = _pareto_layer(grids[k], counts, steps, order)
-                tables += filled
+                found, n = _pareto_layer(grids[k], grid, steps, order)
+                filled.append(n)
                 return found
 
             total, levels = _fold_layers(map(layer, range(len(grids))), grid)
             (above if total else below)[:len(levels)] = [found for _, found in levels]
             return (total, levels) if total else None
 
-        spans = {x for s, e in scaled for a in range(len(s) // 2)
-                 for x in _lap_spans(s, e, a, len(s) // 2)}
+        # Every run of at most q segments: the union of the anchors' laps.
+        spans = {e[j] - s[i] for per, (s, e) in zip(perimeters, scaled)
+                 for i in range(per.q) for j in range(i, i + per.q)}
         best, (total, levels) = _search(lo, hi, spans, sums, check)
         allocations = grid.split(total, levels)
+        tables = sum(filled)
 
     # Reach grows with robots, so a table bounded by v reaches at all iff it
     # reaches at v: the first anchor whose table does is the smallest reaching
@@ -695,8 +691,7 @@ def ratio_certificate(
     objective = to_fraction(objective, "objective")
     if objective <= 0:
         return None
-    if isinstance(perimeters, Perimeter):
-        perimeters = [perimeters]
+    perimeters = [perimeters] if isinstance(perimeters, Perimeter) else perimeters
     sums = set(capability_sums(fleet))
     for k, per in enumerate(perimeters):
         for i in range(per.q):

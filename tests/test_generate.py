@@ -88,3 +88,9 @@ def test_argument_validation():
         gen_random("mc", t=1, q=5, seed=0)
     with pytest.raises(ValidationError):
         gen_random("mc", t=1, q=5, seed=0, target_length=4)
+
+
+def test_target_length_refuses_a_bool_as_t_q_m_and_seed_do():
+    # True is an int; it used to get through and fail later as a ParseError.
+    with pytest.raises(ValidationError, match="^target_length must be an integer"):
+        gen_random("mc", 2, 1, target_length=True)

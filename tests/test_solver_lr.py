@@ -217,6 +217,14 @@ def test_lr_decisions_refuse_a_ratio_that_is_not_positive(ell):
             call()
 
 
+def test_partition_feasible_takes_one_perimeter_as_solve_lr_does():
+    # It used to iterate the Perimeter itself and raise a bare TypeError.
+    per, fleet = ell_case()
+    for ell in (1, 2):
+        assert partition_feasible(per, fleet, ell) == partition_feasible([per], fleet, ell)
+        assert partition_feasible(per, fleet, ell) == brute_feasible_lr_multi(per, fleet, ell)
+
+
 @pytest.mark.parametrize("ell", [0, -1, "-1/2"])
 def test_coverage_table_refuses_a_ratio_that_is_not_positive(ell):
     per, fleet = ell_case()     # at ell = -1 it used to report a reach of -1
@@ -398,7 +406,7 @@ def test_solve_fills_only_the_search_tables_and_one_witness_tail():
     real, calls = solver_lr._fill_table, []
 
     def spy(*args, **kwargs):
-        calls.append(args[3])
+        calls.append(tuple(n - 1 for n in args[3].sizes))   # the table's bounds
         return real(*args, **kwargs)
 
     with mock.patch.object(solver_lr, "_fill_table", spy):
@@ -601,10 +609,10 @@ def test_fill_table_with_done_cells_equals_the_full_table_elsewhere(inst, ell, d
     for idx in data.draw(st.lists(st.integers(min_value=1, max_value=total - 1), max_size=3)):
         done[idx] = 1
     _minimal(done, grid.sizes, grid.strides)  # the reference closes done upward in place
-    values, backptr, _ = _fill_table(*lap, steps, fleet.counts, bytearray(total))
+    values, backptr, _ = _fill_table(*lap, steps, grid, bytearray(total))
     open_cells = [idx for idx in range(total) if not done[idx]]
     marked = bytes(done)
-    open_values, open_backptr, open_hit = _fill_table(*lap, steps, fleet.counts, done)
+    open_values, open_backptr, open_hit = _fill_table(*lap, steps, grid, done)
     assert [open_values[i] for i in open_cells] == [values[i] for i in open_cells]
     assert [open_backptr[i] for i in open_cells] == [backptr[i] for i in open_cells]
     covering = {i for i in open_cells if values[i] >= lap[1][-1]}
@@ -624,8 +632,8 @@ def test_fill_table_bounded_by_a_sub_vector_equals_the_full_table_below_it(inst,
     lap = starts[anchor:anchor + per.q], ends[anchor:anchor + per.q]
     v = tuple(data.draw(st.integers(min_value=0, max_value=n)) for n in fleet.counts)
     grid, sub_grid = _Grid(fleet.counts), _Grid(v)
-    values, backptr, _ = _fill_table(*lap, steps, fleet.counts, bytearray(grid.total))
-    sub_values, sub_backptr, _ = _fill_table(*lap, steps, v, bytearray(sub_grid.total))
+    values, backptr, _ = _fill_table(*lap, steps, grid, bytearray(grid.total))
+    sub_values, sub_backptr, _ = _fill_table(*lap, steps, sub_grid, bytearray(sub_grid.total))
     strides = grid.strides
     for sub_idx, x in enumerate(product(*(range(n + 1) for n in v))):
         idx = sum(c * s for c, s in zip(x, strides))
@@ -647,8 +655,8 @@ def test_pareto_layer_matches_full_tables(inst, ell):
             x for x in covering
             if not any(c and x[:k] + (c - 1,) + x[k + 1:] in covering for k, c in enumerate(x))
         ]
-        order = _Grid(fleet.counts).by_capacity(fleet.capabilities)
-        assert _pareto_layer(line, fleet.counts, steps, order)[0] == sum(
+        grid = _Grid(fleet.counts)
+        assert _pareto_layer(line, grid, steps, grid.by_capacity(fleet.capabilities))[0] == sum(
             1 << sum(c * s for c, s in zip(x, strides)) for x in covering
         )
         assert pareto_feasible_vectors(per, fleet, ell) == sorted(minimal)
@@ -657,17 +665,17 @@ def test_pareto_layer_matches_full_tables(inst, ell):
 # -- the gap-order walks against the full anchor loop ------------------------------
 
 
-def full_layer(line, counts, steps) -> int:
+def full_layer(line, grid, steps) -> int:
     """_pareto_layer with a table from every anchor, in index order."""
     starts, ends = line
     q = len(starts) // 2
-    feas = bytearray(_Grid(counts).total)
+    feas = bytearray(grid.total)
     for a in range(q):
-        _fill_table(starts[a:a + q], ends[a:a + q], steps, counts, feas)
+        _fill_table(starts[a:a + q], ends[a:a + q], steps, grid, feas)
     return as_int(feas)
 
 
-def full_elimination(line, capabilities, counts, lo, hi, sums):
+def full_elimination(line, capabilities, grid, lo, hi, sums):
     """_eliminate_anchors over every anchor in a fixed shuffled order, stopping
     only at the lower bound: (best, hit)."""
     starts, ends = line
@@ -679,7 +687,7 @@ def full_elimination(line, capabilities, counts, lo, hi, sums):
 
         def check(ratio):
             ((s, e),), steps = _at(lap, capabilities, ratio)
-            hit = _fill_table(s, e, steps, counts)[2]
+            hit = _fill_table(s, e, steps, grid)[2]
             return hit if hit >= 0 else None
         return check
 
@@ -728,9 +736,9 @@ TIGHT = (build_perimeter([6, 2, 4], [4, 3, 3]), build_fleet_lr([(3, 1), (1, 1)])
 def test_pareto_layer_equals_the_full_anchor_loop(inst):
     per, fleet, ell = inst
     (line,), steps = _at_ell([per], fleet, ell)
-    order = _Grid(fleet.counts).by_capacity(fleet.capabilities)
-    layer, tables = _pareto_layer(line, fleet.counts, steps, order)
-    assert layer == full_layer(line, fleet.counts, steps)
+    grid = _Grid(fleet.counts)
+    layer, tables = _pareto_layer(line, grid, steps, grid.by_capacity(fleet.capabilities))
+    assert layer == full_layer(line, grid, steps)
     assert tables <= per.q
     assert (tables == 0) == (fleet.total_capability * ell < sum(per.segments))
 
@@ -741,7 +749,8 @@ def test_pareto_layer_equals_the_full_anchor_loop(inst):
 def test_partition_feasible_on_one_perimeter_agrees_with_decide(inst):
     per, fleet, ell = inst
     (line,), steps = _at_ell([per], fleet, ell)
-    assert partition_feasible([per], fleet, ell) == (_decide(line, steps, fleet.counts) is not None)
+    decided = _decide(line, steps, _Grid(fleet.counts), range(per.q))
+    assert partition_feasible([per], fleet, ell) == (decided is not None)
 
 
 def test_a_decision_below_the_guarded_length_fills_no_table():
@@ -749,7 +758,7 @@ def test_a_decision_below_the_guarded_length_fills_no_table():
     # "no" before any table, where the full loop filled one per anchor.
     per, fleet = build_perimeter([6, 2, 5], [4, 3, 3]), build_fleet_lr([(3, 1), (1, 1)])
     (line,), steps = _at_ell([per], fleet, 3)
-    order = _Grid(fleet.counts).by_capacity(fleet.capabilities)
+    grid = _Grid(fleet.counts)
     real, calls = solver_lr._fill_table, []
 
     def spy(*args):
@@ -758,7 +767,7 @@ def test_a_decision_below_the_guarded_length_fills_no_table():
 
     with mock.patch.object(solver_lr, "_fill_table", spy):
         assert not partition_feasible([per], fleet, 3)
-        assert _pareto_layer(line, fleet.counts, steps, order) == (0, 0)
+        assert _pareto_layer(line, grid, steps, grid.by_capacity(fleet.capabilities)) == (0, 0)
         assert calls == []
         partition_feasible([per], fleet, "13/4")   # the arc is G: the walk starts
         assert calls
@@ -773,33 +782,95 @@ def test_eliminate_anchors_equals_the_shuffled_full_loop(inst):
     sums = capability_sums(fleet)
     lo = F(sum(ends[:per.q]) - sum(starts[:per.q]), sums[-1])
     hi = F(starts[per.q] - max(s - e for s, e in zip(starts[1:], ends)), min(fleet.capabilities))
-    best, tables, hit = _eliminate_anchors(line, fleet.capabilities, fleet.counts, lo, hi, sums)
-    assert (best, hit) == full_elimination(line, fleet.capabilities, fleet.counts, lo, hi, sums)
+    grid = _Grid(fleet.counts)
+    best, tables, hit = _eliminate_anchors(line, fleet.capabilities, grid, lo, hi, sums)
+    assert (best, hit) == full_elimination(line, fleet.capabilities, grid, lo, hi, sums)
 
 
 def test_every_anchor_walk_takes_its_order_from_by_gap():
-    """The three anchor walks call _by_gap and loop over no range of anchors of
-    their own, and nothing in the module shuffles an order."""
+    """The three anchor walks call _by_gap, compare its need inline and loop
+    over no range of anchors of their own; nothing in the module shuffles an
+    order or rebinds an enclosing name (nonlocal)."""
     for fn in (solver_lr._eliminate_anchors, solver_lr._pareto_layer, solver_lr.partition_feasible):
         nodes = list(ast.walk(ast.parse(textwrap.dedent(inspect.getsource(fn)))))
         assert any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_by_gap"
                    for n in nodes), fn.__name__
+        assert any(isinstance(n, ast.Compare) and any(getattr(x, "id", None) == "need"
+                                                      for x in (n.left, *n.comparators))
+                   for n in nodes), fn.__name__
         loops = [n.iter for n in nodes if isinstance(n, (ast.For, ast.comprehension))]
         assert not any(isinstance(it, ast.Call) and getattr(it.func, "id", None) == "range"
                        for it in loops), fn.__name__
-    module = ast.walk(ast.parse(inspect.getsource(solver_lr)))
+    module = list(ast.walk(ast.parse(inspect.getsource(solver_lr))))
     assert not any(getattr(n, "attr", getattr(n, "id", None)) == "shuffle" for n in module)
+    assert not any(isinstance(n, ast.Nonlocal) for n in module)
+
+
+def test_tables_and_layers_take_the_callers_grid():
+    """No table, decision, layer or single-perimeter search builds a _Grid of
+    its own: the caller's one grid per call comes in."""
+    for fn in (solver_lr._fill_table, solver_lr._decide, solver_lr._pareto_layer,
+               solver_lr._eliminate_anchors):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        assert not any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_Grid"
+                       for n in ast.walk(tree)), fn.__name__
 
 
 def test_by_gap_puts_the_widest_gap_first_and_stops_on_the_slack():
     # Gaps before anchors 0..3 are 4, 1, 4, 2 and G = 10; ties go to the
     # smaller anchor - 1 (mod q), so anchor 2 (after gap 1) precedes anchor 0.
+    # Each need is G plus the gaps before the anchors ahead of it.
     per = build_perimeter([1, 2, 3, 4], [1, 4, 2, 4])
     _, (line,) = integer_anchors([per])
-    assert list(_by_gap(line, lambda: 10**6)) == [2, 0, 3, 1]
-    assert list(_by_gap(line, lambda: 10 + 8)) == [2, 0, 3]   # stops once 4 + 4 + 2 > 8
-    assert list(_by_gap(line, lambda: 10)) == [2]             # G alone fits
-    assert list(_by_gap(line, lambda: 9)) == []               # not even G fits
+    needs = _by_gap(line)
+    assert needs == [(10, 2), (14, 0), (18, 3), (20, 1)]
+    # A walk stops at the first need above its arc: an arc of 18 visits
+    # three anchors, G alone one, and less than G none.
+    assert [sum(need <= arc for need, _ in needs) for arc in (10**6, 18, 10, 9)] == [4, 3, 1, 0]
+
+
+# -- the several-perimeter candidate set ------------------------------------------
+
+
+@st.composite
+def gapped_circles(draw):
+    """A perimeter of q <= 8 segments over denominators 1-3, or a gapless circle."""
+    den = draw(st.integers(min_value=1, max_value=3))
+    q = draw(st.integers(min_value=1, max_value=8))
+    segs = [F(draw(st.integers(min_value=1, max_value=30)), den) for _ in range(q)]
+    if q == 1 and draw(st.booleans()):
+        return build_perimeter(segs, [])
+    return build_perimeter(segs, [F(draw(st.integers(min_value=1, max_value=30)), den)
+                                  for _ in range(q)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(gapped_circles(), min_size=2, max_size=3))
+def test_several_perimeters_search_the_union_of_every_anchors_lap(perimeters):
+    """The distinct runs solve_lr hands _search are exactly the spans of every
+    anchor's lap on every perimeter, as it once listed them."""
+    _, lines = integer_anchors(perimeters)
+    laps = {x for (s, e), per in zip(lines, perimeters) for a in range(per.q)
+            for x in _lap_spans(s, e, a, per.q)}
+    real, seen = solver_lr._search, []
+
+    def spy(lo, hi, spans, *rest):
+        seen.append(set(spans))
+        return real(lo, hi, spans, *rest)
+
+    with mock.patch.object(solver_lr, "_search", spy):
+        solve_lr(perimeters, build_fleet_lr([(1, len(perimeters))]))
+    assert seen == [laps]
+
+
+def test_several_perimeters_list_no_anchors_lap():
+    # solve_lr used to list each anchor's lap here: m·q = 8 calls, and
+    # m·q³/2 runs for m·q² distinct ones.
+    pers = [build_perimeter([1] * 4, [1] * 4), build_perimeter([2, 1, 3, 1], [1, 2, 1, 1])]
+    with mock.patch.object(solver_lr, "_lap_spans", wraps=solver_lr._lap_spans) as spy:
+        sol = solve_lr(pers, build_fleet_lr([(1, 2)]))
+    assert spy.call_count == 0
+    assert (sol.objective, sol.feasibility_calls, sol.anchors) == (10, 10, [0, 2])
 
 
 # -- allocation sets as bitsets, against per-cell references -----------------------
