@@ -17,7 +17,7 @@ from itertools import product
 from typing import Sequence
 
 from .errors import InstanceTooLarge, InvalidSpec, ValidationError
-from .perimeter import Perimeter, build_perimeter
+from .perimeter import Perimeter, build_perimeter, perimeter_list
 from .rationals import RationalLike, to_threshold
 from .solver_lr import FleetLR, build_fleet_lr
 from .solver_mc import TypesMC, build_types_mc
@@ -59,10 +59,19 @@ def _brute_reachable(per: Perimeter, arc_lengths: Sequence[Fraction], counts) ->
     return False
 
 
-def brute_feasible_lr(per: Perimeter, fleet: FleetLR, ell: RationalLike) -> bool:
-    """Reference for solver_lr.feasible: explicit orderings, no DP."""
+def _capped_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> list[Perimeter]:
+    """perimeter_list(perimeters), refused above the lr robot and segment caps."""
+    perimeters = perimeter_list(perimeters)
     if fleet.total_count > MAX_LR_ROBOTS:
         raise InstanceTooLarge(f"brute force capped at {MAX_LR_ROBOTS} robots")
+    if any(per.q > MAX_LR_SEGMENTS for per in perimeters):
+        raise InstanceTooLarge(f"brute force capped at {MAX_LR_SEGMENTS} segments")
+    return perimeters
+
+
+def brute_feasible_lr(per: Perimeter, fleet: FleetLR, ell: RationalLike) -> bool:
+    """Reference for solver_lr.feasible: explicit orderings, no DP."""
+    _capped_lr(per, fleet)
     ell = to_threshold(ell, "ell")
     arc_lengths = [a * ell for a in fleet.capabilities]
     return _brute_reachable(per, arc_lengths, fleet.counts)
@@ -72,13 +81,7 @@ def brute_feasible_lr_multi(
     perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR, ell: RationalLike
 ) -> bool:
     """Reference for solver_lr.partition_feasible: every split of the fleet."""
-    if isinstance(perimeters, Perimeter):
-        perimeters = [perimeters]
-    if fleet.total_count > MAX_LR_ROBOTS:
-        raise InstanceTooLarge(f"brute force capped at {MAX_LR_ROBOTS} robots")
-    for per in perimeters:
-        if per.q > MAX_LR_SEGMENTS:
-            raise InstanceTooLarge(f"brute force capped at {MAX_LR_SEGMENTS} segments")
+    perimeters = _capped_lr(perimeters, fleet)
     ell = to_threshold(ell, "ell")
     arc_lengths = [a * ell for a in fleet.capabilities]
     m = len(perimeters)
@@ -120,14 +123,7 @@ def brute_solve_lr(
     search over the sorted candidate list returns the same answer as a
     linear scan; test_oracle pins that equivalence on tiny instances.
     """
-    if isinstance(perimeters, Perimeter):
-        perimeters = [perimeters]
-    perimeters = list(perimeters)
-    if fleet.total_count > MAX_LR_ROBOTS:
-        raise InstanceTooLarge(f"brute force capped at {MAX_LR_ROBOTS} robots")
-    for per in perimeters:
-        if per.q > MAX_LR_SEGMENTS:
-            raise InstanceTooLarge(f"brute force capped at {MAX_LR_SEGMENTS} segments")
+    perimeters = _capped_lr(perimeters, fleet)
     if fleet.total_count < len(perimeters):
         raise ValidationError(
             f"{fleet.total_count} robots cannot guard {len(perimeters)} perimeters"
@@ -250,14 +246,14 @@ class ThreePartitionSpec:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m <= 0:
+        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m <= 0:
             raise InvalidSpec("m must be a positive integer")
-        if not isinstance(self.B, int) or self.B <= 0:
+        if not isinstance(self.B, int) or isinstance(self.B, bool) or self.B <= 0:
             raise InvalidSpec("B must be a positive integer")
         if len(self.sizes) != 3 * self.m:
             raise InvalidSpec(f"need {3 * self.m} sizes, got {len(self.sizes)}")
         for s in self.sizes:
-            if not isinstance(s, int) or s <= 0:
+            if not isinstance(s, int) or isinstance(s, bool) or s <= 0:
                 raise InvalidSpec(f"sizes must be positive integers, got {s!r}")
             if not 4 * s > self.B or not 2 * s < self.B:
                 raise InvalidSpec(f"size {s} outside the open interval (B/4, B/2)")
@@ -312,13 +308,13 @@ class SubsetSumSpec:
                 f"capped at {MAX_SUBSETSUM_ITEMS} weights: lengths grow as 2^(n+1)*Wp"
             )
         for w in self.weights:
-            if not isinstance(w, int) or w <= 0:
+            if not isinstance(w, int) or isinstance(w, bool) or w <= 0:
                 raise InvalidSpec(f"weights must be positive integers, got {w!r}")
-        if not isinstance(self.W, int) or self.W <= 0:
+        if not isinstance(self.W, int) or isinstance(self.W, bool) or self.W <= 0:
             raise InvalidSpec("W must be a positive integer")
         if self.W > sum(self.weights):
             raise InvalidSpec("W cannot exceed sum(weights)")
-        if not isinstance(self.Wp, int) or self.Wp < sum(self.weights):
+        if not isinstance(self.Wp, int) or isinstance(self.Wp, bool) or self.Wp < sum(self.weights):
             raise InvalidSpec("Wp must be an integer >= sum(weights)")
 
 

@@ -39,6 +39,7 @@ from .errors import (
     NoGuardedEdge,
     NonPositiveLength,
     ReconstructionMismatch,
+    ValidationError,
 )
 from .rationals import RationalLike, to_fraction
 
@@ -184,6 +185,14 @@ class Perimeter:
 
     def __repr__(self) -> str:
         return f"Perimeter(segments={list(self.segments)}, gaps={list(self.gaps)})"
+
+
+def perimeter_list(perimeters: Sequence[Perimeter] | Perimeter) -> list[Perimeter]:
+    """One perimeter or a sequence of them, as a non-empty list."""
+    perimeters = [perimeters] if isinstance(perimeters, Perimeter) else list(perimeters)
+    if not perimeters:
+        raise ValidationError("need at least one perimeter")
+    return perimeters
 
 
 def integer_anchors(perimeters: Sequence[Perimeter]):

@@ -69,7 +69,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import IndexOutOfRange, InstanceTooLarge, ReconstructionMismatch, ValidationError
-from .perimeter import Arc, Perimeter, integer_anchors, place_arcs
+from .perimeter import Arc, Perimeter, integer_anchors, perimeter_list, place_arcs
 from .rationals import RationalLike, to_fraction, to_threshold
 
 # The most cells an allocation grid may hold: every table and fold is one
@@ -440,10 +440,7 @@ def partition_feasible(
 ) -> bool:
     """Can the fleet be split so every perimeter is covered at ratio ell?  One
     perimeter stops its early-exit tables on the whole fleet's arc (_by_gap)."""
-    perimeters = [perimeters] if isinstance(perimeters, Perimeter) else perimeters
-    if not perimeters:
-        raise ValidationError("need at least one perimeter")
-    grids, steps = _at_ell(perimeters, fleet, ell)
+    grids, steps = _at_ell(perimeter_list(perimeters), fleet, ell)
     grid = _Grid(fleet.counts)
     if len(grids) == 1:
         arc = sum(map(mul, fleet.counts, steps))
@@ -496,15 +493,15 @@ def _lap_spans(starts, ends, a: int, q: int) -> list[int]:
     return [ends[j] - starts[i] for i in range(a, a + q) for j in range(i, a + q)]
 
 
-def _search(lo: Fraction, hi: Fraction, spans, sums, check, witness=None) -> tuple[Fraction, object]:
-    """Smallest candidate span/D in [lo, hi] that passes check, given that hi does.
+def _search(lo: Fraction, hi: Fraction, spans, sums, check) -> tuple[Fraction, object]:
+    """Smallest candidate span/D in the closed window [lo, hi] that passes
+    check, given that one there does, and the witness from its check.
 
-    spans are run lengths, sums the capability sums D ascending.  check
-    returns None for "no", else a witness; the one returned is from a check
-    at the returned ratio (witness is hi's, if known).  lo is probed first
-    only if it is a candidate.  Each span's row keeps the range [i0, i1) of
-    sums whose ratio is strictly between the last "no" and "yes", and leaves
-    once empty.  Each probe is the middle D of a seeded random row.
+    spans are run lengths, sums the capability sums D ascending; check
+    returns None for "no", else a witness.  Each span's row keeps the range
+    [i0, i1) of sums whose ratio is in the window and strictly between the
+    last "no" and "yes", and leaves once empty.  Each probe is the middle D
+    of a seeded random row.
     """
     def cut(rows, r, yes):
         # A "no" at r lowers each row's i1 to keep s/D > r; a "yes" raises i0 to keep s/D < r.
@@ -515,15 +512,11 @@ def _search(lo: Fraction, hi: Fraction, spans, sums, check, witness=None) -> tup
         return [(s, i0, j) for s, i0, i1 in rows
                 if (j := bisect_left(sums, (s * d - 1) // n + 1, i0, i1)) > i0]
 
-    spans = sorted(set(spans))
-    x, y = lo.numerator, lo.denominator
-    if any(s * y % x == 0 and sums[bisect_left(sums, s * y // x + 1) - 1] * x == s * y
-           for s in spans):
-        found = check(lo)
-        if found is not None:
-            return lo, found
-    rows = cut(cut([(s, 0, len(sums)) for s in spans], lo, False), hi, True)
+    (x, y), (n, d) = lo.as_integer_ratio(), hi.as_integer_ratio()   # ceil(s/hi) <= D <= floor(s/lo)
+    rows = [(s, i0, i1) for s in sorted(set(spans)) if (i0 := bisect_left(sums, -(-s * d // n)))
+            < (i1 := bisect_left(sums, s * y // x + 1))]
     pick = random.Random(0)
+    witness = None
     while rows:
         s, i0, i1 = rows[pick.randrange(len(rows))]
         p = Fraction(s, sums[(i0 + i1) // 2])
@@ -531,22 +524,23 @@ def _search(lo: Fraction, hi: Fraction, spans, sums, check, witness=None) -> tup
         if found is not None:
             hi, witness = p, found
         rows = cut(rows, p, found is not None)
-    return hi, check(hi) if witness is None else witness
+    return hi, witness
 
 
 def _eliminate_anchors(line, capabilities, grid: _Grid, lo, hi, sums) -> tuple[Fraction, int, int]:
     """Optimal ratio on one perimeter's line, the reach tables filled, and
     the witness cell's index.
 
-    The optimum is the least of the anchors' own optima.  Anchors go in gap
-    order: the first takes the fleet at hi, so it is searched.  Every other
+    The optimum is the least of the anchors' own optima, each a candidate
+    of its lap.  Anchors go in gap order: the first covers at hi, its lap's
+    span over a_min, so it searches the closed window [lo, hi].  Every other
     fills a single early-exit table at best - 1/A^2; no two candidates are
     closer than that, so "yes" means exactly that its optimum is below
-    best, and only then does it search [lo, best - 1/A^2] over the spans of
-    its own lap.  The walk stops at the first need above A * (best - 1/A^2),
-    below G once best = lo.  The witness is the hit of the last search's
-    final "yes": the lex-first covering cell, at the optimum, of the anchor
-    behind the last improvement.
+    best, and only then does it search [lo, best - 1/A^2], which holds that
+    optimum, over the spans of its own lap.  The walk stops at the first
+    need above A * (best - 1/A^2), below G once best = lo.  The witness is
+    the hit of the last search's final "yes": the lex-first covering cell,
+    at the optimum, of the anchor behind the last improvement.
     """
     starts, ends = line
     q = len(starts) // 2
@@ -570,8 +564,8 @@ def _eliminate_anchors(line, capabilities, grid: _Grid, lo, hi, sums) -> tuple[F
         if need > sums[-1] * (best - eps):
             break
         check = fits(a)
-        if (found := check(best - eps)) is not None:
-            best, hit = _search(lo, best - eps, _lap_spans(starts, ends, a, q), sums, check, found)
+        if check(best - eps) is not None:
+            best, hit = _search(lo, best - eps, _lap_spans(starts, ends, a, q), sums, check)
     return best, len(probes), hit
 
 
@@ -589,9 +583,7 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
     by it, from the smallest anchor reaching it.  feasibility_calls counts
     the reach tables the search filled.
     """
-    perimeters = [perimeters] if isinstance(perimeters, Perimeter) else list(perimeters)
-    if not perimeters:
-        raise ValidationError("need at least one perimeter")
+    perimeters = perimeter_list(perimeters)
     if fleet.total_count < len(perimeters):
         raise ValidationError(
             f"{fleet.total_count} robots cannot guard {len(perimeters)} perimeters"
@@ -688,10 +680,10 @@ def ratio_certificate(
     objective and D a capability sum of some sub-multiset of the fleet.
     Returns None when none exists (disproving optimality), as for objective <= 0.
     """
+    perimeters = perimeter_list(perimeters)
     objective = to_fraction(objective, "objective")
     if objective <= 0:
         return None
-    perimeters = [perimeters] if isinstance(perimeters, Perimeter) else perimeters
     sums = set(capability_sums(fleet))
     for k, per in enumerate(perimeters):
         for i in range(per.q):

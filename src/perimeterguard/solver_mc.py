@@ -32,7 +32,7 @@ from operator import add
 from typing import Iterable, Sequence
 
 from .errors import InstanceTooLarge, OutOfTableRange, ReconstructionMismatch, ValidationError
-from .perimeter import Arc, Perimeter, integer_anchors, place_arcs
+from .perimeter import Arc, Perimeter, integer_anchors, perimeter_list, place_arcs
 
 # The longest length presolve tabulates: it allocates one entry per length.
 MAX_COVER_LENGTH = 10**7
@@ -314,7 +314,7 @@ def solve_mc(per: Perimeter, types: TypesMC) -> McSolution:
     return solve_mc_multi([per], types)
 
 
-def solve_mc_multi(perimeters: Sequence[Perimeter], types: TypesMC) -> McSolution:
+def solve_mc_multi(perimeters: Sequence[Perimeter] | Perimeter, types: TypesMC) -> McSolution:
     """Independent minimum-cost covers, one per perimeter, summed.
 
     One presolve to the longest ceil(circumference) serves every perimeter
@@ -322,8 +322,7 @@ def solve_mc_multi(perimeters: Sequence[Perimeter], types: TypesMC) -> McSolutio
     cheapest anchor, the smallest on ties, and its arcs must add up to the
     table's cost.
     """
-    if not perimeters:
-        raise ValidationError("need at least one perimeter")
+    perimeters = perimeter_list(perimeters)
     lookup = presolve(types, max(math.ceil(per.circumference) for per in perimeters))
     total = 0
     counts = [0] * types.t

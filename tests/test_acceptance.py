@@ -411,7 +411,7 @@ BENCHMARK_CELLS = (
     ("mc", 100, 20, 1, 10_000),
     ("mc", 30, 80, 1, 1_500),
 )
-BENCHMARK_CELL_DIGEST = "dcfdaf8ede67dcec37b4e00d2aa383c56952ecb58bc0743c1f7f71e21b25555a"
+BENCHMARK_CELL_DIGEST = "2ee409ccf7552f538270ab3b06681a6a7b13ab58395d036abdab30bb14fef023"
 
 
 def test_benchmark_cells_unchanged():

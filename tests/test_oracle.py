@@ -58,6 +58,13 @@ def test_size_caps():
         brute_solve_mc(build_perimeter([3000], []), build_types_mc([(1, 1)]))
 
 
+def test_brute_feasible_lr_caps_segments_as_the_other_lr_references_do():
+    # It used to enumerate any q, in time that grows with q.
+    per = build_perimeter([1] * 6, [1] * 6)
+    with pytest.raises(InstanceTooLarge, match="capped at 5 segments"):
+        brute_feasible_lr(per, build_fleet_lr([(1, 2)]), F(3))
+
+
 def test_multi_respects_partitioning():
     fleet = build_fleet_lr([(1, 3)])
     pers = [build_perimeter([4], []), build_perimeter([4], [])]
@@ -80,6 +87,20 @@ def test_3partition_spec_validation():
         ThreePartitionSpec(m=1, B=6, sizes=(3, 2, 1))   # 2*3 == 6 not < 6
     with pytest.raises(InvalidSpec):
         ThreePartitionSpec(m=2, B=6, sizes=(2, 2, 2))   # needs 3m sizes
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ThreePartitionSpec(1, 3, (True, True, True)),
+    lambda: ThreePartitionSpec(True, 3, (1, 1, 1)),
+    lambda: SubsetSumSpec((True, 2), 1, 3),
+    lambda: SubsetSumSpec((1, 2), True, 3),
+    lambda: SubsetSumSpec((1,), 1, True),
+], ids=["3partition-sizes", "3partition-m", "subsetsum-weights", "subsetsum-W", "subsetsum-Wp"])
+def test_reduction_specs_refuse_bools(build):
+    # As FleetLR and TypesMC do; the first used to pass here and fail later,
+    # in gen_3partition_instance, with FleetLR's ValidationError.
+    with pytest.raises(InvalidSpec, match="integer"):
+        build()
 
 
 def test_3partition_yes_instance():

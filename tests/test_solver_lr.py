@@ -55,6 +55,7 @@ from perimeterguard.solver_lr import (
     reconstruct_lr,
     solve_lr,
 )
+from perimeterguard.solver_mc import build_types_mc, solve_mc_multi
 from perimeterguard.validate import validate_solution
 
 F = Fraction
@@ -225,6 +226,27 @@ def test_partition_feasible_takes_one_perimeter_as_solve_lr_does():
         assert partition_feasible(per, fleet, ell) == brute_feasible_lr_multi(per, fleet, ell)
 
 
+PERIMETERS_ARGUMENT = {
+    "solve_lr": lambda p: solve_lr(p, build_fleet_lr([(1, 2)])),
+    "partition_feasible": lambda p: partition_feasible(p, build_fleet_lr([(1, 2)]), 3),
+    "ratio_certificate": lambda p: ratio_certificate(p, build_fleet_lr([(1, 2)]), 3),
+    "solve_mc_multi": lambda p: solve_mc_multi(p, build_types_mc([(3, 2), (5, 3)])),
+    "brute_feasible_lr_multi": lambda p: brute_feasible_lr_multi(p, build_fleet_lr([(1, 2)]), 3),
+    "brute_solve_lr": lambda p: brute_solve_lr(p, build_fleet_lr([(1, 2)])),
+}
+
+
+@pytest.mark.parametrize("call", PERIMETERS_ARGUMENT.values(), ids=PERIMETERS_ARGUMENT)
+def test_perimeters_argument_is_one_perimeter_or_a_nonempty_sequence(call):
+    # solve_mc_multi used to raise a bare TypeError on one Perimeter, and on
+    # [] brute_solve_lr a bare IndexError, while brute_feasible_lr_multi
+    # answered True and ratio_certificate None.
+    per = per_2seg()
+    assert call(per) == call([per]) == call((per,))
+    with pytest.raises(ValidationError, match="^need at least one perimeter$"):
+        call([])
+
+
 @pytest.mark.parametrize("ell", [0, -1, "-1/2"])
 def test_coverage_table_refuses_a_ratio_that_is_not_positive(ell):
     per, fleet = ell_case()     # at ell = -1 it used to report a reach of -1
@@ -296,13 +318,14 @@ def test_solve_stops_when_the_lower_bound_fits():
     # Gapless circle, exact fit: the robots' arcs at total-length / A tile it.
     sol = solve_lr(build_perimeter([6], []), build_fleet_lr([(1, 2), (2, 1)]))
     assert sol.objective == F(3, 2)
-    assert sol.feasibility_calls == 1
-    # Both anchors fit at the lower bound; the search tries anchor 1 (after
-    # the first widest gap) and stops, but the witness is still anchor 0.
+    assert sol.feasibility_calls == 2
+    # Both anchors fit at the lower bound; the search of anchor 1 (after the
+    # first widest gap) ends there in two tables and the walk stops, but the
+    # witness is still anchor 0.
     per = build_perimeter([2, 2], [1, 1])
     sol = solve_lr(per, build_fleet_lr([(1, 2)]))
     assert sol.objective == 2
-    assert sol.feasibility_calls == 1
+    assert sol.feasibility_calls == 2
     assert sol.anchors == [0]
 
 
@@ -370,7 +393,7 @@ def test_solve_with_an_anchor_infeasible_at_the_upper_bound():
     assert sol.anchors == [1]
 
 
-@pytest.mark.parametrize("t, q, m, tables", [(2, 20, 1, 25), (4, 20, 1, 23), (2, 6, 3, 73)])
+@pytest.mark.parametrize("t, q, m, tables", [(2, 20, 1, 25), (4, 20, 1, 23), (2, 6, 3, 72)])
 def test_feasibility_calls_pinned(t, q, m, tables):
     """Reach tables the ratio search fills, on seeded instances: more means the
     search does more work than it did when these were pinned."""
@@ -395,7 +418,7 @@ def test_solve_scales_once_and_draws_no_layer_after_the_search():
 
     with mock.patch.multiple(solver_lr, **{name: spy(name) for name in calls}):
         sol = solve_lr(list(doc.perimeters), doc.fleet)
-    assert sol.feasibility_calls == 73      # 204, q = 6 a layer, without the slack stop
+    assert sol.feasibility_calls == 72      # 204, q = 6 a layer, without the slack stop
     assert calls == {"integer_anchors": 1, "coverage_table": 0, "_pareto_layer": 34}
 
 
@@ -464,8 +487,8 @@ def search_windows(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(search_windows())
-@example(([6], [1, 2, 3, 4], F(3, 2), F(3, 2), F(6)))   # lo is the answer: one probe
-@example(([5, 7], [2, 3], F(5, 2), F(2), F(5, 2)))     # hi is the answer: probed last
+@example(([6], [1, 2, 3, 4], F(3, 2), F(3, 2), F(6)))   # lo is the answer: the window's least
+@example(([5, 7], [2, 3], F(5, 2), F(2), F(5, 2)))     # hi is the answer: its only "yes"
 def test_search_returns_the_smallest_passing_candidate(window):
     spans, sums, c, lo, hi = window
     candidates = {F(s, d) for s in spans for d in sums if lo <= F(s, d) <= hi}
@@ -478,6 +501,17 @@ def test_search_returns_the_smallest_passing_candidate(window):
 
     assert _search(lo, hi, spans, sums, check) == (c, c)
     assert set(probes) <= candidates
+
+
+def test_search_probes_only_in_its_loop():
+    """_search takes no witness from its caller and calls check at one site,
+    inside its loop: no probe of lo before it and none of hi after it."""
+    (fn,) = ast.parse(inspect.getsource(_search)).body
+    assert [arg.arg for arg in fn.args.args] == ["lo", "hi", "spans", "sums", "check"]
+    probes = [n for n in ast.walk(fn)
+              if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "check"]
+    (loop,) = [n for n in ast.walk(fn) if isinstance(n, ast.While)]
+    assert len(probes) == 1 and probes[0] in list(ast.walk(loop))
 
 
 def test_solve_reports_unused_robots():
@@ -699,8 +733,8 @@ def full_elimination(line, capabilities, grid, lo, hi, sums):
         if best == lo:
             break
         check = fits(a)
-        if (found := check(best - eps)) is not None:
-            best, hit = _search(lo, best - eps, _lap_spans(starts, ends, a, q), sums, check, found)
+        if check(best - eps) is not None:
+            best, hit = _search(lo, best - eps, _lap_spans(starts, ends, a, q), sums, check)
     return best, hit
 
 
@@ -870,7 +904,7 @@ def test_several_perimeters_list_no_anchors_lap():
     with mock.patch.object(solver_lr, "_lap_spans", wraps=solver_lr._lap_spans) as spy:
         sol = solve_lr(pers, build_fleet_lr([(1, 2)]))
     assert spy.call_count == 0
-    assert (sol.objective, sol.feasibility_calls, sol.anchors) == (10, 10, [0, 2])
+    assert (sol.objective, sol.feasibility_calls, sol.anchors) == (10, 8, [0, 2])
 
 
 # -- allocation sets as bitsets, against per-cell references -----------------------
