@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 
 from .errors import ValidationError
 from .generate import gen_random
+from .rationals import check_ints
 from .solver_lr import solve_lr
 from .solver_mc import solve_mc_multi
 
@@ -83,8 +84,8 @@ def time_cell(
 
 def run_suite(suite: str, seeds: int = DEFAULT_SEEDS, full: bool = False) -> list[BenchRow]:
     """Run a whole suite, timing its cells one after another."""
-    seed_list = list(range(seeds))
-    return [row for cell in _grid(suite, full) for row in time_cell(suite, *cell, seed_list)]
+    check_ints((seeds,), "seeds", 1, ValidationError)
+    return [row for cell in _grid(suite, full) for row in time_cell(suite, *cell, range(seeds))]
 
 
 def _revision(cwd: str) -> str | None:

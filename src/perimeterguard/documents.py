@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import GuardingError, ParseError, ValidationError
 from .perimeter import Arc, Perimeter, build_polygon_spec, from_polygon
-from .rationals import to_fraction, to_threshold
+from .rationals import check_ints, to_fraction, to_threshold
 from .solver_lr import FleetLR, LrSolution, build_fleet_lr
 from .solver_mc import McSolution, TypesMC, build_types_mc
 
@@ -73,12 +73,6 @@ def _as_dict(value, path: str) -> dict:
 def _as_list(value, path: str) -> list:
     if not isinstance(value, list):
         raise ParseError(f"{path}: expected an array, got {type(value).__name__}")
-    return value
-
-
-def _as_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{path}: expected an integer, got {value!r}")
     return value
 
 
@@ -154,8 +148,9 @@ def parse_instance(data: bytes | str) -> InstanceDocument:
     pairs = []
     for k, entry in enumerate(raw_types):
         entry = _as_dict(entry, f"types[{k}]")
-        pairs.append(tuple(_as_int(_require(entry, name, f"types[{k}]"), f"types[{k}].{name}")
-                           for name in names))
+        pairs.append(tuple(_require(entry, name, f"types[{k}]") for name in names))
+    for name, column in zip(names, zip(*pairs)):
+        check_ints(column, f"types[{{k}}].{name}", None, ParseError)
     fleet = build_fleet_lr(pairs) if problem == "lr" else None
     types = build_types_mc(pairs) if problem == "mc" else None
 
@@ -171,9 +166,9 @@ def parse_instance(data: bytes | str) -> InstanceDocument:
         if budget < 0:
             raise ValidationError("instance.budget: budget cannot be negative")
 
-    seed = None
+    seed = doc.get("seed")
     if "seed" in doc:
-        seed = _as_int(doc["seed"], "instance.seed")
+        check_ints((seed,), "instance.seed", None, ParseError)
         if seed < 0:
             raise ValidationError("instance.seed: seed cannot be negative")
     metadata = doc.get("metadata")
@@ -265,15 +260,15 @@ def parse_solution(data: bytes | str) -> SolutionDocument:
     for k, entry in enumerate(_as_list(_require(doc, "arcs", "solution"), "solution.arcs")):
         entry = _as_dict(entry, f"arcs[{k}]")
         arcs.append(Arc(
-            perimeter=_as_int(_require(entry, "perimeter", f"arcs[{k}]"), f"arcs[{k}].perimeter"),
-            robot_type=_as_int(_require(entry, "type", f"arcs[{k}]"), f"arcs[{k}].type"),
+            perimeter=_require(entry, "perimeter", f"arcs[{k}]"),
+            robot_type=_require(entry, "type", f"arcs[{k}]"),
             start=to_fraction(_require(entry, "start", f"arcs[{k}]"), f"arcs[{k}].start"),
             length=to_fraction(_require(entry, "length", f"arcs[{k}]"), f"arcs[{k}].length"),
         ))
-    counts = tuple(
-        _as_int(c, f"counts[{k}]")
-        for k, c in enumerate(_as_list(_require(doc, "counts", "solution"), "solution.counts"))
-    )
+    check_ints([arc.perimeter for arc in arcs], "arcs[{k}].perimeter", None, ParseError)
+    check_ints([arc.robot_type for arc in arcs], "arcs[{k}].type", None, ParseError)
+    counts = tuple(_as_list(_require(doc, "counts", "solution"), "solution.counts"))
+    check_ints(counts, "counts[{k}]", None, ParseError)
     stats = _as_dict(doc.get("stats", {}), "solution.stats")
     return SolutionDocument(
         problem=problem,

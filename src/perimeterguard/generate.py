@@ -13,6 +13,7 @@ from __future__ import annotations
 from .documents import InstanceDocument
 from .errors import ValidationError
 from .perimeter import build_perimeter
+from .rationals import check_ints
 from .solver_lr import build_fleet_lr
 from .solver_mc import build_types_mc
 
@@ -81,11 +82,8 @@ def gen_random(
     """
     if problem not in ("lr", "mc"):
         raise ValidationError(f"problem must be 'lr' or 'mc', got {problem!r}")
-    for name, value in (("t", t), ("q", q), ("m", m)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ValidationError(f"{name} must be a positive integer, got {value!r}")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    for name, value, least in (("t", t, 1), ("q", q, 1), ("m", m, 1), ("seed", seed, 0)):
+        check_ints((value,), name, least, ValidationError)
 
     rng = SplitMix64(seed)
     perimeters = []
@@ -103,12 +101,7 @@ def gen_random(
             problem="lr", perimeters=tuple(perimeters), fleet=fleet, seed=seed
         )
 
-    if target_length is None:
-        raise ValidationError("mc instances need a target_length")
-    if not isinstance(target_length, int) or isinstance(target_length, bool) or target_length < q:
-        raise ValidationError(
-            f"target_length must be an integer >= q = {q}, got {target_length!r}"
-        )
+    check_ints((target_length,), "target_length", q, ValidationError)
     for _ in range(m):
         segments = _composition(rng, target_length, q)
         gaps = [rng.randint(10, 100) for _ in range(q)]

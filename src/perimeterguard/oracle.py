@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .errors import InstanceTooLarge, InvalidSpec, ValidationError
 from .perimeter import Perimeter, build_perimeter, perimeter_list
-from .rationals import RationalLike, to_threshold
+from .rationals import RationalLike, check_ints, to_threshold
 from .solver_lr import FleetLR, build_fleet_lr
 from .solver_mc import TypesMC, build_types_mc
 
@@ -246,15 +246,12 @@ class ThreePartitionSpec:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m <= 0:
-            raise InvalidSpec("m must be a positive integer")
-        if not isinstance(self.B, int) or isinstance(self.B, bool) or self.B <= 0:
-            raise InvalidSpec("B must be a positive integer")
+        check_ints((self.m,), "m", 1, InvalidSpec)
+        check_ints((self.B,), "B", 1, InvalidSpec)
         if len(self.sizes) != 3 * self.m:
             raise InvalidSpec(f"need {3 * self.m} sizes, got {len(self.sizes)}")
+        check_ints(self.sizes, "sizes[{k}]", 1, InvalidSpec)
         for s in self.sizes:
-            if not isinstance(s, int) or isinstance(s, bool) or s <= 0:
-                raise InvalidSpec(f"sizes must be positive integers, got {s!r}")
             if not 4 * s > self.B or not 2 * s < self.B:
                 raise InvalidSpec(f"size {s} outside the open interval (B/4, B/2)")
         if sum(self.sizes) != self.m * self.B:
@@ -307,15 +304,11 @@ class SubsetSumSpec:
             raise InvalidSpec(
                 f"capped at {MAX_SUBSETSUM_ITEMS} weights: lengths grow as 2^(n+1)*Wp"
             )
-        for w in self.weights:
-            if not isinstance(w, int) or isinstance(w, bool) or w <= 0:
-                raise InvalidSpec(f"weights must be positive integers, got {w!r}")
-        if not isinstance(self.W, int) or isinstance(self.W, bool) or self.W <= 0:
-            raise InvalidSpec("W must be a positive integer")
+        check_ints(self.weights, "weights[{k}]", 1, InvalidSpec)
+        check_ints((self.W,), "W", 1, InvalidSpec)
         if self.W > sum(self.weights):
             raise InvalidSpec("W cannot exceed sum(weights)")
-        if not isinstance(self.Wp, int) or isinstance(self.Wp, bool) or self.Wp < sum(self.weights):
-            raise InvalidSpec("Wp must be an integer >= sum(weights)")
+        check_ints((self.Wp,), "Wp", sum(self.weights), InvalidSpec)
 
 
 def gen_subsetsum_instance(

@@ -41,7 +41,7 @@ from .errors import (
     ReconstructionMismatch,
     ValidationError,
 )
-from .rationals import RationalLike, to_fraction
+from .rationals import RationalLike, check_ints, to_fraction
 
 QUANTIZATION_DENOMINATOR = 10**6
 
@@ -93,8 +93,7 @@ class Perimeter:
     # -- basic geometry -------------------------------------------------
 
     def _check_index(self, i: int) -> None:
-        if not 0 <= i < self.q:
-            raise IndexOutOfRange(f"segment index {i} outside 0..{self.q - 1}")
+        check_ints((i,), "segment index", 0, IndexOutOfRange, self.q - 1)
 
     @property
     def circumference(self) -> Fraction:
@@ -116,8 +115,7 @@ class Perimeter:
         includes every gap strictly inside the walk.  span_length(i, i) is
         just segment i.
         """
-        self._check_index(i)
-        self._check_index(j)
+        check_ints((i, j), "segment index", 0, IndexOutOfRange, self.q - 1)
         bounds = self._bounds
         span = bounds[2 * j + 1] - bounds[2 * i] + (bounds[-1] if j < i else 0)
         return Fraction(span, self._unit)
@@ -192,6 +190,9 @@ def perimeter_list(perimeters: Sequence[Perimeter] | Perimeter) -> list[Perimete
     perimeters = [perimeters] if isinstance(perimeters, Perimeter) else list(perimeters)
     if not perimeters:
         raise ValidationError("need at least one perimeter")
+    for k, per in enumerate(perimeters):
+        if not isinstance(per, Perimeter):
+            raise ValidationError(f"perimeters[{k}]: expected a Perimeter, got {type(per).__name__}")
     return perimeters
 
 

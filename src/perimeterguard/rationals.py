@@ -1,4 +1,4 @@
-"""The rational literals that documents and the API accept.
+"""The rational and integer literals that documents and the API accept.
 
 An int, a Fraction, or a string in a narrow ASCII syntax (to_fraction);
 never a float.  Arithmetic on them is Fraction's and the math module's.
@@ -6,14 +6,16 @@ to_fraction's callers: Perimeter (lengths), build_polygon_spec
 (coordinates), ratio_certificate (objective), and documents (budget, the
 objective, each arc's start and length).  to_threshold reads an lr
 ratio, which must be positive: documents' ell, the lr decision
-functions, coverage_table and the oracles.
+functions, coverage_table and the oracles.  check_ints is the integer
+rule of FleetLR, TypesMC, gen_random, the reduction specs, documents,
+presolve, sol, the segment, allocation and perimeter indices, run_suite.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
 
-from .errors import ParseError, ValidationError
+from .errors import GuardingError, ParseError, ValidationError
 
 RationalLike = int | str | Fraction
 
@@ -56,3 +58,19 @@ def to_threshold(value: RationalLike, where: str) -> Fraction:
     if ratio <= 0:
         raise ValidationError(f"{where}: threshold must be positive")
     return ratio
+
+
+def check_ints(values, where: str, least: int | None, error: type[GuardingError],
+               most: int | None = None) -> None:
+    """Raise `error` unless every value is an int, not a bool, in least..most (None: open).
+
+    "{k}" in `where` becomes the failing value's position, formatted only on
+    failure, so a whole column costs one call.  An int subclass counts as
+    not an int, which refuses a bool with one type test per value.
+    """
+    for k, v in enumerate(values):
+        if type(v) is not int or least is not None and v < least or most is not None and v > most:
+            if most is not None and type(v) is int:
+                raise error(f"{where.format(k=k)} {v} outside {least}..{most}")
+            bound = "" if least is None else f" >= {least}"
+            raise error(f"{where.format(k=k)} must be an integer{bound}, got {v!r}")

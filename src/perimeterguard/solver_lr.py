@@ -70,7 +70,7 @@ from typing import Iterable, Sequence
 
 from .errors import IndexOutOfRange, InstanceTooLarge, ReconstructionMismatch, ValidationError
 from .perimeter import Arc, Perimeter, integer_anchors, perimeter_list, place_arcs
-from .rationals import RationalLike, to_fraction, to_threshold
+from .rationals import RationalLike, check_ints, to_fraction, to_threshold
 
 # The most cells an allocation grid may hold: every table and fold is one
 # grid, so this refuses an instance before any of them is allocated.
@@ -94,11 +94,8 @@ class FleetLR:
             raise ValidationError(
                 f"{len(self.capabilities)} capabilities but {len(self.counts)} counts"
             )
-        for k, (a, n) in enumerate(zip(self.capabilities, self.counts)):
-            if not isinstance(a, int) or isinstance(a, bool) or a <= 0:
-                raise ValidationError(f"type {k}: capability must be a positive integer")
-            if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
-                raise ValidationError(f"type {k}: count must be a positive integer")
+        check_ints(self.capabilities, "type {k}: capability", 1, ValidationError)
+        check_ints(self.counts, "type {k}: count", 1, ValidationError)
 
     @property
     def t(self) -> int:
@@ -347,8 +344,7 @@ class CoverageTable:
             )
         idx = 0
         for x, n, s in zip(allocation, self.bounds, self._stride_list):
-            if not 0 <= x <= n:
-                raise IndexOutOfRange(f"allocation {allocation} outside type counts")
+            check_ints((x,), "allocation entry", 0, IndexOutOfRange, n)
             idx += x * s
         return idx
 
@@ -465,6 +461,7 @@ def reconstruct_lr(
     ReconstructionMismatch if the cell is not feasible, a backpointer names
     no placed robot, or the re-check fails.
     """
+    check_ints((perimeter_index,), "perimeter_index", 0, ValidationError)
     if not table.feasible_at(allocation):
         raise ReconstructionMismatch(
             f"allocation {allocation} does not reach the working range at ell={table.ell}"

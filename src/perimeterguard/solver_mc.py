@@ -33,6 +33,7 @@ from typing import Iterable, Sequence
 
 from .errors import InstanceTooLarge, OutOfTableRange, ReconstructionMismatch, ValidationError
 from .perimeter import Arc, Perimeter, integer_anchors, perimeter_list, place_arcs
+from .rationals import check_ints
 
 # The longest length presolve tabulates: it allocates one entry per length.
 MAX_COVER_LENGTH = 10**7
@@ -52,11 +53,8 @@ class TypesMC:
             raise ValidationError("need at least one robot type")
         if len(self.costs) != len(self.lengths):
             raise ValidationError(f"{len(self.lengths)} lengths but {len(self.costs)} costs")
-        for k, (l, c) in enumerate(zip(self.lengths, self.costs)):
-            if not isinstance(l, int) or isinstance(l, bool) or l <= 0:
-                raise ValidationError(f"type {k}: length must be a positive integer")
-            if not isinstance(c, int) or isinstance(c, bool) or c <= 0:
-                raise ValidationError(f"type {k}: cost must be a positive integer")
+        check_ints(self.lengths, "type {k}: length", 1, ValidationError)
+        check_ints(self.costs, "type {k}: cost", 1, ValidationError)
 
     @property
     def t(self) -> int:
@@ -108,8 +106,7 @@ def presolve(types: TypesMC, max_len: int) -> CostLookup:
     that it holds a best robot (Gilmore & Gomory 1966; Hu 1969).  In practice
     the window closes far sooner.
     """
-    if max_len < 0:
-        raise ValidationError("max_len must be >= 0")
+    check_ints((max_len,), "max_len", 0, ValidationError)
     if max_len > MAX_COVER_LENGTH:
         raise InstanceTooLarge(f"cover length {max_len} exceeds the cap {MAX_COVER_LENGTH}")
     kept: list[tuple[int, int]] = []   # longest first, each strictly cheaper
@@ -132,8 +129,7 @@ def presolve(types: TypesMC, max_len: int) -> CostLookup:
 
 def _check_covers(lookup: CostLookup, length: int) -> None:
     """Refuse a length the lookup's table does not reach."""
-    if not 0 <= length <= lookup.max_len:
-        raise OutOfTableRange(f"length {length} outside 0..{lookup.max_len}")
+    check_ints((length,), "length", 0, OutOfTableRange, lookup.max_len)
 
 
 def sol(lookup: CostLookup, length: int) -> tuple[int, tuple[int, ...]]:
@@ -295,6 +291,7 @@ def reconstruct_mc(
     re-checked against the table entry.
     """
     per._check_index(anchor)
+    check_ints((perimeter_index,), "perimeter_index", 0, ValidationError)
     _check_covers(lookup, table.span(anchor, per.q - 1))
     blocks = _direct_blocks(table, lookup, anchor, per.q - 1)
     arcs: list[Arc] = []
@@ -307,11 +304,6 @@ def reconstruct_mc(
     if spent != want:
         raise ReconstructionMismatch(f"blocks rebuilt to cost {spent}, table says {want}")
     return arcs
-
-
-def solve_mc(per: Perimeter, types: TypesMC) -> McSolution:
-    """Cover one perimeter at minimum cost with unlimited robots per type."""
-    return solve_mc_multi([per], types)
 
 
 def solve_mc_multi(perimeters: Sequence[Perimeter] | Perimeter, types: TypesMC) -> McSolution:
@@ -339,3 +331,6 @@ def solve_mc_multi(perimeters: Sequence[Perimeter] | Perimeter, types: TypesMC) 
             raise ReconstructionMismatch("arc counts do not add up to the optimal cost")
         arcs.extend(part)
     return McSolution(total_cost=total, counts=tuple(counts), arcs=arcs)
+
+
+solve_mc = solve_mc_multi

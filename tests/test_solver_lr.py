@@ -247,6 +247,17 @@ def test_perimeters_argument_is_one_perimeter_or_a_nonempty_sequence(call):
         call([])
 
 
+@pytest.mark.parametrize("call", PERIMETERS_ARGUMENT.values(), ids=PERIMETERS_ARGUMENT)
+def test_perimeters_argument_refuses_an_element_that_is_not_a_perimeter(call):
+    # Each used to raise a bare AttributeError, a string included.
+    cases = [(["x"], 0, "str"), ("ab", 0, "str"), ([per_2seg(), None], 1, "NoneType"),
+             ([3], 0, "int")]
+    for perimeters, k, kind in cases:
+        message = rf"^perimeters\[{k}\]: expected a Perimeter, got {kind}$"
+        with pytest.raises(ValidationError, match=message):
+            call(perimeters)
+
+
 @pytest.mark.parametrize("ell", [0, -1, "-1/2"])
 def test_coverage_table_refuses_a_ratio_that_is_not_positive(ell):
     per, fleet = ell_case()     # at ell = -1 it used to report a reach of -1

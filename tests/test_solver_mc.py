@@ -212,6 +212,8 @@ def test_solve_examples():
     assert solve_mc(build_perimeter([2, 3], [1, 2]), types).total_cost == 4
     assert solve_mc(build_perimeter([7], [3]), types).total_cost == 5
     assert solve_mc(build_perimeter([10], []), types).total_cost == 6
+    # A list, as solve_mc_multi takes: this used to raise a bare AttributeError.
+    assert solve_mc([build_perimeter([2, 3], [1, 2])] * 2, types).total_cost == 8
 
 
 def test_solve_multi_examples():
