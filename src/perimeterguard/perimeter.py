@@ -25,11 +25,11 @@ the deployment and wraps each arc's start back into the first lap.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, groupby
 from math import isqrt, lcm
-from typing import Iterable, Sequence
 
 from .errors import (
     CountMismatch,
@@ -187,6 +187,9 @@ class Perimeter:
 
 def perimeter_list(perimeters: Sequence[Perimeter] | Perimeter) -> list[Perimeter]:
     """One perimeter or a sequence of them, as a non-empty list."""
+    if not isinstance(perimeters, (Perimeter, Iterable)):
+        raise ValidationError("perimeters: expected a Perimeter or a sequence of them, "
+                              f"got {type(perimeters).__name__}")
     perimeters = [perimeters] if isinstance(perimeters, Perimeter) else list(perimeters)
     if not perimeters:
         raise ValidationError("need at least one perimeter")

@@ -40,11 +40,16 @@ over the allocation grid, where adding a vector to every cell is a shift
 and a mask (_Grid).  Feasible sets grow with the ratio, so a layer equal
 at the last "no" and "yes" ratios is pinned in between and reused.  The
 search ends on a "yes" at the optimum, whose fold gives the witness.
-Either way, each witness vector is read from the smallest anchor that
-reaches it.  A fold's vectors are minimal, but one perimeter's is the
-best anchor's lex-first cell, and from a smaller anchor a cell below it
-may already cover: the walk then ends on a robot with nothing left to
-cover, which gets no arc and counts as unused.
+Either way, the witness vector v is read from the first anchor in gap
+order covering at v, and each robot of v gets an arc: one gets none only
+when the cell before it on the backpointer walk already covers.  On one
+perimeter, an anchor ahead of the last improver either improved to a
+ratio above the optimum or failed at b - 1/A^2 while the best was b, the
+last improver then reaching at most b - 1/A^2: it does not cover at the
+optimum even with the whole fleet.  So the walk stops on the last
+improver, whose lex-first covering cell v has no covering cell below it.
+On several, _Grid.split returns a minimal cell of each layer, so no cell
+below v covers from any anchor.
 
 The DP runs on integers only.  perimeter.integer_anchors scales lengths
 in once per solve, by the lcm of their denominators, as one line of
@@ -52,11 +57,11 @@ global positions per perimeter over two laps; at a candidate ratio p/d
 in those units the line is multiplied by d and a robot of capability a
 steps exactly a * p.  An anchor's table runs on its lap, the slice of
 the line from the anchor: a shift keeps every comparison and tie-break.
-The search, the public decision functions (_decide), the tables, the
-Pareto fold and the reconstruction share the same DP, and
-perimeter.place_arcs scales the witness deployment back out as Arcs.
-Otherwise Fraction appears only where a ratio comes in and where table
-reaches and the objective go out.
+The search, the public decision functions, the tables, the Pareto fold
+and the reconstruction share the same DP, and perimeter.place_arcs
+scales the witness deployment back out as Arcs.  Otherwise Fraction
+appears only where a ratio comes in and where table reaches and the
+objective go out.
 """
 from __future__ import annotations
 
@@ -280,16 +285,6 @@ def _by_gap(line) -> list[tuple[int, int]]:
     return list(zip(accumulate((gaps[a] for a in order), initial=guarded), order))
 
 
-def _decide(line, steps, grid: _Grid, anchors: Iterable[int]) -> int | None:
-    """The first of `anchors` whose table covers the line, or None."""
-    starts, ends = line
-    q = len(starts) // 2
-    for a in anchors:
-        if _fill_table(starts[a:a + q], ends[a:a + q], steps, grid)[2] >= 0:
-            return a
-    return None
-
-
 _BITS = bytes.maketrans(b"\0\1", b"01")
 
 
@@ -338,10 +333,9 @@ class CoverageTable:
                                                      grid, bytearray(grid.total))
 
     def _index(self, allocation: AllocationVector) -> int:
-        if len(allocation) != len(self.bounds):
-            raise IndexOutOfRange(
-                f"allocation has {len(allocation)} entries, fleet has {len(self.bounds)} types"
-            )
+        if not isinstance(allocation, (tuple, list)) or len(allocation) != len(self.bounds):
+            raise IndexOutOfRange(f"allocation {allocation!r}: expected one count per type, "
+                                  f"a tuple or list of length {len(self.bounds)}")
         idx = 0
         for x, n, s in zip(allocation, self.bounds, self._stride_list):
             check_ints((x,), "allocation entry", 0, IndexOutOfRange, n)
@@ -395,10 +389,15 @@ def coverage_table(per: Perimeter, anchor: int, fleet: FleetLR,
 def feasible(per: Perimeter, fleet: FleetLR, ell: RationalLike) -> tuple[bool, int | None]:
     """Can the whole fleet cover the perimeter at ratio ell from some anchor?
 
-    Returns (ok, witness_anchor) with the smallest witness anchor index.
+    Returns (True, a), a the first anchor in gap order (_by_gap) whose
+    early-exit table covers, else (False, None).  Needs ascend, and no
+    anchor past the first above the whole fleet's arc covers first.
     """
     (line,), steps = _at_ell([per], fleet, ell)
-    anchor = _decide(line, steps, _Grid(fleet.counts), range(per.q))
+    (starts, ends), grid, q = line, _Grid(fleet.counts), per.q
+    arc = sum(map(mul, fleet.counts, steps))
+    anchor = next((a for need, a in _by_gap(line) if need <= arc
+                   and _fill_table(starts[a:a + q], ends[a:a + q], steps, grid)[2] >= 0), None)
     return anchor is not None, anchor
 
 
@@ -434,14 +433,13 @@ def _fold_layers(layers, grid: _Grid) -> tuple[int, list[tuple[int, int]]]:
 def partition_feasible(
     perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR, ell: RationalLike
 ) -> bool:
-    """Can the fleet be split so every perimeter is covered at ratio ell?  One
-    perimeter stops its early-exit tables on the whole fleet's arc (_by_gap)."""
-    grids, steps = _at_ell(perimeter_list(perimeters), fleet, ell)
+    """Can the fleet be split so every perimeter is covered at ratio ell?
+    One perimeter is feasible's question."""
+    perimeters = perimeter_list(perimeters)
+    if len(perimeters) == 1:
+        return feasible(perimeters[0], fleet, ell)[0]
+    grids, steps = _at_ell(perimeters, fleet, ell)
     grid = _Grid(fleet.counts)
-    if len(grids) == 1:
-        arc = sum(map(mul, fleet.counts, steps))
-        anchors = [a for need, a in _by_gap(grids[0]) if need <= arc]
-        return _decide(grids[0], steps, grid, anchors) is not None
     order = grid.by_capacity(fleet.capabilities)
     layers = (_pareto_layer(line, grid, steps, order)[0] for line in grids)
     return _fold_layers(layers, grid)[0] != 0
@@ -577,8 +575,8 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
     the lex-first covering cell of the anchor behind the last improvement;
     on several, the lex-first covering total parted between perimeters by
     the last fold (_Grid.split).  Each vector is read from a table bounded
-    by it, from the smallest anchor reaching it.  feasibility_calls counts
-    the reach tables the search filled.
+    by it, from the first anchor in gap order reaching it.  feasibility_calls
+    counts the reach tables the search filled.
     """
     perimeters = perimeter_list(perimeters)
     if fleet.total_count < len(perimeters):
@@ -635,19 +633,18 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
         tables = sum(filled)
 
     # Reach grows with robots, so a table bounded by v reaches at all iff it
-    # reaches at v: the first anchor whose table does is the smallest reaching
-    # v.  Its walk may end on a robot left nothing to cover (module docstring),
-    # whose empty arc place_arcs drops, so only robots given an arc count.
+    # reaches at v; every robot of v gets an arc (module docstring).
     grids, steps = _at(scaled, capabilities, best)
     ell_star = best / unit
     arcs: list[Arc] = []
     anchors: list[int] = []
-    for k, (per, line, v) in enumerate(zip(perimeters, grids, allocations)):
-        anchors.append(next(a for a in range(per.q) if (table := CoverageTable(
+    for k, (line, v) in enumerate(zip(grids, allocations)):
+        anchors.append(next(a for _, a in _by_gap(line) if (table := CoverageTable(
             line, a, steps, v, unit * best.denominator, ell_star)).feasible_at(v)))
         placed = reconstruct_lr(table, v, perimeter_index=k)
+        if len(placed) < sum(v):
+            raise ReconstructionMismatch(f"a robot of {v} on perimeter {k} gets no arc")
         arcs.extend(placed)
-        allocations[k] = tuple(sum(a.robot_type == tau for a in placed) for tau in range(len(v)))
     unused = tuple(n - sum(col) for n, col in zip(counts, zip(*allocations)))
     return LrSolution(
         objective=ell_star,

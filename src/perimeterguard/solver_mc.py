@@ -31,7 +31,8 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Sequence
 
-from .errors import InstanceTooLarge, OutOfTableRange, ReconstructionMismatch, ValidationError
+from .errors import (IndexOutOfRange, InstanceTooLarge, OutOfTableRange, ReconstructionMismatch,
+                     ValidationError)
 from .perimeter import Arc, Perimeter, integer_anchors, perimeter_list, place_arcs
 from .rationals import check_ints
 
@@ -165,10 +166,12 @@ def sol(lookup: CostLookup, length: int) -> tuple[int, tuple[int, ...]]:
 class IntervalCostTable:
     """cost[i][k]: cheapest cover of segments i..i+k (cyclic), by one direct
     block or split into two sub-ranges; _direct_blocks re-derives which.
-    unit, starts and ends are the integer_anchors line it was built on;
-    scanned counts the ranges (k >= 1) that took the min over their splits."""
+    lookup, unit, starts and ends are the presolve and the integer_anchors
+    line it was built on; scanned counts the ranges (k >= 1) that took the
+    min over their splits."""
 
     cost: list[list[int]]
+    lookup: CostLookup
     unit: int
     starts: list[int]
     ends: list[int]
@@ -199,7 +202,7 @@ def interval_table(per: Perimeter, lookup: CostLookup) -> IntervalCostTable:
     """
     q = per.q
     unit, ((starts, ends),) = integer_anchors([per])
-    table = IntervalCostTable([], unit, starts, ends)
+    table = IntervalCostTable([], lookup, unit, starts, ends)
     cost, costs, span = table.cost, lookup.costs, table.span
     _check_covers(lookup, max(span(i, q - 1) for i in range(q)))
     cost.extend([costs[span(i, 0)]] for i in range(q))
@@ -229,8 +232,7 @@ class McSolution:
     arcs: list[Arc]
 
 
-def _direct_blocks(table: IntervalCostTable, lookup: CostLookup,
-                   i: int, k: int) -> list[tuple[int, int]]:
+def _direct_blocks(table: IntervalCostTable, i: int, k: int) -> list[tuple[int, int]]:
     """The direct blocks of range i..i+k's cheapest cover, in cyclic order.
 
     Re-derived from the costs as sol() re-derives robots: the range itself
@@ -241,7 +243,7 @@ def _direct_blocks(table: IntervalCostTable, lookup: CostLookup,
     blocks, todo = [], [(i, k)]
     while todo:   # an explicit stack: a range may hold q blocks, past the recursion limit
         i, k = todo.pop()
-        if lookup.costs[table.span(i, k)] == cost[i][k]:
+        if table.lookup.costs[table.span(i, k)] == cost[i][k]:
             blocks.append((i, k))
             continue
         d = next(d for d in range(k) if cost[i][d] + cost[(i + d + 1) % q][k - d - 1] == cost[i][k])
@@ -249,8 +251,8 @@ def _direct_blocks(table: IntervalCostTable, lookup: CostLookup,
     return blocks
 
 
-def _lay_block(table: IntervalCostTable, lookup: CostLookup, per: Perimeter,
-               i: int, k: int, perimeter_index: int) -> tuple[list[Arc], int]:
+def _lay_block(table: IntervalCostTable, i: int, k: int,
+               perimeter_index: int) -> tuple[list[Arc], int]:
     """Place an optimal robot multiset over segments i..i+k as concrete arcs.
 
     The multiset is sol()'s cover of the block's ceiled span.  On the
@@ -262,8 +264,8 @@ def _lay_block(table: IntervalCostTable, lookup: CostLookup, per: Perimeter,
     """
     unit = table.unit
     starts, ends = table.starts[i:i + k + 1], table.ends[i:i + k + 1]
-    cost, counts = sol(lookup, table.span(i, k))
-    lengths = lookup.types.lengths
+    cost, counts = sol(table.lookup, table.span(i, k))
+    lengths = table.lookup.types.lengths
     robots: list[tuple[int, int, int]] = []
     pos = starts[0]
     hired = (tau for tau, n in enumerate(counts) if n)
@@ -272,38 +274,27 @@ def _lay_block(table: IntervalCostTable, lookup: CostLookup, per: Perimeter,
         for _ in range(counts[tau]):
             robots.append((tau, pos, step))
             pos += step
-    arcs = place_arcs(unit, table.starts[per.q], starts, ends, robots, perimeter_index)
+    arcs = place_arcs(unit, table.starts[len(table.cost)], starts, ends, robots, perimeter_index)
     if len(arcs) < len(robots):
         raise ReconstructionMismatch(f"a robot in block {(i, k)} contributes nothing")
     return arcs, cost
 
 
-def reconstruct_mc(
-    table: IntervalCostTable,
-    lookup: CostLookup,
-    per: Perimeter,
-    anchor: int,
-    perimeter_index: int = 0,
-) -> list[Arc]:
+def reconstruct_mc(table: IntervalCostTable, anchor: int, perimeter_index: int = 0) -> list[Arc]:
     """Expand the cheapest cover of the whole perimeter from `anchor` into arcs.
 
     Each direct block is laid out by _lay_block; the rebuilt total cost is
     re-checked against the table entry.
     """
-    per._check_index(anchor)
+    q = len(table.cost)
+    check_ints((anchor,), "segment index", 0, IndexOutOfRange, q - 1)
     check_ints((perimeter_index,), "perimeter_index", 0, ValidationError)
-    _check_covers(lookup, table.span(anchor, per.q - 1))
-    blocks = _direct_blocks(table, lookup, anchor, per.q - 1)
-    arcs: list[Arc] = []
-    spent = 0
-    for i, k in blocks:
-        b_arcs, b_cost = _lay_block(table, lookup, per, i, k, perimeter_index)
-        arcs.extend(b_arcs)
-        spent += b_cost
-    want = table.cost[anchor][per.q - 1]
+    blocks = _direct_blocks(table, anchor, q - 1)
+    laid = [_lay_block(table, i, k, perimeter_index) for i, k in blocks]
+    spent, want = sum(cost for _, cost in laid), table.cost[anchor][q - 1]
     if spent != want:
         raise ReconstructionMismatch(f"blocks rebuilt to cost {spent}, table says {want}")
-    return arcs
+    return [arc for arcs, _ in laid for arc in arcs]
 
 
 def solve_mc_multi(perimeters: Sequence[Perimeter] | Perimeter, types: TypesMC) -> McSolution:
@@ -323,7 +314,7 @@ def solve_mc_multi(perimeters: Sequence[Perimeter] | Perimeter, types: TypesMC) 
         table = interval_table(per, lookup)
         costs = [row[per.q - 1] for row in table.cost]
         anchor = costs.index(min(costs))
-        part = reconstruct_mc(table, lookup, per, anchor, k)
+        part = reconstruct_mc(table, anchor, k)
         for arc in part:
             counts[arc.robot_type] += 1
         total += costs[anchor]

@@ -305,7 +305,7 @@ def test_criterion_09_independent_validation():
 
 
 # sha256 over the objective, arcs and counts of every criterion 1 and 9 solution.
-LR_WITNESS_DIGEST = "cfb03462c74e3cd39c94092656b38d9df8b9152b58b3607b5356bf0a5b20e80f"
+LR_WITNESS_DIGEST = "81762d7327b7b49cce19c4a8758fa6a5d139f96011d2c22118276eccc92bd3e7"
 
 
 def test_lr_witnesses_unchanged():
@@ -411,7 +411,7 @@ BENCHMARK_CELLS = (
     ("mc", 100, 20, 1, 10_000),
     ("mc", 30, 80, 1, 1_500),
 )
-BENCHMARK_CELL_DIGEST = "2ee409ccf7552f538270ab3b06681a6a7b13ab58395d036abdab30bb14fef023"
+BENCHMARK_CELL_DIGEST = "3eda89885880ed54b9a6ef8284137ba671dfa365ffb77ed14459aba6c6eacd53"
 
 
 def test_benchmark_cells_unchanged():
@@ -433,7 +433,7 @@ def test_benchmark_cells_unchanged():
 # sha256 over the same 80 solution documents with `stats` dropped, one sorted
 # JSON line each: a change to the solvers' work counters leaves it alone, a
 # change to an objective, arc or count does not.
-BENCHMARK_WITNESS_DIGEST = "8776b284f7b3a4f92fa40125c5a5a4388b900418785a0bf9511d8dc263327bee"
+BENCHMARK_WITNESS_DIGEST = "0238a8cfd8fbdf3f66d861040e9af38a633d8c96581a54437997d47cae0fec9d"
 
 
 def test_benchmark_cell_witnesses_unchanged():

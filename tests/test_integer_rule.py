@@ -21,7 +21,7 @@ def _lr_table():
 def _mc_case():
     per, types = build_perimeter([2, 3], [1, 2]), build_types_mc([(3, 2), (5, 3)])
     lookup = presolve(types, 8)
-    return interval_table(per, lookup), lookup, per
+    return interval_table(per, lookup)
 
 
 INTEGER_ARGUMENTS = {
@@ -31,9 +31,9 @@ INTEGER_ARGUMENTS = {
     "CoverageTable.value": (IndexOutOfRange, lambda v: _lr_table().value((v,))),
     "presolve max_len": (ValidationError, lambda v: presolve(build_types_mc([(3, 2)]), v)),
     "sol length": (OutOfTableRange, lambda v: sol(presolve(build_types_mc([(3, 2)]), 8), v)),
-    "reconstruct_mc anchor": (IndexOutOfRange, lambda v: reconstruct_mc(*_mc_case(), v)),
+    "reconstruct_mc anchor": (IndexOutOfRange, lambda v: reconstruct_mc(_mc_case(), v)),
     "reconstruct_mc perimeter_index": (ValidationError,
-                                       lambda v: reconstruct_mc(*_mc_case(), 0, v)),
+                                       lambda v: reconstruct_mc(_mc_case(), 0, v)),
     "reconstruct_lr perimeter_index": (ValidationError,
                                        lambda v: reconstruct_lr(_lr_table(), (2,), v)),
     "run_suite seeds": (ValidationError, lambda v: run_suite("table1", seeds=v)),

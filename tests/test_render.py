@@ -143,7 +143,7 @@ def svg_corpus():
 
 
 # sha256 over the render_svg text of every svg_corpus pair.
-SVG_DIGEST = "edcfc48a873f5b7d381759507fba77fb8a2608105e345bbf6fbce2c4fe925b75"
+SVG_DIGEST = "1d5558ea539d457acff6a2a474b8c5ea136980a093fdbaee1126332d9ab58b2e"
 
 
 def test_svg_bytes_unchanged():

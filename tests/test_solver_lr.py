@@ -4,13 +4,15 @@ _minimal and _fold_step below are the list-and-dict Pareto fold the
 solver used before it kept allocation sets as bitsets (_Grid); they stay
 here as references for _Grid.minimal, _fold_layers and _Grid.split.  inc
 is the reach recurrence's step on Perimeter's exact geometry.
-full_layer and full_elimination are the anchor loops the solver ran
-before it walked anchors in gap order with a slack stop (_by_gap).
+full_layer, full_decision and full_elimination are the anchor loops the
+solver ran before it walked anchors in gap order with a slack stop
+(_by_gap); gap_order_elimination finds the witness anchor without the stop.
 """
 import ast
 import inspect
 import math
 import random
+import re
 import textwrap
 from fractions import Fraction
 from itertools import product
@@ -37,7 +39,6 @@ from perimeterguard.solver_lr import (
     _at_ell,
     _bits,
     _by_gap,
-    _decide,
     _eliminate_anchors,
     _fill_table,
     _fold_layers,
@@ -148,6 +149,13 @@ def test_coverage_table_single_type():
     assert table.backpointer((2,)) == 0
     assert table.feasible_at((2,))
     assert not table.feasible_at((1,))
+    # A list indexes as a tuple does; a bare count used to raise a bare
+    # TypeError from len().
+    assert table.value([2]) == 6 and table.feasible_at([2])
+    for call in (table.value, table.feasible_at, table.backpointer,
+                 lambda x: reconstruct_lr(table, x)):
+        with pytest.raises(IndexOutOfRange, match="^allocation 3: expected one count per type"):
+            call(3)
 
     weak = coverage_table(per, 0, build_fleet_lr([(2, 2)]), F(1))
     assert weak.value((1,)) == 3  # reach 2 is the gap start, normalized to 3
@@ -185,7 +193,7 @@ def test_the_lr_api_reads_its_ratio_as_a_rational_literal():
         "brute_feasible_lr_multi": lambda ell: brute_feasible_lr_multi([per, other], fleet, ell),
     }
     answers = {   # at ell = 1, 2, 7/3 and 5/2
-        "feasible": [(False, None), (True, 0), (True, 0), (True, 0)],
+        "feasible": [(False, None), (True, 1), (True, 1), (True, 1)],
         "partition_feasible": [False, True, True, True],
         "pareto_feasible_vectors": [[], [(0, 3), (2, 2)], [(0, 3), (2, 2)], [(0, 3), (1, 2)]],
         "coverage_table": [(1, 13), (2, 31), (F(7, 3), 32), (F(5, 2), 35)],
@@ -249,12 +257,15 @@ def test_perimeters_argument_is_one_perimeter_or_a_nonempty_sequence(call):
 
 @pytest.mark.parametrize("call", PERIMETERS_ARGUMENT.values(), ids=PERIMETERS_ARGUMENT)
 def test_perimeters_argument_refuses_an_element_that_is_not_a_perimeter(call):
-    # Each used to raise a bare AttributeError, a string included.
-    cases = [(["x"], 0, "str"), ("ab", 0, "str"), ([per_2seg(), None], 1, "NoneType"),
-             ([3], 0, "int")]
-    for perimeters, k, kind in cases:
-        message = rf"^perimeters\[{k}\]: expected a Perimeter, got {kind}$"
-        with pytest.raises(ValidationError, match=message):
+    # Each used to raise a bare AttributeError, a string included, and a bare
+    # TypeError on an argument that is not iterable at all (5, None).
+    cases = [(["x"], "[0]", "a Perimeter, got str"), ("ab", "[0]", "a Perimeter, got str"),
+             ([per_2seg(), None], "[1]", "a Perimeter, got NoneType"),
+             ([3], "[0]", "a Perimeter, got int"),
+             (5, "", "a Perimeter or a sequence of them, got int"),
+             (None, "", "a Perimeter or a sequence of them, got NoneType")]
+    for perimeters, where, what in cases:
+        with pytest.raises(ValidationError, match=f"^perimeters{re.escape(where)}: expected {what}$"):
             call(perimeters)
 
 
@@ -331,66 +342,71 @@ def test_solve_stops_when_the_lower_bound_fits():
     assert sol.objective == F(3, 2)
     assert sol.feasibility_calls == 2
     # Both anchors fit at the lower bound; the search of anchor 1 (after the
-    # first widest gap) ends there in two tables and the walk stops, but the
-    # witness is still anchor 0.
+    # first widest gap) ends there in two tables and the walk stops, and the
+    # witness is anchor 1, the first in gap order.
     per = build_perimeter([2, 2], [1, 1])
     sol = solve_lr(per, build_fleet_lr([(1, 2)]))
     assert sol.objective == 2
     assert sol.feasibility_calls == 2
-    assert sol.anchors == [0]
+    assert sol.anchors == [1]
 
 
 def test_solve_with_anchors_tied_at_the_optimum():
-    # Rotationally symmetric, so every anchor has the same optimum.
+    # Rotationally symmetric, so every anchor has the same optimum; the gaps
+    # tie, and anchor 1, after gap 0, comes first in gap order.
     per = build_perimeter([3, 3, 3], [1, 1, 1])
     fleet = build_fleet_lr([(2, 2), (1, 1)])
     sol = solve_lr(per, fleet)
     assert sol.objective == brute_solve_lr(per, fleet)
     assert all(coverage_table(per, a, fleet, sol.objective).feasible_at(fleet.counts)
                for a in range(per.q))
-    assert sol.anchors == [0]
+    assert sol.anchors == [1]
 
 
 def test_solve_witness_is_the_last_improving_anchors_cell_on_a_tie():
     # An anchor visited after the last improvement ties at ell* = 3 with the
     # lex-smaller cell (2, 0); the witness is the lex-first covering cell of
-    # the anchor behind the last improvement, (2, 1), read from anchor 0.
+    # the anchor behind the last improvement, anchor 1, first in gap order:
+    # (2, 1), read from anchor 1 itself.
     per = build_perimeter([3, 4, 3, 4, 3], [5, 5, 1, 1, 5])
     fleet = build_fleet_lr([(4, 2), (1, 1)])
     sol = solve_lr(per, fleet)
     assert sol.objective == 3
     assert sol.allocations == [(2, 1)]
-    assert sol.anchors == [0]
+    assert sol.anchors == [1]
     assert any(coverage_table(per, a, fleet, F(3)).feasible_at((2, 0)) for a in range(per.q))
     validate_solution(InstanceDocument("lr", (per,), fleet=fleet), solution_from_lr(sol))
 
 
-def test_solve_leaves_the_robot_a_smaller_anchor_does_not_need_unused():
-    # The best anchor's lex-first cell holds a type-0 robot that the witness
-    # anchor, smaller, does not need: it gets no arc and stays unused.
+def test_solve_gives_every_witness_robot_an_arc():
+    # The last improver's lex-first cell holds a type-0 robot that a smaller
+    # anchor does not need.  The witness table used to come from that smaller
+    # anchor, leaving the robot with no arc: (0, 2) and (0, 1, 3), one unused.
     cases = [
-        (build_perimeter([6, 6, 2, 3], [3, 4, 3, 3]), [(1, 1), (6, 2)], (0, 2)),
-        (build_perimeter([4, 3, 2, 1, 4], [2, 2, 3, 3, 2]), [(1, 1), (3, 1), (2, 3)], (0, 1, 3)),
+        (build_perimeter([6, 6, 2, 3], [3, 4, 3, 3]), [(1, 1), (6, 2)], (1, 2)),
+        (build_perimeter([4, 3, 2, 1, 4], [2, 2, 3, 3, 2]), [(1, 1), (3, 1), (2, 3)], (1, 1, 3)),
     ]
     for per, pairs, used in cases:
         fleet = build_fleet_lr(pairs)
         sol = solve_lr(per, fleet)
         assert sol.objective == brute_solve_lr([per], fleet) == 2
         assert sol.allocations == [used]
-        assert sol.unused == (1,) + (0,) * (fleet.t - 1)
+        assert sol.unused == (0,) * fleet.t
+        assert len(sol.arcs) == sum(used)
         validate_solution(InstanceDocument("lr", (per,), fleet=fleet), solution_from_lr(sol))
 
 
 def test_solve_witness_comes_from_the_last_improvement():
     # Anchor 3, after the widest gap, is searched first: its optimum 11/3
     # needs only (0, 3), which covers from no anchor at the optimum 10/3.
+    # Anchor 5, after the other gap of 6, improves to it; the witness is its.
     per = build_perimeter([4, 6, 4, 1, 5, 4], [5, 1, 6, 5, 6, 2])
     fleet = build_fleet_lr([(2, 1), (3, 3)])
     assert coverage_table(per, 3, fleet, F(11, 3)).feasible_at((0, 3))
     sol = solve_lr(per, fleet)
     assert sol.objective == F(10, 3)
     assert sol.allocations == [(1, 3)]
-    assert sol.anchors == [1]
+    assert sol.anchors == [5]
 
 
 def test_solve_with_an_anchor_infeasible_at_the_upper_bound():
@@ -435,7 +451,8 @@ def test_solve_scales_once_and_draws_no_layer_after_the_search():
 
 def test_solve_fills_only_the_search_tables_and_one_witness_tail():
     """One perimeter: the search's 25 tables, then the witness table, bounded
-    by the witness vector, from anchor 0, the first that reaches it."""
+    by the witness vector, from anchor 9, the first in gap order reaching it:
+    the last improver."""
     doc = gen_random("lr", 2, 20, 1, seed=0)
     real, calls = solver_lr._fill_table, []
 
@@ -447,7 +464,7 @@ def test_solve_fills_only_the_search_tables_and_one_witness_tail():
         sol = solve_lr(list(doc.perimeters), doc.fleet)
     assert sol.feasibility_calls == 25
     assert len(calls) == 26
-    assert calls[-1] == sol.allocations[0] and sol.anchors == [0]
+    assert calls[-1] == sol.allocations[0] and sol.anchors == [9]
     # Every perimeter count shares the one tail that builds witness tables.
     tree = ast.parse(inspect.getsource(solver_lr.solve_lr))
     assert sum(isinstance(n, ast.Name) and n.id == "CoverageTable" for n in ast.walk(tree)) == 1
@@ -720,6 +737,14 @@ def full_layer(line, grid, steps) -> int:
     return as_int(feas)
 
 
+def full_decision(line, grid, steps) -> set[int]:
+    """The anchors whose table covers the line, from every anchor in index order."""
+    starts, ends = line
+    q = len(starts) // 2
+    return {a for a in range(q)
+            if _fill_table(starts[a:a + q], ends[a:a + q], steps, grid)[2] >= 0}
+
+
 def full_elimination(line, capabilities, grid, lo, hi, sums):
     """_eliminate_anchors over every anchor in a fixed shuffled order, stopping
     only at the lower bound: (best, hit)."""
@@ -791,11 +816,15 @@ def test_pareto_layer_equals_the_full_anchor_loop(inst):
 @settings(max_examples=150, deadline=None)
 @given(gapped_instances())
 @example(TIGHT)
-def test_partition_feasible_on_one_perimeter_agrees_with_decide(inst):
+def test_feasible_is_the_full_anchor_loop_read_in_gap_order(inst):
+    """The same answer as a table from every anchor, and the anchor is the
+    first covering one in gap order: the slack stop loses none."""
     per, fleet, ell = inst
     (line,), steps = _at_ell([per], fleet, ell)
-    decided = _decide(line, steps, _Grid(fleet.counts), range(per.q))
-    assert partition_feasible([per], fleet, ell) == (decided is not None)
+    covering = full_decision(line, _Grid(fleet.counts), steps)
+    first = next((a for _, a in _by_gap(line) if a in covering), None)
+    assert feasible(per, fleet, ell) == (bool(covering), first)
+    assert partition_feasible([per], fleet, ell) == bool(covering)
 
 
 def test_a_decision_below_the_guarded_length_fills_no_table():
@@ -832,30 +861,77 @@ def test_eliminate_anchors_equals_the_shuffled_full_loop(inst):
     assert (best, hit) == full_elimination(line, fleet.capabilities, grid, lo, hi, sums)
 
 
+def gap_order_elimination(line, capabilities, grid, sums):
+    """Every anchor's own optimum, each from a search up to its lap's span
+    over a_min, in gap order with no stop: (the least, the last anchor to
+    improve on the best so far, that anchor's hit at the least)."""
+    starts, ends = line
+    q = len(starts) // 2
+    lo = F(sum(ends[:q]) - sum(starts[:q]), sums[-1])
+    best = None
+    for _, a in _by_gap(line):
+        lap = [(starts[a:a + q], ends[a:a + q])]
+
+        def check(ratio, lap=lap):
+            ((s, e),), steps = _at(lap, capabilities, ratio)
+            hit = _fill_table(s, e, steps, grid)[2]
+            return hit if hit >= 0 else None
+
+        hi = F(ends[a + q - 1] - starts[a], min(capabilities))   # one robot covers the lap
+        own, hit = _search(lo, hi, _lap_spans(starts, ends, a, q), sums, check)
+        if best is None or own < best[0]:
+            best = own, a, hit
+    return best
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_instances(max_m=3))
+@example(([build_perimeter([6, 6, 2, 3], [3, 4, 3, 3])], build_fleet_lr([(1, 1), (6, 2)])))
+def test_every_witness_robot_gets_an_arc(inst):
+    """One arc per robot of the witness vectors; on one perimeter the witness
+    anchor is the last improver of the gap-order elimination, and the vector
+    its lex-first covering cell."""
+    perimeters, fleet = inst
+    sol = solve_lr(perimeters, fleet)
+    assert len(sol.arcs) == sum(map(sum, sol.allocations))
+    if len(perimeters) == 1:
+        unit, (line,) = integer_anchors(perimeters)
+        grid = _Grid(fleet.counts)
+        best, last, hit = gap_order_elimination(line, fleet.capabilities, grid,
+                                                capability_sums(fleet))
+        assert (sol.objective, sol.anchors, sol.allocations) == (
+            best / unit, [last], [grid.vector(hit)])
+
+
 def test_every_anchor_walk_takes_its_order_from_by_gap():
-    """The three anchor walks call _by_gap, compare its need inline and loop
-    over no range of anchors of their own; nothing in the module shuffles an
+    """The anchor walks call _by_gap and loop over no range of anchors of
+    their own; the three that stop compare its need inline (solve_lr's
+    witness walk always ends on a cover).  Nothing in the module shuffles an
     order or rebinds an enclosing name (nonlocal)."""
-    for fn in (solver_lr._eliminate_anchors, solver_lr._pareto_layer, solver_lr.partition_feasible):
+    for fn in (solver_lr._eliminate_anchors, solver_lr._pareto_layer, solver_lr.feasible,
+               solver_lr.solve_lr):
         nodes = list(ast.walk(ast.parse(textwrap.dedent(inspect.getsource(fn)))))
         assert any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_by_gap"
                    for n in nodes), fn.__name__
-        assert any(isinstance(n, ast.Compare) and any(getattr(x, "id", None) == "need"
-                                                      for x in (n.left, *n.comparators))
-                   for n in nodes), fn.__name__
-        loops = [n.iter for n in nodes if isinstance(n, (ast.For, ast.comprehension))]
-        assert not any(isinstance(it, ast.Call) and getattr(it.func, "id", None) == "range"
-                       for it in loops), fn.__name__
+        assert fn is solver_lr.solve_lr or any(
+            isinstance(n, ast.Compare) and any(getattr(x, "id", None) == "need"
+                                               for x in (n.left, *n.comparators))
+            for n in nodes), fn.__name__
+        # The names loops over range() bind: only solve_lr's runs of segments
+        # i..j, listed for the several-perimeter candidates, and no anchor.
+        ranged = {name.id for n in nodes if isinstance(n, (ast.For, ast.comprehension))
+                  and isinstance(n.iter, ast.Call) and getattr(n.iter.func, "id", None) == "range"
+                  for name in ast.walk(n.target) if isinstance(name, ast.Name)}
+        assert ranged <= {"i", "j"}, (fn.__name__, ranged)
     module = list(ast.walk(ast.parse(inspect.getsource(solver_lr))))
     assert not any(getattr(n, "attr", getattr(n, "id", None)) == "shuffle" for n in module)
     assert not any(isinstance(n, ast.Nonlocal) for n in module)
 
 
 def test_tables_and_layers_take_the_callers_grid():
-    """No table, decision, layer or single-perimeter search builds a _Grid of
-    its own: the caller's one grid per call comes in."""
-    for fn in (solver_lr._fill_table, solver_lr._decide, solver_lr._pareto_layer,
-               solver_lr._eliminate_anchors):
+    """No table, layer or single-perimeter search builds a _Grid of its own:
+    the caller's one grid per call comes in."""
+    for fn in (solver_lr._fill_table, solver_lr._pareto_layer, solver_lr._eliminate_anchors):
         tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
         assert not any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_Grid"
                        for n in ast.walk(tree)), fn.__name__
@@ -915,7 +991,7 @@ def test_several_perimeters_list_no_anchors_lap():
     with mock.patch.object(solver_lr, "_lap_spans", wraps=solver_lr._lap_spans) as spy:
         sol = solve_lr(pers, build_fleet_lr([(1, 2)]))
     assert spy.call_count == 0
-    assert (sol.objective, sol.feasibility_calls, sol.anchors) == (10, 8, [0, 2])
+    assert (sol.objective, sol.feasibility_calls, sol.anchors) == (10, 8, [1, 2])
 
 
 # -- allocation sets as bitsets, against per-cell references -----------------------
@@ -1061,19 +1137,20 @@ def test_solve_multi_agrees_with_brute(inst):
 @settings(max_examples=50, deadline=None)
 @given(small_instances(max_m=3))
 def test_solve_witness_is_the_lex_first_minimal_vector(inst):
-    """Every perimeter's vector comes from the smallest anchor whose table
-    covers it.  On one perimeter it is the lex-first covering cell of some
-    anchor; on several it is a minimal vector of its perimeter."""
+    """Every perimeter's vector comes from the first anchor in gap order whose
+    table covers it.  On one perimeter it is the lex-first covering cell of
+    some anchor; on several it is a minimal vector of its perimeter."""
     perimeters, fleet = inst
     sol = solve_lr(perimeters, fleet)
-    for per, v, anchor in zip(perimeters, sol.allocations, sol.anchors):
+    _, lines = integer_anchors(perimeters)
+    for per, line, v, anchor in zip(perimeters, lines, sol.allocations, sol.anchors):
         tables = [coverage_table(per, a, fleet, sol.objective) for a in range(per.q)]
         if len(perimeters) == 1:
             cells = list(product(*(range(n + 1) for n in fleet.counts)))   # lex order
             assert v in [next((x for x in cells if t.feasible_at(x)), None) for t in tables]
         else:
             assert v in pareto_feasible_vectors(per, fleet, sol.objective)
-        assert anchor == min(a for a, t in enumerate(tables) if t.feasible_at(v))
+        assert anchor == next(a for _, a in _by_gap(line) if tables[a].feasible_at(v))
 
 
 @settings(max_examples=30, deadline=None)

@@ -249,7 +249,7 @@ def test_reconstruct_refuses_an_anchor_outside_the_perimeter():
     table = interval_table(per, lookup)
     for anchor in (-1, per.q):
         with pytest.raises(IndexOutOfRange, match=rf"segment index {anchor} outside 0\.\.1"):
-            reconstruct_mc(table, lookup, per, anchor)
+            reconstruct_mc(table, anchor)
 
 
 def test_a_lookup_shorter_than_a_lap_is_refused_up_front():
@@ -260,12 +260,9 @@ def test_a_lookup_shorter_than_a_lap_is_refused_up_front():
         short = presolve(types, max_len)
         with pytest.raises(OutOfTableRange, match=rf"^length 35 outside 0\.\.{max_len}$"):
             interval_table(per, short)
-        for anchor in range(per.q):
-            with pytest.raises(OutOfTableRange, match=rf"^length 35 outside 0\.\.{max_len}$"):
-                reconstruct_mc(table, short, per, anchor)
-    exact = presolve(types, 35)
-    assert interval_table(per, exact).cost == table.cost
-    assert reconstruct_mc(table, exact, per, 0) == reconstruct_mc(table, presolve(types, 40), per, 0)
+    exact = interval_table(per, presolve(types, 35))
+    assert exact.cost == table.cost
+    assert reconstruct_mc(exact, 0) == reconstruct_mc(table, 0)
 
 
 def test_surplus_robot_is_a_reconstruction_mismatch(monkeypatch):
@@ -481,7 +478,7 @@ def test_interval_table_and_direct_blocks_match_the_split_pointer_reference(inst
     assert table.cost == cost
     q = per.q
     for i, k in product(range(q), range(q)):
-        assert _direct_blocks(table, lookup, i, k) == reference_blocks(split, i, k, q)
+        assert _direct_blocks(table, i, k) == reference_blocks(split, i, k, q)
 
 
 def test_direct_blocks_needs_no_stack_per_block():
@@ -494,7 +491,7 @@ def test_direct_blocks_needs_no_stack_per_block():
     depth = len(inspect.stack(0))
     sys.setrecursionlimit(depth + 60)
     try:
-        blocks = _direct_blocks(table, lookup, 0, per.q - 1)
+        blocks = _direct_blocks(table, 0, per.q - 1)
     finally:
         sys.setrecursionlimit(limit)
     assert blocks == [(i, 0) for i in range(150)]
@@ -537,7 +534,7 @@ def test_wide_gap_cut_matches_the_split_pointer_reference(inst):
     assert table.cost == cost
     q = per.q
     for i, k in product(range(q), range(q)):
-        assert _direct_blocks(table, lookup, i, k) == reference_blocks(split, i, k, q)
+        assert _direct_blocks(table, i, k) == reference_blocks(split, i, k, q)
     wide = [g >= 2 * lookup.lb for g in per.gaps]
     assert table.scanned == sum(
         not any(wide[(i + j) % q] for j in range(k)) for i in range(q) for k in range(1, q))
