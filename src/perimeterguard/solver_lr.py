@@ -21,6 +21,16 @@ its own lap's candidates.  The last search ends on a "yes" table at the
 optimum, and its early-exit hit, that anchor's lex-first covering cell,
 is the witness vector.
 
+Each "yes" at p also gives the search p' <= p, the ratio its hit h needs
+(Dinkelbach's step, Management Science 13(7), 1967).  Cut h's backpointer
+chain into blocks where a robot skips a gap: block b lays arc from a
+segment start S_b past the segment end E_b its last robot lands after, or
+the lap's end, so p' = max over blocks of (E_b - S_b)/cap_b is a candidate
+of the lap.  Reach steps v -> skip(v + a * r) grow with v and r, so the
+chain, and hence the DP, still covers at h at p'; no cell before h covers
+at p, so none does at p'.  So h stays the lex-first covering cell, the
+search cuts at p', and its last "yes" is at the optimum with the same hit.
+
 Anchors go by the gap before them, widest first, each with its need:
 the guarded length G plus the gaps before the anchors ahead (_by_gap).
 A cover by robots of capability sum C at ratio r lays at most C * r of
@@ -121,6 +131,13 @@ def build_fleet_lr(pairs: Iterable[tuple[int, int]]) -> FleetLR:
     return FleetLR(tuple(a for a, _ in pairs), tuple(n for _, n in pairs))
 
 
+def _fleet(fleet) -> FleetLR:
+    """A public function's fleet argument, refused unless a FleetLR."""
+    if not isinstance(fleet, FleetLR):
+        raise ValidationError(f"fleet: expected a FleetLR, got {type(fleet).__name__}")
+    return fleet
+
+
 AllocationVector = tuple[int, ...]
 
 
@@ -144,7 +161,7 @@ def _at(scaled, capabilities: Sequence[int], ratio: Fraction):
 def _at_ell(perimeters: Sequence[Perimeter], fleet: FleetLR, ell: RationalLike):
     """_at for an unscaled ratio ell, a rational literal as documents take it."""
     unit, scaled = integer_anchors(perimeters)
-    return _at(scaled, fleet.capabilities, to_threshold(ell, "ell") * unit)
+    return _at(scaled, _fleet(fleet).capabilities, to_threshold(ell, "ell") * unit)
 
 
 # -- the reach DP -----------------------------------------------------------------
@@ -382,7 +399,7 @@ def coverage_table(per: Perimeter, anchor: int, fleet: FleetLR,
     ell = to_threshold(ell, "ell")
     unit, lines = integer_anchors([per])
     ratio = ell * unit
-    (line,), steps = _at(lines, fleet.capabilities, ratio)
+    (line,), steps = _at(lines, _fleet(fleet).capabilities, ratio)
     return CoverageTable(line, anchor, steps, fleet.counts, unit * ratio.denominator, ell)
 
 
@@ -492,11 +509,12 @@ def _search(lo: Fraction, hi: Fraction, spans, sums, check) -> tuple[Fraction, o
     """Smallest candidate span/D in the closed window [lo, hi] that passes
     check, given that one there does, and the witness from its check.
 
-    spans are run lengths, sums the capability sums D ascending; check
-    returns None for "no", else a witness.  Each span's row keeps the range
-    [i0, i1) of sums whose ratio is in the window and strictly between the
-    last "no" and "yes", and leaves once empty.  Each probe is the middle D
-    of a seeded random row.
+    spans are run lengths, sums the capability sums D ascending.  check(p)
+    returns None for "no", else (r, witness) with r <= p a ratio that passes
+    with that witness: the search records it and cuts at r.  Each span's row
+    keeps the range [i0, i1) of sums whose ratio is in the window and
+    strictly between the last "no" and "yes", and leaves once empty.  Each
+    probe is the middle D of a seeded random row.
     """
     def cut(rows, r, yes):
         # A "no" at r lowers each row's i1 to keep s/D > r; a "yes" raises i0 to keep s/D < r.
@@ -517,7 +535,8 @@ def _search(lo: Fraction, hi: Fraction, spans, sums, check) -> tuple[Fraction, o
         p = Fraction(s, sums[(i0 + i1) // 2])
         found = check(p)
         if found is not None:
-            hi, witness = p, found
+            p, witness = found
+            hi = p
         rows = cut(rows, p, found is not None)
     return hi, witness
 
@@ -533,9 +552,11 @@ def _eliminate_anchors(line, capabilities, grid: _Grid, lo, hi, sums) -> tuple[F
     closer than that, so "yes" means exactly that its optimum is below
     best, and only then does it search [lo, best - 1/A^2], which holds that
     optimum, over the spans of its own lap.  The walk stops at the first
-    need above A * (best - 1/A^2), below G once best = lo.  The witness is
-    the hit of the last search's final "yes": the lex-first covering cell,
-    at the optimum, of the anchor behind the last improvement.
+    need above A * (best - 1/A^2), below G once best = lo.  A check at p
+    returns None for "no", else (p', hit): hit the table's lex-first covering
+    cell, p' <= p the ratio its chain needs.  The witness is the hit of the
+    last search's final "yes": the lex-first covering cell, at the optimum,
+    of the anchor behind the last improvement.
     """
     starts, ends = line
     q = len(starts) // 2
@@ -545,11 +566,30 @@ def _eliminate_anchors(line, capabilities, grid: _Grid, lo, hi, sums) -> tuple[F
     def fits(a: int):
         lap = [(starts[a:a + q], ends[a:a + q])]
 
-        def check(ratio: Fraction) -> int | None:
+        def check(ratio: Fraction) -> tuple[Fraction, int] | None:
             probes.append(ratio)
             ((s, e),), steps = _at(lap, capabilities, ratio)
-            hit = _fill_table(s, e, steps, grid)[2]
-            return hit if hit >= 0 else None
+            values, backptr, hit = _fill_table(s, e, steps, grid)
+            if hit < 0:
+                return None
+            # Back along h's chain: a robot reaching past its start plus its step
+            # skipped a gap, ending its block at the segment end before the next.
+            end_before = dict(zip(s[1:], e))
+            blocks, end, cap, idx = [], e[-1], 0, hit
+            while idx:
+                tau = backptr[idx]
+                prev = idx - grid.strides[tau]
+                if idx != hit and values[idx] != values[prev] + steps[tau]:
+                    blocks.append((end - values[idx], cap))
+                    end, cap = end_before[values[idx]], 0
+                cap += capabilities[tau]
+                idx = prev
+            blocks.append((end - s[0], cap))
+            span, cap = blocks[0]
+            for b_span, b_cap in blocks:
+                if b_span * cap > span * b_cap:
+                    span, cap = b_span, b_cap
+            return Fraction(span, cap * ratio.denominator), hit
 
         return check
 
@@ -579,7 +619,7 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
     counts the reach tables the search filled.
     """
     perimeters = perimeter_list(perimeters)
-    if fleet.total_count < len(perimeters):
+    if _fleet(fleet).total_count < len(perimeters):
         raise ValidationError(
             f"{fleet.total_count} robots cannot guard {len(perimeters)} perimeters"
         )
@@ -623,7 +663,7 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
 
             total, levels = _fold_layers(map(layer, range(len(grids))), grid)
             (above if total else below)[:len(levels)] = [found for _, found in levels]
-            return (total, levels) if total else None
+            return (ratio, (total, levels)) if total else None
 
         # Every run of at most q segments: the union of the anchors' laps.
         spans = {e[j] - s[i] for per, (s, e) in zip(perimeters, scaled)
@@ -660,7 +700,7 @@ def capability_sums(fleet: FleetLR) -> list[int]:
     """The sums a_1*x_1+...+a_t*x_t > 0 over sub-multisets, ascending.  Each
     type's pass costs its output's size, at most the allocation cells."""
     sums = {0}
-    for a, n in zip(fleet.capabilities, fleet.counts):
+    for a, n in zip(_fleet(fleet).capabilities, fleet.counts):
         sums = {x + a * c for x in sums for c in range(n + 1)}
     return sorted(sums)[1:]
 
@@ -676,9 +716,9 @@ def ratio_certificate(
     """
     perimeters = perimeter_list(perimeters)
     objective = to_fraction(objective, "objective")
+    sums = set(capability_sums(fleet))
     if objective <= 0:
         return None
-    sums = set(capability_sums(fleet))
     for k, per in enumerate(perimeters):
         for i in range(per.q):
             for j in range(per.q):

@@ -67,6 +67,13 @@ def build_types_mc(pairs: Iterable[tuple[int, int]]) -> TypesMC:
     return TypesMC(tuple(l for l, _ in pairs), tuple(c for _, c in pairs))
 
 
+def _types(types) -> TypesMC:
+    """A public function's catalog argument, refused unless a TypesMC."""
+    if not isinstance(types, TypesMC):
+        raise ValidationError(f"types: expected a TypesMC, got {type(types).__name__}")
+    return types
+
+
 # -- presolve: cheapest cover of every integer length --------------------------
 
 
@@ -111,7 +118,7 @@ def presolve(types: TypesMC, max_len: int) -> CostLookup:
     if max_len > MAX_COVER_LENGTH:
         raise InstanceTooLarge(f"cover length {max_len} exceeds the cap {MAX_COVER_LENGTH}")
     kept: list[tuple[int, int]] = []   # longest first, each strictly cheaper
-    for l, c in sorted(zip(types.lengths, types.costs), key=lambda lc: (-lc[0], lc[1])):
+    for l, c in sorted(zip(_types(types).lengths, types.costs), key=lambda lc: (-lc[0], lc[1])):
         if not kept or c < kept[-1][1]:
             kept.append((l, c))
     lb, cb = min(reversed(kept), key=lambda lc: Fraction(lc[1], lc[0]))  # shortest on ties

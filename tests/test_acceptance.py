@@ -411,7 +411,7 @@ BENCHMARK_CELLS = (
     ("mc", 100, 20, 1, 10_000),
     ("mc", 30, 80, 1, 1_500),
 )
-BENCHMARK_CELL_DIGEST = "3eda89885880ed54b9a6ef8284137ba671dfa365ffb77ed14459aba6c6eacd53"
+BENCHMARK_CELL_DIGEST = "6e70cee71f059b9d7a2ba9bdbf996b444b180ff1d55ee43cd9254dd787d08568"
 
 
 def test_benchmark_cells_unchanged():

@@ -7,6 +7,8 @@ is the reach recurrence's step on Perimeter's exact geometry.
 full_layer, full_decision and full_elimination are the anchor loops the
 solver ran before it walked anchors in gap order with a slack stop
 (_by_gap); gap_order_elimination finds the witness anchor without the stop.
+reference_search and reference_elimination are the one-perimeter search
+before each "yes" handed back the ratio its own chain needs.
 """
 import ast
 import inspect
@@ -14,6 +16,7 @@ import math
 import random
 import re
 import textwrap
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -56,7 +59,7 @@ from perimeterguard.solver_lr import (
     reconstruct_lr,
     solve_lr,
 )
-from perimeterguard.solver_mc import build_types_mc, solve_mc_multi
+from perimeterguard.solver_mc import build_types_mc, presolve, solve_mc_multi
 from perimeterguard.validate import validate_solution
 
 F = Fraction
@@ -269,6 +272,34 @@ def test_perimeters_argument_refuses_an_element_that_is_not_a_perimeter(call):
             call(perimeters)
 
 
+# Each public solver entry and a fleet (lr) or catalog (mc) it takes.
+LR_FLEET, MC_TYPES = build_fleet_lr([(1, 2)]), build_types_mc([(3, 2), (5, 3)])
+FLEET_ARGUMENT = {
+    "solve_lr": (lambda f: solve_lr(per_2seg(), f), LR_FLEET),
+    "feasible": (lambda f: feasible(per_2seg(), f, 3), LR_FLEET),
+    "partition_feasible": (lambda f: partition_feasible([per_2seg()] * 2, f, 3), LR_FLEET),
+    "coverage_table": (lambda f: coverage_table(per_2seg(), 0, f, 3), LR_FLEET),
+    "capability_sums": (capability_sums, LR_FLEET),
+    "pareto_feasible_vectors": (lambda f: pareto_feasible_vectors(per_2seg(), f, 3), LR_FLEET),
+    "ratio_certificate": (lambda f: ratio_certificate(per_2seg(), f, 3), LR_FLEET),
+    "ratio_certificate-at-0": (lambda f: ratio_certificate(per_2seg(), f, 0), LR_FLEET),
+    "solve_mc_multi": (lambda f: solve_mc_multi(per_2seg(), f), MC_TYPES),
+    "presolve": (lambda f: presolve(f, 10), MC_TYPES),
+}
+
+
+@pytest.mark.parametrize("call, good", FLEET_ARGUMENT.values(), ids=FLEET_ARGUMENT)
+def test_fleet_argument_is_refused_unless_a_fleet(call, good):
+    # Each used to raise a bare AttributeError, such as "'list' object has no
+    # attribute 'total_count'" from solve_lr, or answer None at objective 0.
+    call(good)
+    name, other = ("fleet", MC_TYPES) if good is LR_FLEET else ("types", LR_FLEET)
+    for fleet in [[(1, 2)], None, {"1": 2}, other]:
+        what = f"expected a {type(good).__name__}, got {type(fleet).__name__}"
+        with pytest.raises(ValidationError, match=f"^{name}: {what}$"):
+            call(fleet)
+
+
 @pytest.mark.parametrize("ell", [0, -1, "-1/2"])
 def test_coverage_table_refuses_a_ratio_that_is_not_positive(ell):
     per, fleet = ell_case()     # at ell = -1 it used to report a reach of -1
@@ -342,12 +373,13 @@ def test_solve_stops_when_the_lower_bound_fits():
     assert sol.objective == F(3, 2)
     assert sol.feasibility_calls == 2
     # Both anchors fit at the lower bound; the search of anchor 1 (after the
-    # first widest gap) ends there in two tables and the walk stops, and the
+    # first widest gap) ends there in one table, whose "yes" at 5/2 tightens
+    # to the lower bound 2 and empties the window, and the walk stops; the
     # witness is anchor 1, the first in gap order.
     per = build_perimeter([2, 2], [1, 1])
     sol = solve_lr(per, build_fleet_lr([(1, 2)]))
     assert sol.objective == 2
-    assert sol.feasibility_calls == 2
+    assert sol.feasibility_calls == 1
     assert sol.anchors == [1]
 
 
@@ -420,7 +452,7 @@ def test_solve_with_an_anchor_infeasible_at_the_upper_bound():
     assert sol.anchors == [1]
 
 
-@pytest.mark.parametrize("t, q, m, tables", [(2, 20, 1, 25), (4, 20, 1, 23), (2, 6, 3, 72)])
+@pytest.mark.parametrize("t, q, m, tables", [(2, 20, 1, 20), (4, 20, 1, 22), (2, 6, 3, 72)])
 def test_feasibility_calls_pinned(t, q, m, tables):
     """Reach tables the ratio search fills, on seeded instances: more means the
     search does more work than it did when these were pinned."""
@@ -450,7 +482,7 @@ def test_solve_scales_once_and_draws_no_layer_after_the_search():
 
 
 def test_solve_fills_only_the_search_tables_and_one_witness_tail():
-    """One perimeter: the search's 25 tables, then the witness table, bounded
+    """One perimeter: the search's 20 tables, then the witness table, bounded
     by the witness vector, from anchor 9, the first in gap order reaching it:
     the last improver."""
     doc = gen_random("lr", 2, 20, 1, seed=0)
@@ -462,8 +494,8 @@ def test_solve_fills_only_the_search_tables_and_one_witness_tail():
 
     with mock.patch.object(solver_lr, "_fill_table", spy):
         sol = solve_lr(list(doc.perimeters), doc.fleet)
-    assert sol.feasibility_calls == 25
-    assert len(calls) == 26
+    assert sol.feasibility_calls == 20
+    assert len(calls) == 21
     assert calls[-1] == sol.allocations[0] and sol.anchors == [9]
     # Every perimeter count shares the one tail that builds witness tables.
     tree = ast.parse(inspect.getsource(solver_lr.solve_lr))
@@ -525,10 +557,14 @@ def test_search_returns_the_smallest_passing_candidate(window):
     def check(r):
         probes.append(r)
         assert len(probes) <= len(candidates), "more probes than candidates"
-        return r if r >= c else None
+        return (r, r) if r >= c else None
 
     assert _search(lo, hi, spans, sums, check) == (c, c)
     assert set(probes) <= candidates
+    # A check may hand back a smaller passing ratio than its probe: the search
+    # records and cuts there, and ends on c with the witness of that "yes".
+    best, witness = _search(lo, hi, spans, sums, lambda r: (c, r) if r >= c else None)
+    assert best == c and witness in candidates and witness >= c
 
 
 def test_search_probes_only_in_its_loop():
@@ -724,6 +760,74 @@ def test_pareto_layer_matches_full_tables(inst, ell):
         assert pareto_feasible_vectors(per, fleet, ell) == sorted(minimal)
 
 
+# -- the untightened ratio search --------------------------------------------------
+
+
+def reference_search(lo, hi, spans, sums, check):
+    """_search as it was before a "yes" handed back a tighter ratio: check
+    returns None or a witness, and a "yes" records and cuts at its probe."""
+    def cut(rows, r, yes):
+        n, d = r.numerator, r.denominator
+        if yes:
+            return [(s, j, i1) for s, i0, i1 in rows
+                    if (j := bisect_left(sums, s * d // n + 1, i0, i1)) < i1]
+        return [(s, i0, j) for s, i0, i1 in rows
+                if (j := bisect_left(sums, (s * d - 1) // n + 1, i0, i1)) > i0]
+
+    (x, y), (n, d) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    rows = [(s, i0, i1) for s in sorted(set(spans)) if (i0 := bisect_left(sums, -(-s * d // n)))
+            < (i1 := bisect_left(sums, s * y // x + 1))]
+    pick = random.Random(0)
+    witness = None
+    while rows:
+        s, i0, i1 = rows[pick.randrange(len(rows))]
+        p = F(s, sums[(i0 + i1) // 2])
+        found = check(p)
+        if found is not None:
+            hi, witness = p, found
+        rows = cut(rows, p, found is not None)
+    return hi, witness
+
+
+def reference_elimination(line, capabilities, grid, lo, hi, sums):
+    """_eliminate_anchors over reference_search: (best, tables, hit)."""
+    starts, ends = line
+    q = len(starts) // 2
+    eps = F(1, sums[-1] ** 2)
+    probes = []
+
+    def fits(a):
+        lap = [(starts[a:a + q], ends[a:a + q])]
+
+        def check(ratio):
+            probes.append(ratio)
+            ((s, e),), steps = _at(lap, capabilities, ratio)
+            hit = _fill_table(s, e, steps, grid)[2]
+            return hit if hit >= 0 else None
+        return check
+
+    (_, first), *rest = _by_gap(line)
+    best, hit = reference_search(lo, hi, _lap_spans(starts, ends, first, q), sums, fits(first))
+    for need, a in rest:
+        if need > sums[-1] * (best - eps):
+            break
+        check = fits(a)
+        if check(best - eps) is not None:
+            best, hit = reference_search(lo, best - eps, _lap_spans(starts, ends, a, q), sums,
+                                         check)
+    return best, len(probes), hit
+
+
+def search_bounds(per, fleet):
+    """(line, sums, lo, hi) as solve_lr hands them to _eliminate_anchors."""
+    unit, (line,) = integer_anchors([per])
+    starts, ends = line
+    sums = capability_sums(fleet)
+    lo = F(sum(ends[:per.q]) - sum(starts[:per.q]), sums[-1])
+    hi = F(starts[per.q] - max(s - e for s, e in zip(starts[1:], ends)), min(fleet.capabilities))
+    return line, sums, lo, hi
+
+
 # -- the gap-order walks against the full anchor loop ------------------------------
 
 
@@ -764,21 +868,22 @@ def full_elimination(line, capabilities, grid, lo, hi, sums):
     first = (max(range(q), key=lambda j: starts[j + 1] - ends[j]) + 1) % q
     rest = [a for a in range(q) if a != first]
     random.Random(q).shuffle(rest)
-    best, hit = _search(lo, hi, _lap_spans(starts, ends, first, q), sums, fits(first))
+    best, hit = reference_search(lo, hi, _lap_spans(starts, ends, first, q), sums, fits(first))
     for a in rest:
         if best == lo:
             break
         check = fits(a)
         if check(best - eps) is not None:
-            best, hit = _search(lo, best - eps, _lap_spans(starts, ends, a, q), sums, check)
+            best, hit = reference_search(lo, best - eps, _lap_spans(starts, ends, a, q), sums,
+                                         check)
     return best, hit
 
 
 @st.composite
-def gapped_instances(draw, max_q=6):
-    """One perimeter of q <= 6 segments over denominators 1-3, gaps up to
-    200 or none, a fleet of at most 3 types and 5 robots, and a ratio
-    between half and four times the lower bound G/A."""
+def gapped_instances(draw, max_q=6, max_count=2):
+    """One perimeter of at most max_q segments over denominators 1-3, gaps up
+    to 200 or none, a fleet of at most 3 types of count at most max_count,
+    and a ratio between half and four times the lower bound G/A."""
     den = draw(st.integers(min_value=1, max_value=3))
     q = draw(st.integers(min_value=1, max_value=max_q))
     lengths = st.integers(min_value=1, max_value=200)
@@ -786,7 +891,7 @@ def gapped_instances(draw, max_q=6):
     gapless = q == 1 and draw(st.booleans())
     per = build_perimeter(segs, [] if gapless else [F(draw(lengths), den) for _ in range(q)])
     pairs = draw(st.lists(st.tuples(st.integers(min_value=1, max_value=9),
-                                    st.integers(min_value=1, max_value=2)),
+                                    st.integers(min_value=1, max_value=max_count)),
                           min_size=1, max_size=3))
     fleet = build_fleet_lr(pairs)
     ell = sum(segs) / fleet.total_capability * draw(
@@ -851,14 +956,69 @@ def test_a_decision_below_the_guarded_length_fills_no_table():
 @given(gapped_instances())
 def test_eliminate_anchors_equals_the_shuffled_full_loop(inst):
     per, fleet, _ = inst
-    unit, (line,) = integer_anchors([per])
-    starts, ends = line
-    sums = capability_sums(fleet)
-    lo = F(sum(ends[:per.q]) - sum(starts[:per.q]), sums[-1])
-    hi = F(starts[per.q] - max(s - e for s, e in zip(starts[1:], ends)), min(fleet.capabilities))
+    line, sums, lo, hi = search_bounds(per, fleet)
     grid = _Grid(fleet.counts)
     best, tables, hit = _eliminate_anchors(line, fleet.capabilities, grid, lo, hi, sums)
     assert (best, hit) == full_elimination(line, fleet.capabilities, grid, lo, hi, sums)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gapped_instances(max_q=8, max_count=4))
+def test_tightened_search_ends_on_the_reference_optimum_and_hit(inst):
+    per, fleet, _ = inst
+    line, sums, lo, hi = search_bounds(per, fleet)
+    grid = _Grid(fleet.counts)
+    best, _, hit = _eliminate_anchors(line, fleet.capabilities, grid, lo, hi, sums)
+    ref_best, _, ref_hit = reference_elimination(line, fleet.capabilities, grid, lo, hi, sums)
+    assert (best, hit) == (ref_best, ref_hit)
+
+
+def test_tightened_search_fills_fewer_tables_than_the_reference():
+    """Summed over a seeded pool of one-perimeter instances, with the same
+    (best, hit) on each.  Not per instance: once a cut lands lower, the seeded
+    row pick takes another path, and 4 of these 120 fill more tables."""
+    tables = ref_tables = 0
+    for seed in range(120):
+        r = random.Random(seed)
+        q = r.randint(1, 8)
+        segs = [F(r.randint(1, 200), 2) for _ in range(q)]
+        per = build_perimeter(segs, [F(r.randint(1, 200), 2) for _ in range(q)])
+        fleet = build_fleet_lr([(r.randint(1, 9), r.randint(1, 4)) for _ in range(r.randint(1, 3))])
+        line, sums, lo, hi = search_bounds(per, fleet)
+        grid = _Grid(fleet.counts)
+        best, n, hit = _eliminate_anchors(line, fleet.capabilities, grid, lo, hi, sums)
+        ref_best, ref_n, ref_hit = reference_elimination(line, fleet.capabilities, grid,
+                                                         lo, hi, sums)
+        assert (best, hit) == (ref_best, ref_hit)
+        tables, ref_tables = tables + n, ref_tables + ref_n
+    assert (tables, ref_tables) == (709, 824)
+
+
+def test_a_yes_tightens_to_the_ratio_its_chain_needs():
+    """Anchor 0 comes first, after the gap of 7.  At the first "yes", 5, its
+    lex-first covering cell (1, 1) lays the capability-1 robot from 0 into the
+    gap [4, 6), then the capability-2 robot from 6 past the lap's end 11: the
+    blocks [0, 4] over 1 and [6, 11] over 2 need max(4, 5/2) = 4.  The optimum
+    11/3 comes from another order of the same robots."""
+    per = build_perimeter([4, 5], [2, 7])
+    fleet = build_fleet_lr([(2, 1), (1, 1)])
+    answers = []
+    real = solver_lr._search
+
+    def spy(lo, hi, spans, sums, check):
+        def recorded(p):
+            answers.append((p, check(p)))
+            return answers[-1][1]
+        return real(lo, hi, spans, sums, recorded)
+
+    with mock.patch.object(solver_lr, "_search", spy):
+        sol = solve_lr(per, fleet)
+    (p, (tight, hit)), *_ = [(p, found) for p, found in answers if found is not None]
+    unit, (line,) = integer_anchors([per])
+    v = _Grid(fleet.counts).vector(hit)
+    assert (p, tight, v, sol.objective) == (5, 4, (1, 1), F(11, 3))
+    assert tight in {F(s, d) for s in _lap_spans(*line, 0, per.q) for d in capability_sums(fleet)}
+    assert coverage_table(per, 0, fleet, tight / unit).feasible_at(v)
 
 
 def gap_order_elimination(line, capabilities, grid, sums):
@@ -878,7 +1038,7 @@ def gap_order_elimination(line, capabilities, grid, sums):
             return hit if hit >= 0 else None
 
         hi = F(ends[a + q - 1] - starts[a], min(capabilities))   # one robot covers the lap
-        own, hit = _search(lo, hi, _lap_spans(starts, ends, a, q), sums, check)
+        own, hit = reference_search(lo, hi, _lap_spans(starts, ends, a, q), sums, check)
         if best is None or own < best[0]:
             best = own, a, hit
     return best
