@@ -231,6 +231,8 @@ def place_arcs(unit: int, circ: int, starts: Sequence[int], ends: Sequence[int],
     overlap, exceed a reach or leave a segment uncovered.
     """
     required = ends[-1]
+    scale = Fraction if unit == 1 else lambda x: Fraction(x, unit)   # Fraction(int) skips the gcd
+    sizes: dict[int, Fraction] = {}   # one Fraction per distinct arc length
     arcs: list[Arc] = []
     run_starts: list[int] = []   # maximal runs of touching arcs
     run_ends: list[int] = []
@@ -250,7 +252,9 @@ def place_arcs(unit: int, circ: int, starts: Sequence[int], ends: Sequence[int],
         else:
             run_starts.append(s)
             run_ends.append(e)
-        arcs.append(Arc(perimeter_index, tau, Fraction(s % circ, unit), Fraction(e - s, unit)))
+        if e - s not in sizes:
+            sizes[e - s] = scale(e - s)
+        arcs.append(Arc(perimeter_index, tau, scale(s % circ), sizes[e - s]))
     for a, b in zip(starts, ends):
         r = bisect_right(run_starts, a) - 1
         if r < 0 or b > run_ends[r]:

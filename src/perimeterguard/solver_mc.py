@@ -7,9 +7,9 @@ total cost in two stages:
 * presolve: an unbounded covering knapsack giving the cheapest way to
   cover each integer length up to the circumference, over undominated types;
   it stops the recurrence once a window of l_max lengths repeats the best
-  type's step and copies the rest in blocks.  sol() walks witnesses back out
-  lazily, memoizing the robot choice per length; a length past the window
-  first drops by whole periods;
+  type's step and answers the rest in closed form.  sol() walks witnesses
+  back out lazily, memoizing the robot choice per length; a length past
+  the window first drops by whole periods;
 * an interval DP over cyclic segment ranges choosing where coverage
   blocks start and end, so gaps that are expensive to bridge get skipped;
   it keeps costs only, and reconstruction re-derives the splits from them.
@@ -26,17 +26,18 @@ perimeter.place_arcs, which trims, re-checks and emits them as Arcs.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import add
-from typing import Iterable, Sequence
 
 from .errors import (IndexOutOfRange, InstanceTooLarge, OutOfTableRange, ReconstructionMismatch,
                      ValidationError)
 from .perimeter import Arc, Perimeter, integer_anchors, perimeter_list, place_arcs
 from .rationals import check_ints
 
-# The longest length presolve tabulates: it allocates one entry per length.
+# The longest length presolve accepts.  Its table stops at the periodic
+# window whatever the length, but a solution lays its O(L/l_min) arcs one
+# by one, so this bounds them.
 MAX_COVER_LENGTH = 10**7
 
 # -- types --------------------------------------------------------------------
@@ -77,18 +78,53 @@ def _types(types) -> TypesMC:
 # -- presolve: cheapest cover of every integer length --------------------------
 
 
+class PeriodicCosts(Sequence):
+    """costs[0..size - 1], read-only, of a table that turns periodic:
+    `head` holds costs[:top] and costs[n] = costs[n - lb] + cb for every
+    n >= top, so with base = top - lb, costs[base + k*lb + r] =
+    head[base + r] + k*cb.  Indices, negative indices and slices behave as
+    on the list of every entry, which it compares equal to."""
+
+    __slots__ = ("head", "size", "lb", "cb")
+
+    def __init__(self, head: list[int], size: int, lb: int, cb: int):
+        self.head, self.size, self.lb, self.cb = head, size, lb, cb
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, n):
+        head, lb, cb = self.head, self.lb, self.cb
+        top = len(head)
+        base = top - lb
+        if isinstance(n, slice):
+            return [head[i] if i < top else head[base + (i - base) % lb] + (i - base) // lb * cb
+                    for i in range(*n.indices(self.size))]
+        if n < 0:
+            n += self.size
+        if 0 <= n < top:
+            return head[n]
+        if not 0 <= n < self.size:
+            raise IndexError("cost index out of range")
+        k, r = divmod(n - base, lb)
+        return head[base + r] + k * cb
+
+    def __eq__(self, other) -> bool:
+        return self[:] == (other[:] if isinstance(other, PeriodicCosts) else other)
+
+
 @dataclass(slots=True)
 class CostLookup:
     """costs[L] = cheapest robot multiset whose lengths sum to at least L, for
     every L in 0..max_len (interval_table reads any ceiled span).  presolve
     stopped its recurrence at periodic_from (max_len + 1 if the table ended
-    first) and set the rest to costs[L - lb] + cb, (lb, cb) the best kept
-    type; `choice` is sol()'s memo of robot choices, keyed by length below
-    periodic_from."""
+    first), so costs stores only those entries and answers the rest as
+    costs[L - lb] + cb, (lb, cb) the best kept type; `choice` is sol()'s
+    memo of robot choices, keyed by length below periodic_from."""
 
     types: TypesMC
     max_len: int
-    costs: list[int]
+    costs: PeriodicCosts
     lb: int
     periodic_from: int
     choice: dict[int, int] = field(default_factory=dict)
@@ -99,13 +135,14 @@ def presolve(types: TypesMC, max_len: int) -> CostLookup:
 
     Only undominated types (no other at least as long and no dearer; one copy
     of duplicates) enter costs[n] = min c + costs[max(0, n - l)].  Let (lb, cb)
-    be a kept type of least cost per length, lmax the longest kept length.
+    be a kept type of least cost per length, the shortest on ties, and lmax
+    the longest kept length.
 
     The recurrence stops after the first window of lmax consecutive n >= lb
     with costs[n] == costs[n - lb] + cb.  Every later n reads only the lmax
     entries before it, all in the window or past it, so by induction
     costs[n] = min c + costs[n - l - lb] + cb = costs[n - lb] + cb too, and
-    the tail is copied lb entries at a time.
+    the tail is that closed form: nothing past the window is stored.
 
     Such a window exists by (lb - 1)*lmax + lmax: if an optimum has lb or
     more robots other than best ones, pigeonhole on their prefix sums mod lb
@@ -121,18 +158,17 @@ def presolve(types: TypesMC, max_len: int) -> CostLookup:
     for l, c in sorted(zip(_types(types).lengths, types.costs), key=lambda lc: (-lc[0], lc[1])):
         if not kept or c < kept[-1][1]:
             kept.append((l, c))
-    lb, cb = min(reversed(kept), key=lambda lc: Fraction(lc[1], lc[0]))  # shortest on ties
+    lb, cb = kept[-1]
+    for l, c in reversed(kept):   # shortest first, so a tie keeps the shorter
+        if c * lb < cb * l:
+            lb, cb = l, c
     lmax = kept[0][0]
     costs, run = [0], 0
     while run < lmax and len(costs) <= max_len:
         n = len(costs)
         costs.append(min([c + costs[n - l] if l < n else c for l, c in kept]))
         run = run + 1 if n >= lb and costs[n] == costs[n - lb] + cb else 0
-    periodic_from = len(costs)
-    while len(costs) <= max_len:
-        costs.extend([x + cb for x in costs[-lb:]])
-    del costs[max_len + 1:]
-    return CostLookup(types, max_len, costs, lb, periodic_from)
+    return CostLookup(types, max_len, PeriodicCosts(costs, max_len + 1, lb, cb), lb, len(costs))
 
 
 def _check_covers(lookup: CostLookup, length: int) -> None:
@@ -147,10 +183,11 @@ def sol(lookup: CostLookup, length: int) -> tuple[int, tuple[int, ...]]:
     At rem >= periodic_from, costs[rem] and every costs[rem - l] the test
     reads (no type is longer than lmax) exceed the entries lb lower by cb, so
     the choice at rem is the choice at rem - lb, over all t types, dominated
-    ones included.  So a choice is found once per length below periodic_from.
+    ones included.  So a choice is found once per length below periodic_from,
+    reading only the stored head of costs.
     """
     _check_covers(lookup, length)
-    lengths, tcosts, costs = lookup.types.lengths, lookup.types.costs, lookup.costs
+    lengths, tcosts, costs = lookup.types.lengths, lookup.types.costs, lookup.costs.head
     lb, top, choice = lookup.lb, lookup.periodic_from, lookup.choice
     counts = [0] * len(lengths)
     rem = length
@@ -163,7 +200,7 @@ def sol(lookup: CostLookup, length: int) -> tuple[int, tuple[int, ...]]:
                 if tcosts[k] + (costs[key - l] if l < key else 0) == costs[key])
         counts[tau] += 1
         rem -= lengths[tau]
-    return costs[length], tuple(counts)
+    return lookup.costs[length], tuple(counts)
 
 
 # -- interval DP over cyclic segment ranges ------------------------------------

@@ -1,4 +1,5 @@
 """Geometry model tests: spans, normalization, polygon ingestion."""
+from bisect import bisect_left
 from decimal import ROUND_HALF_DOWN, Decimal, localcontext
 from fractions import Fraction
 
@@ -155,6 +156,31 @@ def test_place_arcs():
         place_arcs(unit, circ, starts, ends, [(0, 6, 7), (1, 10, 10)], 0)
     with pytest.raises(ReconstructionMismatch, match="cover"):
         place_arcs(unit, circ, starts, ends, [(0, 6, 5), (1, 16, 3)], 0)
+
+
+@pytest.mark.parametrize("segments, gaps, want_unit", [
+    ([4, 3, 5], [2, 1, 3], 1),
+    (["7/2", 3, "5/3"], [2, "1/2", 1], 6),
+])
+def test_place_arcs_emits_exact_fractions_over_the_unit(segments, gaps, want_unit):
+    per = build_perimeter(segments, gaps)
+    unit, ((line_starts, line_ends),) = integer_anchors([per])
+    assert unit == want_unit
+    circ = line_starts[per.q]
+    starts, ends = line_starts[1:per.q + 1], line_ends[1:per.q + 1]
+    step = 2 * unit   # equal reaches share a length; the last crosses into lap two
+    robots = [(k % 2, s, step) for k, s in enumerate(range(starts[0], ends[-1], step))]
+    arcs = place_arcs(unit, circ, starts, ends, robots, 0)
+    assert arcs and len({a.length for a in arcs}) < len(arcs)
+    for arc in arcs:
+        assert type(arc.start) is Fraction and type(arc.length) is Fraction
+    want = []
+    for tau, s, reach in robots:
+        e = min(s + reach, ends[-1])
+        e = min(e, ends[bisect_left(starts, e) - 1])
+        if e > s:
+            want.append((tau, Fraction(s % circ, unit), Fraction(e - s, unit)))
+    assert [(a.robot_type, a.start, a.length) for a in arcs] == want
 
 
 # -- randomized properties -------------------------------------------------

@@ -188,6 +188,50 @@ def test_periodic_from_pinned(t, q, target_length, periodic_from):
     assert lookup.costs == naive_lookup(pairs, lookup.max_len)[0]
 
 
+@pytest.mark.parametrize("pairs", [
+    [(2, 2), (4, 4)],
+    [(4, 4), (2, 2)],
+    [(9, 6), (3, 2), (6, 4)],
+])
+def test_best_type_is_the_shortest_on_equal_cost_per_length(pairs):
+    lookup = presolve(build_types_mc(pairs), 40)
+    assert (lookup.lb, lookup.costs.cb) == min(pairs)
+    assert lookup.costs == naive_lookup(pairs, 40)[0]
+
+
+@pytest.mark.parametrize("target_length", [10**4, 10**6])
+def test_presolve_stores_the_head_only(target_length):
+    doc = gen_random("mc", 10, 20, 1, seed=0, target_length=target_length)
+    (per,) = doc.perimeters
+    lookup = presolve(doc.types, ceil(per.circumference))
+    assert len(lookup.costs) == lookup.max_len + 1 == ceil(per.circumference) + 1
+    assert len(lookup.costs.head) <= lookup.periodic_from + lookup.lb
+    assert len(lookup.costs.head) < 200   # 114 on seed 0, whatever the length
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_costs_index_and_slice_as_the_full_list(seed):
+    rng = Random(seed)
+    pairs = [(rng.randint(1, 12), rng.randint(1, 30)) for _ in range(rng.randint(1, 4))]
+    types = build_types_mc(pairs)
+    max_len = 3 * presolve(types, 12 * 12).periodic_from + rng.randint(0, 12)
+    want = naive_lookup(pairs, max_len)[0]
+    costs = presolve(types, max_len).costs
+    assert len(costs.head) < len(want)   # the tail is answered in closed form
+    assert len(costs) == len(want)
+    assert costs == want and want == costs and costs == presolve(types, max_len).costs
+    assert costs != want[:-1] and costs != [*want[:-1], want[-1] + 1]
+    assert list(costs) == want and list(reversed(costs)) == want[::-1]
+    for n in range(-len(want), len(want)):
+        assert costs[n] == want[n]
+    for n in (len(want), len(want) + 12, -len(want) - 1):
+        with pytest.raises(IndexError):
+            costs[n]
+    bounds = [None, 0, 1, 5, -7, len(want) // 2, len(want) - 1, len(want) + 9, -len(want) - 3]
+    for start, stop, step in product(bounds, bounds, [None, 1, 2, 7, -1, -3]):
+        assert costs[start:stop:step] == want[start:stop:step]
+
+
 def test_multi_presolves_once(monkeypatch):
     types = types_example()
     pers = [build_perimeter([7], [3]), build_perimeter([2, 3], [1, 2]), build_perimeter([20], [])]
