@@ -18,13 +18,13 @@ print("robots bought per type:", solution.counts)
 for arc in solution.arcs:
     print(f"  type {arc.robot_type} covers [{arc.start}, {arc.end})")
 
-# The engine behind the solver is a cost table: costs[L] is the
+# The engine behind the solver is a cost table: cost(L) is the
 # cheapest multiset whose lengths sum to at least L.  It is monotone
 # and subadditive, which the interval layer exploits.
 from perimeterguard import presolve
 
 table = presolve(catalog, 30)
-print("costs[0..12]:", [table.costs[i] for i in range(13)])
+print("costs[0..12]:", [table.cost(i) for i in range(13)])
 
 # Crossing a gap is sometimes cheaper than respecting it: one reach-11
 # robot happily spans segment + gap + segment.  The interval table

@@ -297,7 +297,8 @@ def _by_gap(line) -> list[tuple[int, int]]:
     starts, ends = line
     q = len(starts) // 2
     gaps = [starts[a + q] - ends[a + q - 1] for a in range(q)]
-    order = sorted(range(q), key=lambda a: (-gaps[a], (a - 1) % q))
+    # Listed in (a - 1) % q order; reverse=True keeps ties in it.
+    order = sorted([*range(1, q), 0], key=gaps.__getitem__, reverse=True)
     guarded = starts[q] - starts[0] - sum(gaps)   # G
     return list(zip(accumulate((gaps[a] for a in order), initial=guarded), order))
 
@@ -626,16 +627,17 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
     unit, scaled = integer_anchors(perimeters)
     capabilities, counts = fleet.capabilities, fleet.counts
     a_min = min(capabilities)
-    grid = _Grid(counts)           # refuses an oversized fleet before the sums are listed
+    grid = _Grid(counts)
     sums = capability_sums(fleet)  # every D > 0, ascending; A last
 
     # Ratios here are scaled (ell * unit).  Every segment must be physically
     # covered, so ell is at least (total guarded length)/A; one robot from
-    # the anchor after the widest gap always suffices at the upper bound.
+    # the anchor after the widest gap, the first in gap order, covers its lap.
     lo = hi = Fraction(0)
-    for per, (starts, ends) in zip(perimeters, scaled):
-        lo = max(lo, Fraction(sum(ends[:per.q]) - sum(starts[:per.q]), sums[-1]))
-        hi = max(hi, Fraction(starts[per.q] - max(s - e for s, e in zip(starts[1:], ends)), a_min))
+    for starts, ends in scaled:
+        guarded, first = _by_gap((starts, ends))[0]
+        lo = max(lo, Fraction(guarded, sums[-1]))
+        hi = max(hi, Fraction(ends[first + len(starts) // 2 - 1] - starts[first], a_min))
 
     if len(scaled) == 1:
         best, tables, hit = _eliminate_anchors(scaled[0], capabilities, grid, lo, hi, sums)
@@ -699,8 +701,9 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
 def capability_sums(fleet: FleetLR) -> list[int]:
     """The sums a_1*x_1+...+a_t*x_t > 0 over sub-multisets, ascending.  Each
     type's pass costs its output's size, at most the allocation cells."""
+    _Grid(_fleet(fleet).counts)   # refuses an oversized fleet
     sums = {0}
-    for a, n in zip(_fleet(fleet).capabilities, fleet.counts):
+    for a, n in zip(fleet.capabilities, fleet.counts):
         sums = {x + a * c for x in sums for c in range(n + 1)}
     return sorted(sums)[1:]
 

@@ -7,9 +7,9 @@ total cost in two stages:
 * presolve: an unbounded covering knapsack giving the cheapest way to
   cover each integer length up to the circumference, over undominated types;
   it stops the recurrence once a window of l_max lengths repeats the best
-  type's step and answers the rest in closed form.  sol() walks witnesses
-  back out lazily, memoizing the robot choice per length; a length past
-  the window first drops by whole periods;
+  type's step, keeps that head, and CostLookup.cost(n) answers the rest in
+  closed form.  sol() walks witnesses back out lazily, memoizing the robot
+  choice per length; a length past the head first drops by whole periods;
 * an interval DP over cyclic segment ranges choosing where coverage
   blocks start and end, so gaps that are expensive to bridge get skipped;
   it keeps costs only, and reconstruction re-derives the splits from them.
@@ -78,71 +78,55 @@ def _types(types) -> TypesMC:
 # -- presolve: cheapest cover of every integer length --------------------------
 
 
-class PeriodicCosts(Sequence):
-    """costs[0..size - 1], read-only, of a table that turns periodic:
-    `head` holds costs[:top] and costs[n] = costs[n - lb] + cb for every
-    n >= top, so with base = top - lb, costs[base + k*lb + r] =
-    head[base + r] + k*cb.  Indices, negative indices and slices behave as
-    on the list of every entry, which it compares equal to."""
-
-    __slots__ = ("head", "size", "lb", "cb")
-
-    def __init__(self, head: list[int], size: int, lb: int, cb: int):
-        self.head, self.size, self.lb, self.cb = head, size, lb, cb
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, n):
-        head, lb, cb = self.head, self.lb, self.cb
-        top = len(head)
-        base = top - lb
-        if isinstance(n, slice):
-            return [head[i] if i < top else head[base + (i - base) % lb] + (i - base) // lb * cb
-                    for i in range(*n.indices(self.size))]
-        if n < 0:
-            n += self.size
-        if 0 <= n < top:
-            return head[n]
-        if not 0 <= n < self.size:
-            raise IndexError("cost index out of range")
-        k, r = divmod(n - base, lb)
-        return head[base + r] + k * cb
-
-    def __eq__(self, other) -> bool:
-        return self[:] == (other[:] if isinstance(other, PeriodicCosts) else other)
-
-
 @dataclass(slots=True)
 class CostLookup:
-    """costs[L] = cheapest robot multiset whose lengths sum to at least L, for
-    every L in 0..max_len (interval_table reads any ceiled span).  presolve
-    stopped its recurrence at periodic_from (max_len + 1 if the table ended
-    first), so costs stores only those entries and answers the rest as
-    costs[L - lb] + cb, (lb, cb) the best kept type; `choice` is sol()'s
-    memo of robot choices, keyed by length below periodic_from."""
+    """The cheapest robot multiset whose lengths sum to at least n, as
+    cost(n), for every n in 0..max_len (interval_table reads any ceiled span).
+
+    presolve stopped its recurrence at periodic_from = len(head) (max_len + 1
+    if the table ended first), so `head` holds only those entries, and later
+    ones follow cost(n) = cost(n - lb) + cb, (lb, cb) the best kept type;
+    `choice` is sol()'s memo of robot choices, keyed by length below
+    periodic_from."""
 
     types: TypesMC
     max_len: int
-    costs: PeriodicCosts
+    head: list[int]
     lb: int
-    periodic_from: int
+    cb: int
     choice: dict[int, int] = field(default_factory=dict)
+
+    @property
+    def periodic_from(self) -> int:
+        return len(self.head)
+
+    def cost(self, n: int) -> int:
+        """head[n] below len(head), else head[base + r] + k*cb with base =
+        len(head) - lb and n - base = k*lb + r.  Raises OutOfTableRange
+        outside 0..max_len."""
+        if not 0 <= n <= self.max_len:
+            _check_covers(self, n)
+        head = self.head
+        if n < len(head):
+            return head[n]
+        base = len(head) - self.lb
+        k, r = divmod(n - base, self.lb)
+        return head[base + r] + k * self.cb
 
 
 def presolve(types: TypesMC, max_len: int) -> CostLookup:
     """Unbounded covering knapsack over all lengths 0..max_len.
 
     Only undominated types (no other at least as long and no dearer; one copy
-    of duplicates) enter costs[n] = min c + costs[max(0, n - l)].  Let (lb, cb)
+    of duplicates) enter cost(n) = min c + cost(max(0, n - l)).  Let (lb, cb)
     be a kept type of least cost per length, the shortest on ties, and lmax
     the longest kept length.
 
     The recurrence stops after the first window of lmax consecutive n >= lb
-    with costs[n] == costs[n - lb] + cb.  Every later n reads only the lmax
+    with cost(n) == cost(n - lb) + cb.  Every later n reads only the lmax
     entries before it, all in the window or past it, so by induction
-    costs[n] = min c + costs[n - l - lb] + cb = costs[n - lb] + cb too, and
-    the tail is that closed form: nothing past the window is stored.
+    cost(n) = min c + cost(n - l - lb) + cb = cost(n - lb) + cb too, and
+    the tail is that closed form: the lookup's head ends with the window.
 
     Such a window exists by (lb - 1)*lmax + lmax: if an optimum has lb or
     more robots other than best ones, pigeonhole on their prefix sums mod lb
@@ -163,12 +147,12 @@ def presolve(types: TypesMC, max_len: int) -> CostLookup:
         if c * lb < cb * l:
             lb, cb = l, c
     lmax = kept[0][0]
-    costs, run = [0], 0
-    while run < lmax and len(costs) <= max_len:
-        n = len(costs)
-        costs.append(min([c + costs[n - l] if l < n else c for l, c in kept]))
-        run = run + 1 if n >= lb and costs[n] == costs[n - lb] + cb else 0
-    return CostLookup(types, max_len, PeriodicCosts(costs, max_len + 1, lb, cb), lb, len(costs))
+    head, run = [0], 0
+    while run < lmax and len(head) <= max_len:
+        n = len(head)
+        head.append(min([c + head[n - l] if l < n else c for l, c in kept]))
+        run = run + 1 if n >= lb and head[n] == head[n - lb] + cb else 0
+    return CostLookup(types, max_len, head, lb, cb)
 
 
 def _check_covers(lookup: CostLookup, length: int) -> None:
@@ -178,17 +162,17 @@ def _check_covers(lookup: CostLookup, length: int) -> None:
 
 def sol(lookup: CostLookup, length: int) -> tuple[int, tuple[int, ...]]:
     """Cheapest cover of an integer length: (cost, robot counts per type); each robot
-    is the smallest type tau with c_tau + costs[max(0, rem - l_tau)] == costs[rem].
+    is the smallest type tau with c_tau + cost(max(0, rem - l_tau)) == cost(rem).
 
-    At rem >= periodic_from, costs[rem] and every costs[rem - l] the test
+    At rem >= periodic_from, cost(rem) and every cost(rem - l) the test
     reads (no type is longer than lmax) exceed the entries lb lower by cb, so
     the choice at rem is the choice at rem - lb, over all t types, dominated
     ones included.  So a choice is found once per length below periodic_from,
-    reading only the stored head of costs.
+    reading only the lookup's head.
     """
     _check_covers(lookup, length)
-    lengths, tcosts, costs = lookup.types.lengths, lookup.types.costs, lookup.costs.head
-    lb, top, choice = lookup.lb, lookup.periodic_from, lookup.choice
+    lengths, tcosts, head = lookup.types.lengths, lookup.types.costs, lookup.head
+    lb, top, choice = lookup.lb, len(head), lookup.choice
     counts = [0] * len(lengths)
     rem = length
     while rem > 0:
@@ -197,10 +181,10 @@ def sol(lookup: CostLookup, length: int) -> tuple[int, tuple[int, ...]]:
         if tau is None:
             tau = choice[key] = next(
                 k for k, l in enumerate(lengths)
-                if tcosts[k] + (costs[key - l] if l < key else 0) == costs[key])
+                if tcosts[k] + (head[key - l] if l < key else 0) == head[key])
         counts[tau] += 1
         rem -= lengths[tau]
-    return lookup.costs[length], tuple(counts)
+    return lookup.cost(length), tuple(counts)
 
 
 # -- interval DP over cyclic segment ranges ------------------------------------
@@ -234,7 +218,7 @@ def interval_table(per: Perimeter, lookup: CostLookup) -> IntervalCostTable:
     ranges ending at e = i + k, by_end[e][j] = cost[e - j][j], reversed.
 
     A range holding a wide gap, one of at least 2*lb, skips that scan.  With
-    (lb, cb) the best type by cost per length, n*cb/lb <= costs[n] <=
+    (lb, cb) the best type by cost per length, n*cb/lb <= cost(n) <=
     ceil(n/lb)*cb for every n.  A block over sides of spans s1 and s2 with a
     gap g between them costs at least (s1 + g + s2)*cb/lb, and covering the
     sides apart costs less than (s1 + s2 + 2*lb)*cb/lb.  So when g >= 2*lb
@@ -247,9 +231,9 @@ def interval_table(per: Perimeter, lookup: CostLookup) -> IntervalCostTable:
     q = per.q
     unit, ((starts, ends),) = integer_anchors([per])
     table = IntervalCostTable([], lookup, unit, starts, ends)
-    cost, costs, span = table.cost, lookup.costs, table.span
+    cost, cover, span = table.cost, lookup.cost, table.span
     _check_covers(lookup, max(span(i, q - 1) for i in range(q)))
-    cost.extend([costs[span(i, 0)]] for i in range(q))
+    cost.extend([cover(span(i, 0))] for i in range(q))
     by_end = [row[:] for row in cost]
     wide, nxt = 2 * lookup.lb * unit, [2 * q] * (2 * q)
     for j in range(2 * q - 2, -1, -1):
@@ -261,7 +245,7 @@ def interval_table(per: Perimeter, lookup: CostLookup) -> IntervalCostTable:
                 best = cost[i][d] + cost[(i + d + 1) % q][k - d - 1]
             else:
                 table.scanned += 1
-                best = min(costs[span(i, k)], min(map(add, cost[i], reversed(right))))
+                best = min(cover(span(i, k)), min(map(add, cost[i], reversed(right))))
             cost[i].append(best)
             right.append(best)
     return table
@@ -287,7 +271,7 @@ def _direct_blocks(table: IntervalCostTable, i: int, k: int) -> list[tuple[int, 
     blocks, todo = [], [(i, k)]
     while todo:   # an explicit stack: a range may hold q blocks, past the recursion limit
         i, k = todo.pop()
-        if table.lookup.costs[table.span(i, k)] == cost[i][k]:
+        if table.lookup.cost(table.span(i, k)) == cost[i][k]:
             blocks.append((i, k))
             continue
         d = next(d for d in range(k) if cost[i][d] + cost[(i + d + 1) % q][k - d - 1] == cost[i][k])

@@ -254,7 +254,7 @@ def test_criterion_07_sol_properties():
         types = build_types_mc(
             (rng.randint(1, 200), rng.randint(1, 50)) for _ in range(t)
         )
-        costs = presolve(types, i_max).costs
+        costs = list(map(presolve(types, i_max).cost, range(i_max + 1)))
         assert all(costs[i] <= costs[i + 1] for i in range(i_max))
         for _ in range(10):
             l1 = rng.randint(0, i_max)

@@ -16,6 +16,7 @@ import math
 import random
 import re
 import textwrap
+import time
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import product
@@ -1373,6 +1374,17 @@ def test_grid_refuses_more_cells_than_the_cap_before_allocating():
     for perimeters in ([per], [per, per]):
         with pytest.raises(InstanceTooLarge):
             partition_feasible(perimeters, fleet, F(1))
+
+
+def test_capability_sums_refuse_the_fleet_solve_lr_refuses():
+    # Listing the sums of 10**8 allocation cells took seconds before the cap.
+    per, fleet = build_perimeter([5], [1]), build_fleet_lr([(1, 10**4), (2, 10**4)])
+    for call in (lambda: solve_lr(per, fleet), lambda: capability_sums(fleet),
+                 lambda: ratio_certificate(per, fleet, 5)):
+        started = time.perf_counter()
+        with pytest.raises(InstanceTooLarge):
+            call()
+        assert time.perf_counter() - started < 1
 
 
 def test_solve_cost_does_not_grow_with_the_capabilities():

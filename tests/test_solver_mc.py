@@ -46,10 +46,10 @@ def types_example():
 
 def test_presolve_examples():
     lookup = presolve(types_example(), 12)
-    assert lookup.costs[0] == 0
-    assert lookup.costs[4] == 3   # one length-5 robot beats two length-3s
-    assert lookup.costs[8] == 5   # (1,1): lengths 3+5 cover 8 at cost 5
-    assert lookup.costs[12] == 8
+    assert lookup.cost(0) == 0
+    assert lookup.cost(4) == 3   # one length-5 robot beats two length-3s
+    assert lookup.cost(8) == 5   # (1,1): lengths 3+5 cover 8 at cost 5
+    assert lookup.cost(12) == 8
 
 
 def test_presolve_refuses_lengths_above_the_cap():
@@ -99,6 +99,11 @@ def naive_lookup(pairs, max_len):
     return costs, choice
 
 
+def all_costs(lookup):
+    """cost(n) for every n in 0..max_len, as a list."""
+    return [lookup.cost(n) for n in range(lookup.max_len + 1)]
+
+
 def naive_counts(pairs, choice, n):
     counts = [0] * len(pairs)
     while n > 0:
@@ -138,7 +143,7 @@ def test_presolve_and_sol_match_naive_reference(pairs):
     max_len = 400
     want_costs, choice = naive_lookup(pairs, max_len)
     lookup = presolve(build_types_mc(pairs), max_len)
-    assert lookup.costs == want_costs
+    assert all_costs(lookup) == want_costs
     for n in range(max_len + 1):
         assert sol(lookup, n) == (want_costs[n], naive_counts(pairs, choice, n))
 
@@ -170,7 +175,7 @@ def test_sol_in_any_order_matches_naive_past_the_window(pairs, rng):
     for lengths in (order, shuffled):
         lookup = presolve(types, max_len)   # a fresh choice memo, shared by every call below
         assert lookup.periodic_from == periodic_from
-        assert lookup.costs == want_costs
+        assert all_costs(lookup) == want_costs
         for n in lengths:
             assert sol(lookup, n) == (want_costs[n], naive_counts(pairs, choice, n))
 
@@ -185,7 +190,7 @@ def test_periodic_from_pinned(t, q, target_length, periodic_from):
     lookup = presolve(doc.types, ceil(per.circumference))
     assert lookup.periodic_from == periodic_from
     pairs = list(zip(doc.types.lengths, doc.types.costs))
-    assert lookup.costs == naive_lookup(pairs, lookup.max_len)[0]
+    assert all_costs(lookup) == naive_lookup(pairs, lookup.max_len)[0]
 
 
 @pytest.mark.parametrize("pairs", [
@@ -195,8 +200,8 @@ def test_periodic_from_pinned(t, q, target_length, periodic_from):
 ])
 def test_best_type_is_the_shortest_on_equal_cost_per_length(pairs):
     lookup = presolve(build_types_mc(pairs), 40)
-    assert (lookup.lb, lookup.costs.cb) == min(pairs)
-    assert lookup.costs == naive_lookup(pairs, 40)[0]
+    assert (lookup.lb, lookup.cb) == min(pairs)
+    assert all_costs(lookup) == naive_lookup(pairs, 40)[0]
 
 
 @pytest.mark.parametrize("target_length", [10**4, 10**6])
@@ -204,32 +209,24 @@ def test_presolve_stores_the_head_only(target_length):
     doc = gen_random("mc", 10, 20, 1, seed=0, target_length=target_length)
     (per,) = doc.perimeters
     lookup = presolve(doc.types, ceil(per.circumference))
-    assert len(lookup.costs) == lookup.max_len + 1 == ceil(per.circumference) + 1
-    assert len(lookup.costs.head) <= lookup.periodic_from + lookup.lb
-    assert len(lookup.costs.head) < 200   # 114 on seed 0, whatever the length
+    assert lookup.max_len == ceil(per.circumference)
+    assert len(lookup.head) <= lookup.periodic_from + lookup.lb
+    assert len(lookup.head) < 200   # 114 on seed 0, whatever the length
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_costs_index_and_slice_as_the_full_list(seed):
+def test_cost_answers_every_length_and_refuses_the_rest(seed):
     rng = Random(seed)
     pairs = [(rng.randint(1, 12), rng.randint(1, 30)) for _ in range(rng.randint(1, 4))]
     types = build_types_mc(pairs)
     max_len = 3 * presolve(types, 12 * 12).periodic_from + rng.randint(0, 12)
     want = naive_lookup(pairs, max_len)[0]
-    costs = presolve(types, max_len).costs
-    assert len(costs.head) < len(want)   # the tail is answered in closed form
-    assert len(costs) == len(want)
-    assert costs == want and want == costs and costs == presolve(types, max_len).costs
-    assert costs != want[:-1] and costs != [*want[:-1], want[-1] + 1]
-    assert list(costs) == want and list(reversed(costs)) == want[::-1]
-    for n in range(-len(want), len(want)):
-        assert costs[n] == want[n]
-    for n in (len(want), len(want) + 12, -len(want) - 1):
-        with pytest.raises(IndexError):
-            costs[n]
-    bounds = [None, 0, 1, 5, -7, len(want) // 2, len(want) - 1, len(want) + 9, -len(want) - 3]
-    for start, stop, step in product(bounds, bounds, [None, 1, 2, 7, -1, -3]):
-        assert costs[start:stop:step] == want[start:stop:step]
+    lookup = presolve(types, max_len)
+    assert len(lookup.head) < len(want)   # the tail is answered in closed form
+    assert all_costs(lookup) == want
+    for n in (-1, max_len + 1):
+        with pytest.raises(OutOfTableRange, match=rf"^length {n} outside 0\.\.{max_len}$"):
+            lookup.cost(n)
 
 
 def test_multi_presolves_once(monkeypatch):
@@ -363,11 +360,11 @@ def test_sol_monotone_and_subadditive(inst, l1, l2):
     _, types = inst
     lookup = presolve(types, 80)
     if l1 <= l2:
-        assert lookup.costs[l1] <= lookup.costs[l2]
-    assert lookup.costs[l1 + l2] <= lookup.costs[l1] + lookup.costs[l2]
+        assert lookup.cost(l1) <= lookup.cost(l2)
+    assert lookup.cost(l1 + l2) <= lookup.cost(l1) + lookup.cost(l2)
     for tau in range(types.t):
         l, c = types.lengths[tau], types.costs[tau]
-        assert lookup.costs[l1] <= c * (-(-l1 // l))
+        assert lookup.cost(l1) <= c * (-(-l1 // l))
 
 
 @settings(max_examples=40, deadline=None)
@@ -379,14 +376,14 @@ def test_interval_table_bounded_by_direct_cover(inst):
     q = per.q
     for i in range(q):
         for k in range(q):
-            direct = lookup.costs[ceil(per.span_length(i, (i + k) % q))]
+            direct = lookup.cost(ceil(per.span_length(i, (i + k) % q)))
             assert table.cost[i][k] <= direct
     best = min(table.cost[i][q - 1] for i in range(q))
     assert best <= min(
-        lookup.costs[ceil(per.required_span(i))] for i in range(q)
+        lookup.cost(ceil(per.required_span(i))) for i in range(q)
     )
     # Covering the whole circle (leaving no gap uncovered) never wins.
-    assert best <= lookup.costs[ceil(per.circumference)]
+    assert best <= lookup.cost(ceil(per.circumference))
 
 
 @settings(max_examples=40, deadline=None)
@@ -477,7 +474,7 @@ def reference_interval_dp(per, lookup):
     split = [[-1] * q for _ in range(q)]
     for k in range(q):
         for i in range(q):
-            best = lookup.costs[-(-(ends[i + k] - starts[i]) // unit)]
+            best = lookup.cost(-(-(ends[i + k] - starts[i]) // unit))
             for d in range(k):
                 v = cost[i][d] + cost[(i + d + 1) % q][k - d - 1]
                 if v < best:
