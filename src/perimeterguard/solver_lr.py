@@ -290,6 +290,24 @@ def _fill_table(starts, ends, steps, grid: _Grid, done: bytearray | None = None)
     return values, backptr, hit
 
 
+def _chain(values, backptr, grid: _Grid, steps, idx: int) -> list[tuple[int, int, int]]:
+    """The robots that build cell idx of a filled table, as (type, start, step)
+    in placement order: walks the backpointers from idx down to the origin,
+    each robot starting at the reach of its predecessor cell.  Raises
+    ReconstructionMismatch if a backpointer names no placed robot."""
+    x = list(grid.vector(idx))
+    chain: list[tuple[int, int, int]] = []
+    while idx:
+        tau = backptr[idx]
+        if tau < 0 or x[tau] <= 0:
+            raise ReconstructionMismatch(f"backpointer at {tuple(x)} names no placed robot")
+        x[tau] -= 1
+        idx -= grid.strides[tau]
+        chain.append((tau, values[idx], steps[tau]))
+    chain.reverse()
+    return chain
+
+
 def _by_gap(line) -> list[tuple[int, int]]:
     """A line's (need, anchor a) pairs, widest gap starts[a + q] - ends[a + q - 1]
     first, ties to the smaller a - 1 (mod q); need is G plus the gaps before
@@ -345,17 +363,16 @@ class CoverageTable:
         self._steps = steps
         self._circ = starts[q]
         self._starts, self._ends = starts[anchor:anchor + q], ends[anchor:anchor + q]
-        grid = _Grid(self.bounds)
-        self._stride_list = grid.strides
+        self._grid = _Grid(self.bounds)
         self._values, self._backptr, _ = _fill_table(self._starts, self._ends, steps,
-                                                     grid, bytearray(grid.total))
+                                                     self._grid, bytearray(self._grid.total))
 
     def _index(self, allocation: AllocationVector) -> int:
         if not isinstance(allocation, (tuple, list)) or len(allocation) != len(self.bounds):
             raise IndexOutOfRange(f"allocation {allocation!r}: expected one count per type, "
                                   f"a tuple or list of length {len(self.bounds)}")
         idx = 0
-        for x, n, s in zip(allocation, self.bounds, self._stride_list):
+        for x, n, s in zip(allocation, self.bounds, self._grid.strides):
             check_ints((x,), "allocation entry", 0, IndexOutOfRange, n)
             idx += x * s
         return idx
@@ -371,26 +388,6 @@ class CoverageTable:
 
     def feasible_at(self, allocation: AllocationVector) -> bool:
         return self._values[self._index(allocation)] >= self._ends[-1]
-
-    def robots(self, allocation: AllocationVector) -> list[tuple[int, int, int]]:
-        """The robots that build a cell, as (type, start, step) in placement order.
-
-        Walks the backpointers from `allocation` down to the origin; each
-        robot starts at the reach of its predecessor cell.  Raises
-        ReconstructionMismatch if a backpointer names no placed robot.
-        """
-        x = list(allocation)
-        idx = self._index(allocation)
-        chain: list[tuple[int, int, int]] = []
-        while idx:
-            tau = self._backptr[idx]
-            if tau < 0 or x[tau] <= 0:
-                raise ReconstructionMismatch(f"backpointer at {tuple(x)} names no placed robot")
-            x[tau] -= 1
-            idx -= self._stride_list[tau]
-            chain.append((tau, self._values[idx], self._steps[tau]))
-        chain.reverse()
-        return chain
 
 
 def coverage_table(per: Perimeter, anchor: int, fleet: FleetLR,
@@ -471,19 +468,20 @@ def reconstruct_lr(
 ) -> list[Arc]:
     """Turn a feasible table cell into concrete arcs.
 
-    Takes the chain of robots that built the cell (CoverageTable.robots)
-    and hands it to perimeter.place_arcs, which trims tails off gaps, drops
-    robots that add nothing and re-checks the deployment.  Raises
-    ReconstructionMismatch if the cell is not feasible, a backpointer names
-    no placed robot, or the re-check fails.
+    Takes the chain of robots that built the cell (_chain) and hands it to
+    perimeter.place_arcs, which trims tails off gaps, drops robots that add
+    nothing and re-checks the deployment.  Raises ReconstructionMismatch if
+    the cell is not feasible, a backpointer names no placed robot, or the
+    re-check fails.
     """
     check_ints((perimeter_index,), "perimeter_index", 0, ValidationError)
     if not table.feasible_at(allocation):
         raise ReconstructionMismatch(
             f"allocation {allocation} does not reach the working range at ell={table.ell}"
         )
-    return place_arcs(table._unit, table._circ, table._starts, table._ends,
-                      table.robots(allocation), perimeter_index)
+    chain = _chain(table._values, table._backptr, table._grid, table._steps,
+                   table._index(allocation))
+    return place_arcs(table._unit, table._circ, table._starts, table._ends, chain, perimeter_index)
 
 
 # -- the solver ----------------------------------------------------------------
@@ -573,19 +571,17 @@ def _eliminate_anchors(line, capabilities, grid: _Grid, lo, hi, sums) -> tuple[F
             values, backptr, hit = _fill_table(s, e, steps, grid)
             if hit < 0:
                 return None
-            # Back along h's chain: a robot reaching past its start plus its step
-            # skipped a gap, ending its block at the segment end before the next.
-            end_before = dict(zip(s[1:], e))
-            blocks, end, cap, idx = [], e[-1], 0, hit
-            while idx:
-                tau = backptr[idx]
-                prev = idx - grid.strides[tau]
-                if idx != hit and values[idx] != values[prev] + steps[tau]:
-                    blocks.append((end - values[idx], cap))
-                    end, cap = end_before[values[idx]], 0
+            # Along h's chain: a robot that does not start at its predecessor's
+            # start plus step follows a gap skip, and the block before it ends
+            # at the segment end before its start; the last at the lap's end.
+            blocks, begin, cap, reach = [], s[0], 0, s[0]
+            for tau, start, step in _chain(values, backptr, grid, steps, hit):
+                if start != reach:
+                    blocks.append((e[bisect_left(s, start) - 1] - begin, cap))
+                    begin, cap = start, 0
                 cap += capabilities[tau]
-                idx = prev
-            blocks.append((end - s[0], cap))
+                reach = start + step
+            blocks.append((e[-1] - begin, cap))
             span, cap = blocks[0]
             for b_span, b_cap in blocks:
                 if b_span * cap > span * b_cap:

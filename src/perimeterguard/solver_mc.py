@@ -101,11 +101,13 @@ class CostLookup:
         return len(self.head)
 
     def cost(self, n: int) -> int:
+        """_cost(n), raising OutOfTableRange unless n is an int in 0..max_len."""
+        _check_covers(self, n)
+        return self._cost(n)
+
+    def _cost(self, n: int) -> int:
         """head[n] below len(head), else head[base + r] + k*cb with base =
-        len(head) - lb and n - base = k*lb + r.  Raises OutOfTableRange
-        outside 0..max_len."""
-        if not 0 <= n <= self.max_len:
-            _check_covers(self, n)
+        len(head) - lb and n - base = k*lb + r; n is not checked."""
         head = self.head
         if n < len(head):
             return head[n]
@@ -184,7 +186,7 @@ def sol(lookup: CostLookup, length: int) -> tuple[int, tuple[int, ...]]:
                 if tcosts[k] + (head[key - l] if l < key else 0) == head[key])
         counts[tau] += 1
         rem -= lengths[tau]
-    return lookup.cost(length), tuple(counts)
+    return lookup._cost(length), tuple(counts)
 
 
 # -- interval DP over cyclic segment ranges ------------------------------------
@@ -231,7 +233,7 @@ def interval_table(per: Perimeter, lookup: CostLookup) -> IntervalCostTable:
     q = per.q
     unit, ((starts, ends),) = integer_anchors([per])
     table = IntervalCostTable([], lookup, unit, starts, ends)
-    cost, cover, span = table.cost, lookup.cost, table.span
+    cost, cover, span = table.cost, lookup._cost, table.span
     _check_covers(lookup, max(span(i, q - 1) for i in range(q)))
     cost.extend([cover(span(i, 0))] for i in range(q))
     by_end = [row[:] for row in cost]
@@ -271,7 +273,7 @@ def _direct_blocks(table: IntervalCostTable, i: int, k: int) -> list[tuple[int, 
     blocks, todo = [], [(i, k)]
     while todo:   # an explicit stack: a range may hold q blocks, past the recursion limit
         i, k = todo.pop()
-        if table.lookup.cost(table.span(i, k)) == cost[i][k]:
+        if table.lookup._cost(table.span(i, k)) == cost[i][k]:
             blocks.append((i, k))
             continue
         d = next(d for d in range(k) if cost[i][d] + cost[(i + d + 1) % q][k - d - 1] == cost[i][k])

@@ -31,6 +31,8 @@ INTEGER_ARGUMENTS = {
     "CoverageTable.value": (IndexOutOfRange, lambda v: _lr_table().value((v,))),
     "presolve max_len": (ValidationError, lambda v: presolve(build_types_mc([(3, 2)]), v)),
     "sol length": (OutOfTableRange, lambda v: sol(presolve(build_types_mc([(3, 2)]), 8), v)),
+    "CostLookup.cost length": (OutOfTableRange,
+                               lambda v: presolve(build_types_mc([(3, 2)]), 8).cost(v)),
     "reconstruct_mc anchor": (IndexOutOfRange, lambda v: reconstruct_mc(_mc_case(), v)),
     "reconstruct_mc perimeter_index": (ValidationError,
                                        lambda v: reconstruct_mc(_mc_case(), 0, v)),

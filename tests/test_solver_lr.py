@@ -628,6 +628,64 @@ def test_solution_max_ratio_equals_objective():
     assert max(ratios) == sol.objective
 
 
+def _run_ratios(sol, perimeters, capabilities):
+    """Per perimeter, (run length) / (its robots' capability sum) for each run
+    of touching arcs: an arc joins a run when it starts where the run's last
+    arc ends, modulo the circumference."""
+    for k, per in enumerate(perimeters):
+        circ = per.circumference
+        arcs = sorted((a for a in sol.arcs if a.perimeter == k), key=lambda a: a.start % circ)
+        runs = []   # [length, capability sum, end]
+        for a in arcs:
+            if runs and a.start % circ == runs[-1][2] % circ:
+                runs[-1][0] += a.length
+                runs[-1][1] += capabilities[a.robot_type]
+                runs[-1][2] = a.end
+            else:
+                runs.append([a.length, capabilities[a.robot_type], a.end])
+        if len(runs) > 1 and runs[-1][2] % circ == arcs[0].start % circ:
+            length, cap, _ = runs.pop()   # the run across the origin
+            runs[0][0] += length
+            runs[0][1] += cap
+        yield from (length / cap for length, cap, _ in runs)
+
+
+def test_objective_is_the_largest_run_ratio_of_the_witness():
+    """Each run of touching arcs is one block of the witness chain, laid from a
+    segment start to a segment end, so the objective is the largest block
+    ratio: the tightened search and the reconstruction read one chain."""
+    cases = [([build_perimeter([4], [])], build_fleet_lr([(1, 3)]), F(4, 3)),
+             ([build_perimeter([5], [1])], build_fleet_lr([(1, 2), (2, 1)]), F(5, 4))]
+    for (t, q, m), seed in product([(2, 20, 1), (2, 6, 3)], range(40)):
+        doc = gen_random("lr", t, q, m, seed=seed)
+        cases.append((list(doc.perimeters), doc.fleet, None))
+    for perimeters, fleet, objective in cases:
+        sol = solve_lr(perimeters, fleet)
+        assert objective in (None, sol.objective)
+        assert max(_run_ratios(sol, perimeters, fleet.capabilities)) == sol.objective
+
+
+def test_only_chain_reads_the_backpointers():
+    """_chain is the one walk over a table's backpointers: besides it only
+    CoverageTable.backpointer reads a cell, and only _fill_table stores one."""
+    reads, stores = set(), set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Subscript) and (
+                    getattr(child.value, "id", None) == "backptr"
+                    or getattr(child.value, "attr", None) == "_backptr"):
+                (stores if isinstance(child.ctx, ast.Store) else reads).add(scope)
+            visit(child, scope)
+
+    visit(ast.parse(inspect.getsource(solver_lr)), "")
+    assert reads == {"_chain", "CoverageTable.backpointer"}
+    assert stores == {"_fill_table"}
+
+
 def test_certificate_factors_the_objective():
     per = per_2seg()
     for pairs in ([(1, 2)], [(1, 3)], [(1, 1), (2, 1)], [(2, 2), (3, 1)]):
