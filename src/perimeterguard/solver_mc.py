@@ -13,8 +13,9 @@ total cost in two stages:
 * an interval DP over cyclic segment ranges choosing where coverage
   blocks start and end, so gaps that are expensive to bridge get skipped;
   it keeps costs only, and reconstruction re-derives the splits from them.
-  No optimal block crosses a gap of at least 2*lb (lb the best type's
-  length), so a range holding one costs its two sides, in O(1).
+  No optimal block crosses a wide gap, one of at least 2*lb (lb the best
+  type's length): the DP stores only the ranges free of wide gaps, and
+  reads a range across one as the sum of its pieces.
 
 Both stages run on integers.  The interval DP reads spans off
 perimeter.integer_anchors' line, in units of 1/unit (range i..i+k spans
@@ -68,11 +69,11 @@ def build_types_mc(pairs: Iterable[tuple[int, int]]) -> TypesMC:
     return TypesMC(tuple(l for l, _ in pairs), tuple(c for _, c in pairs))
 
 
-def _types(types) -> TypesMC:
-    """A public function's catalog argument, refused unless a TypesMC."""
-    if not isinstance(types, TypesMC):
-        raise ValidationError(f"types: expected a TypesMC, got {type(types).__name__}")
-    return types
+def _of(value, cls: type, name: str):
+    """A public function's argument `name`, refused unless a `cls`."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{name}: expected a {cls.__name__}, got {type(value).__name__}")
+    return value
 
 
 # -- presolve: cheapest cover of every integer length --------------------------
@@ -141,7 +142,7 @@ def presolve(types: TypesMC, max_len: int) -> CostLookup:
     if max_len > MAX_COVER_LENGTH:
         raise InstanceTooLarge(f"cover length {max_len} exceeds the cap {MAX_COVER_LENGTH}")
     kept: list[tuple[int, int]] = []   # longest first, each strictly cheaper
-    for l, c in sorted(zip(_types(types).lengths, types.costs), key=lambda lc: (-lc[0], lc[1])):
+    for l, c in sorted(zip(_of(types, TypesMC, "types").lengths, types.costs), key=lambda lc: (-lc[0], lc[1])):
         if not kept or c < kept[-1][1]:
             kept.append((l, c))
     lb, cb = kept[-1]
@@ -196,9 +197,9 @@ def sol(lookup: CostLookup, length: int) -> tuple[int, tuple[int, ...]]:
 class IntervalCostTable:
     """cost[i][k]: cheapest cover of segments i..i+k (cyclic), by one direct
     block or split into two sub-ranges; _direct_blocks re-derives which.
-    lookup, unit, starts and ends are the presolve and the integer_anchors
-    line it was built on; scanned counts the ranges (k >= 1) that took the
-    min over their splits."""
+    Row i stops before a wide gap (interval_table); range_cost reads any
+    range.  lookup, unit, starts and ends are the presolve and the
+    integer_anchors line it was built on; scanned counts the stored k >= 1."""
 
     cost: list[list[int]]
     lookup: CostLookup
@@ -211,28 +212,51 @@ class IntervalCostTable:
         """Range i..i+k's span, ceiled to a whole length (robot lengths are integers)."""
         return -(-(self.ends[i + k] - self.starts[i]) // self.unit)
 
+    def range_cost(self, i: int, k: int) -> int:
+        """Cost of any range i..i+k, k < q: the sum over the pieces it crosses."""
+        cost, total = self.cost, 0
+        check_ints((i, k), "range_cost (i, k)[{k}]", 0, IndexOutOfRange, len(cost) - 1)
+        while k >= len(row := cost[i]):
+            total, i, k = total + row[-1], (i + len(row)) % len(cost), k - len(row)
+        return total + cost[i][k]
+
+    def lap_costs(self) -> list[int]:
+        """range_cost(i, q - 1) for every i, in O(q).  With a wide gap, pieces
+        start after rows of length 1; a lap from a head costs the pieces' total,
+        and from offset o > 0 its head row h's h[-1] gives way to cost[i][-1] + h[o - 1]."""
+        cost, q = self.cost, len(self.cost)
+        heads = [i for i in range(q) if len(cost[i - 1]) == 1]
+        if not heads:
+            return [row[-1] for row in cost]
+        total, h, laps = sum(cost[h][-1] for h in heads), heads[-1], []
+        for i in range(q):
+            h = i if len(cost[i - 1]) == 1 else h
+            laps.append(total - cost[h][-1] + cost[i][-1] + (cost[h][(i - h) % q - 1] if i != h else 0))
+        return laps
+
 
 def interval_table(per: Perimeter, lookup: CostLookup) -> IntervalCostTable:
-    """Cheapest-cover table over all cyclic segment ranges, by growing k.
+    """Cheapest-cover table over the cyclic segment ranges free of wide gaps.
 
     A range is covered directly (one block over its span) or split at a
     segment boundary.  The splits of i..i+k pair cost[i][:k] with the
     ranges ending at e = i + k, by_end[e][j] = cost[e - j][j], reversed.
 
-    A range holding a wide gap, one of at least 2*lb, skips that scan.  With
-    (lb, cb) the best type by cost per length, n*cb/lb <= cost(n) <=
-    ceil(n/lb)*cb for every n.  A block over sides of spans s1 and s2 with a
-    gap g between them costs at least (s1 + g + s2)*cb/lb, and covering the
-    sides apart costs less than (s1 + s2 + 2*lb)*cb/lb.  So when g >= 2*lb
-    no optimal partition has a block across the gap, and cost[i][k] =
-    cost[i][d] + cost[i + d + 1][k - d - 1] at its offset d; the direct
-    cover is strictly dearer, so _direct_blocks still splits there.
-    nxt[j] is the first segment j' >= j on the line that a wide gap follows.
+    A wide gap is one of at least 2*lb.  With (lb, cb) the best type by cost
+    per length, n*cb/lb <= cost(n) <= ceil(n/lb)*cb for every n.  A block
+    over sides of spans s1 and s2 with a gap g between them costs at least
+    (s1 + g + s2)*cb/lb, and covering the sides apart costs less than
+    (s1 + s2 + 2*lb)*cb/lb.  So no optimal partition has a block across a
+    wide gap: a range holding one costs its two sides, and its direct cover
+    is strictly dearer.  So row i stops at reach[i] = min(nxt[i] - i, q - 1),
+    nxt[j] the first segment j' >= j on the line that a wide gap follows: a
+    piece of c segments between wide gaps stores c(c + 1)/2 ranges, and a
+    lap with none q*q, at most the sum of c*c over pieces.
     Raises OutOfTableRange if lookup is too short for a whole lap's span.
     """
-    q = per.q
+    q = _of(per, Perimeter, "per").q
     unit, ((starts, ends),) = integer_anchors([per])
-    table = IntervalCostTable([], lookup, unit, starts, ends)
+    table = IntervalCostTable([], _of(lookup, CostLookup, "lookup"), unit, starts, ends)
     cost, cover, span = table.cost, lookup._cost, table.span
     _check_covers(lookup, max(span(i, q - 1) for i in range(q)))
     cost.extend([cover(span(i, 0))] for i in range(q))
@@ -240,14 +264,13 @@ def interval_table(per: Perimeter, lookup: CostLookup) -> IntervalCostTable:
     wide, nxt = 2 * lookup.lb * unit, [2 * q] * (2 * q)
     for j in range(2 * q - 2, -1, -1):
         nxt[j] = j if starts[j + 1] - ends[j] >= wide else nxt[j + 1]
-    for k in range(1, q):
-        for i in range(q):
-            right, d = by_end[(i + k) % q], nxt[i] - i
-            if d < k:
-                best = cost[i][d] + cost[(i + d + 1) % q][k - d - 1]
-            else:
-                table.scanned += 1
-                best = min(cover(span(i, k)), min(map(add, cost[i], reversed(right))))
+    reach = [min(nxt[i] - i, q - 1) for i in range(q)]
+    rows, table.scanned = range(q), sum(reach)
+    for k in range(1, max(reach) + 1):
+        rows = [i for i in rows if reach[i] >= k]
+        for i in rows:
+            right = by_end[(i + k) % q]
+            best = min(cover(span(i, k)), min(map(add, cost[i], reversed(right))))
             cost[i].append(best)
             right.append(best)
     return table
@@ -268,15 +291,18 @@ def _direct_blocks(table: IntervalCostTable, i: int, k: int) -> list[tuple[int, 
     Re-derived from the costs as sol() re-derives robots: the range itself
     if its direct cover costs cost[i][k] (direct wins ties), else the blocks
     of its halves at the smallest split offset d whose costs sum to it.
+    Past row i's last entry f the range crosses a wide gap, so its direct
+    cover is dearer, a split at d < f ties iff it ties for i..i+f, and d = f ties.
     """
     cost, q = table.cost, len(table.cost)
     blocks, todo = [], [(i, k)]
     while todo:   # an explicit stack: a range may hold q blocks, past the recursion limit
         i, k = todo.pop()
-        if table.lookup._cost(table.span(i, k)) == cost[i][k]:
+        f = min(k, len(cost[i]) - 1)
+        if f == k and table.lookup._cost(table.span(i, k)) == cost[i][k]:
             blocks.append((i, k))
             continue
-        d = next(d for d in range(k) if cost[i][d] + cost[(i + d + 1) % q][k - d - 1] == cost[i][k])
+        d = next(d for d in range(k) if d == f or cost[i][d] + cost[(i + d + 1) % q][f - d - 1] == cost[i][f])
         todo += [((i + d + 1) % q, k - d - 1), (i, d)]   # left half on top: cyclic order
     return blocks
 
@@ -316,12 +342,12 @@ def reconstruct_mc(table: IntervalCostTable, anchor: int, perimeter_index: int =
     Each direct block is laid out by _lay_block; the rebuilt total cost is
     re-checked against the table entry.
     """
-    q = len(table.cost)
+    q = len(_of(table, IntervalCostTable, "table").cost)
     check_ints((anchor,), "segment index", 0, IndexOutOfRange, q - 1)
     check_ints((perimeter_index,), "perimeter_index", 0, ValidationError)
     blocks = _direct_blocks(table, anchor, q - 1)
     laid = [_lay_block(table, i, k, perimeter_index) for i, k in blocks]
-    spent, want = sum(cost for _, cost in laid), table.cost[anchor][q - 1]
+    spent, want = sum(cost for _, cost in laid), table.range_cost(anchor, q - 1)
     if spent != want:
         raise ReconstructionMismatch(f"blocks rebuilt to cost {spent}, table says {want}")
     return [arc for arcs, _ in laid for arc in arcs]
@@ -342,7 +368,7 @@ def solve_mc_multi(perimeters: Sequence[Perimeter] | Perimeter, types: TypesMC) 
     arcs: list[Arc] = []
     for k, per in enumerate(perimeters):
         table = interval_table(per, lookup)
-        costs = [row[per.q - 1] for row in table.cost]
+        costs = table.lap_costs()
         anchor = costs.index(min(costs))
         part = reconstruct_mc(table, anchor, k)
         for arc in part:

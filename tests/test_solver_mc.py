@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import product
 from math import ceil
 from random import Random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -22,6 +23,7 @@ from perimeterguard.errors import (
     InstanceTooLarge,
     OutOfTableRange,
     ReconstructionMismatch,
+    ValidationError,
 )
 from perimeterguard.generate import gen_random
 from perimeterguard.oracle import brute_solve_mc
@@ -377,8 +379,8 @@ def test_interval_table_bounded_by_direct_cover(inst):
     for i in range(q):
         for k in range(q):
             direct = lookup.cost(ceil(per.span_length(i, (i + k) % q)))
-            assert table.cost[i][k] <= direct
-    best = min(table.cost[i][q - 1] for i in range(q))
+            assert table.range_cost(i, k) <= direct
+    best = min(table.range_cost(i, q - 1) for i in range(q))
     assert best <= min(
         lookup.cost(ceil(per.required_span(i))) for i in range(q)
     )
@@ -516,8 +518,8 @@ def test_interval_table_and_direct_blocks_match_the_split_pointer_reference(inst
     lookup = presolve(types, ceil(per.circumference))
     table = interval_table(per, lookup)
     cost, split = reference_interval_dp(per, lookup)
-    assert table.cost == cost
     q = per.q
+    assert [[table.range_cost(i, k) for k in range(q)] for i in range(q)] == cost
     for i, k in product(range(q), range(q)):
         assert _direct_blocks(table, i, k) == reference_blocks(split, i, k, q)
 
@@ -572,8 +574,8 @@ def test_wide_gap_cut_matches_the_split_pointer_reference(inst):
     lookup = presolve(types, ceil(per.circumference))
     table = interval_table(per, lookup)
     cost, split = reference_interval_dp(per, lookup)
-    assert table.cost == cost
     q = per.q
+    assert [[table.range_cost(i, k) for k in range(q)] for i in range(q)] == cost
     for i, k in product(range(q), range(q)):
         assert _direct_blocks(table, i, k) == reference_blocks(split, i, k, q)
     wide = [g >= 2 * lookup.lb for g in per.gaps]
@@ -596,3 +598,70 @@ def _mc_wide(seed):
 def test_scanned_pinned(per, types, scanned):
     lookup = presolve(types, ceil(per.circumference))
     assert interval_table(per, lookup).scanned == scanned
+
+
+@pytest.mark.parametrize("per, types, stored", [
+    (build_perimeter([1] * 150, [50] * 150), build_types_mc([(2, 1)]), 150),   # every gap wide
+    (build_perimeter([1] * 40, [1] * 40), build_types_mc([(2, 1)]), 40 * 40),  # none wide
+    (*_mc_wide(0), 124),
+    (*_mc_wide(1), 99),
+    (*_mc_wide(2), 102),
+], ids=["all-wide", "all-narrow", "mc-wide-0", "mc-wide-1", "mc-wide-2"])
+def test_stored_ranges_pinned(per, types, stored):
+    # Only the ranges free of wide gaps are stored, where a full table holds q * q.
+    table = interval_table(per, presolve(types, ceil(per.circumference)))
+    assert sum(len(row) for row in table.cost) == stored
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(wide_gap_instances(), tie_instances()))
+def test_anchor_is_the_first_cheapest_lap(inst):
+    per, types = inst
+    with patch.object(solver_mc, "reconstruct_mc", wraps=solver_mc.reconstruct_mc) as spy:
+        solve_mc_multi(per, types)
+    ((table, anchor, _),) = [call.args for call in spy.call_args_list]
+    laps = [table.range_cost(i, per.q - 1) for i in range(per.q)]
+    assert table.lap_costs() == laps
+    assert anchor == laps.index(min(laps))
+
+
+def test_five_thousand_segments_between_wide_gaps_store_one_range_each():
+    # Every gap is wide, so each segment is a piece of its own: the table
+    # stores q entries where one over every range would store q * q = 25 M.
+    per, types = build_perimeter([1] * 5000, [50] * 5000), build_types_mc([(2, 1)])
+    table = interval_table(per, presolve(types, ceil(per.circumference)))
+    assert sum(len(row) for row in table.cost) == 5000
+    got = solve_mc(per, types)
+    assert (got.total_cost, got.counts, len(got.arcs)) == (5000, (5000,), 5000)
+
+
+def test_range_cost_refuses_a_range_outside_the_perimeter():
+    per, types = build_perimeter([2, 3], [1, 2]), types_example()
+    table = interval_table(per, presolve(types, ceil(per.circumference)))
+    for i, k in ((-1, 0), (2, 0), (0, 2), (0, True)):
+        with pytest.raises(IndexOutOfRange, match=r"^range_cost \(i, k\)\[[01]\] "):
+            table.range_cost(i, k)
+
+
+WRONG_CLASS = {   # call on (per, lookup, table), message; each used to raise a bare AttributeError
+    "interval_table per, a str": (lambda p, l, t: interval_table("x", l),
+                                  "per: expected a Perimeter, got str"),
+    "interval_table per, a list": (lambda p, l, t: interval_table([p], l),
+                                   "per: expected a Perimeter, got list"),
+    "interval_table lookup": (lambda p, l, t: interval_table(p, None),
+                              "lookup: expected a CostLookup, got NoneType"),
+    "interval_table lookup, a table": (lambda p, l, t: interval_table(p, t),
+                                       "lookup: expected a CostLookup, got IntervalCostTable"),
+    "reconstruct_mc table": (lambda p, l, t: reconstruct_mc(None, 0),
+                             "table: expected a IntervalCostTable, got NoneType"),
+    "reconstruct_mc table, a lookup": (lambda p, l, t: reconstruct_mc(l, 0),
+                                       "table: expected a IntervalCostTable, got CostLookup"),
+}
+
+
+@pytest.mark.parametrize("call, message", WRONG_CLASS.values(), ids=WRONG_CLASS)
+def test_wrong_class_argument_is_refused_by_name(call, message):
+    per, types = build_perimeter([2, 3], [1, 2]), types_example()
+    lookup = presolve(types, ceil(per.circumference))
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call(per, lookup, interval_table(per, lookup))
