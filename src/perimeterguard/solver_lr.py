@@ -626,13 +626,14 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
     grid = _Grid(counts)
     sums = capability_sums(fleet)  # every D > 0, ascending; A last
 
-    # Ratios here are scaled (ell * unit).  Every segment must be physically
-    # covered, so ell is at least (total guarded length)/A; one robot from
+    # Ratios here are scaled (ell * unit).  Every segment must be covered, so
+    # ell * C_k >= G_k, perimeter k's guarded length, for its capability sum
+    # C_k; the C_k add up to at most A, so ell >= sum G_k / A.  One robot from
     # the anchor after the widest gap, the first in gap order, covers its lap.
     lo = hi = Fraction(0)
     for starts, ends in scaled:
         guarded, first = _by_gap((starts, ends))[0]
-        lo = max(lo, Fraction(guarded, sums[-1]))
+        lo += Fraction(guarded, sums[-1])
         hi = max(hi, Fraction(ends[first + len(starts) // 2 - 1] - starts[first], a_min))
 
     if len(scaled) == 1:

@@ -20,15 +20,17 @@ total cost in two stages:
 Both stages run on integers.  The interval DP reads spans off
 perimeter.integer_anchors' line, in units of 1/unit (range i..i+k spans
 ends[i + k] - starts[i]); a span x enters the knapsack as ceil(x), which
-costs exactly as much to cover since robot lengths are integers.  Each
-block's robots are stepped out on the same line and handed to
-perimeter.place_arcs, which trims, re-checks and emits them as Arcs.
+costs exactly as much to cover since robot lengths are integers.  Every
+block's robots are stepped out on the same line, one sol() per distinct
+span, and the whole lap goes to perimeter.place_arcs at once, which trims,
+re-checks and emits them as Arcs.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 from operator import add
 
 from .errors import (IndexOutOfRange, InstanceTooLarge, OutOfTableRange, ReconstructionMismatch,
@@ -307,50 +309,46 @@ def _direct_blocks(table: IntervalCostTable, i: int, k: int) -> list[tuple[int, 
     return blocks
 
 
-def _lay_block(table: IntervalCostTable, i: int, k: int,
-               perimeter_index: int) -> tuple[list[Arc], int]:
-    """Place an optimal robot multiset over segments i..i+k as concrete arcs.
-
-    The multiset is sol()'s cover of the block's ceiled span.  On the
-    table's integer line, robots go down longest first (ties by type) from
-    the block's start, a robot of length l stepping l * unit;
-    perimeter.place_arcs shrinks the last arc to the block, pulls tails out
-    of gaps and re-checks the block.  Every robot must keep an arc.
-    Returns (arcs, cost).
-    """
-    unit = table.unit
-    starts, ends = table.starts[i:i + k + 1], table.ends[i:i + k + 1]
-    cost, counts = sol(table.lookup, table.span(i, k))
-    lengths = table.lookup.types.lengths
-    robots: list[tuple[int, int, int]] = []
-    pos = starts[0]
-    hired = (tau for tau, n in enumerate(counts) if n)
-    for tau in sorted(hired, key=lambda tau: (-lengths[tau], tau)):
-        step = lengths[tau] * unit
-        for _ in range(counts[tau]):
-            robots.append((tau, pos, step))
-            pos += step
-    arcs = place_arcs(unit, table.starts[len(table.cost)], starts, ends, robots, perimeter_index)
-    if len(arcs) < len(robots):
-        raise ReconstructionMismatch(f"a robot in block {(i, k)} contributes nothing")
-    return arcs, cost
-
-
 def reconstruct_mc(table: IntervalCostTable, anchor: int, perimeter_index: int = 0) -> list[Arc]:
     """Expand the cheapest cover of the whole perimeter from `anchor` into arcs.
 
-    Each direct block is laid out by _lay_block; the rebuilt total cost is
-    re-checked against the table entry.
+    Each direct block takes sol()'s cover of its ceiled span, robots stepped
+    out longest first (ties by type) from its start on the table's line, a
+    robot of length l stepping l * unit; only its last robot is capped at its
+    end.  That is exact: the cover is optimal and costs are positive, so the
+    robots before the last sum to less than the span.  Were one to pass the
+    end, the next would start at or past it: place_arcs drops that robot (the
+    count check raises) or finds it over the next block (and raises), so a
+    bad layout raises and never silently changes the arcs.  Work: one sol()
+    and sort per distinct span, one place_arcs over the lap, which trims tails
+    out of gaps and re-checks overlap and coverage across blocks; the blocks'
+    cost must equal the table's.
     """
     q = len(_of(table, IntervalCostTable, "table").cost)
     check_ints((anchor,), "segment index", 0, IndexOutOfRange, q - 1)
     check_ints((perimeter_index,), "perimeter_index", 0, ValidationError)
-    blocks = _direct_blocks(table, anchor, q - 1)
-    laid = [_lay_block(table, i, k, perimeter_index) for i, k in blocks]
-    spent, want = sum(cost for _, cost in laid), table.range_cost(anchor, q - 1)
-    if spent != want:
+    unit, starts, ends, lookup = table.unit, table.starts, table.ends, table.lookup
+    lengths, by_span, robots, spent = lookup.types.lengths, {}, [], 0   # by_span: span -> (cost, runs)
+    for i, k in _direct_blocks(table, anchor, q - 1):
+        span = table.span(i, k)
+        if (laid := by_span.get(span)) is None:
+            cost, counts = sol(lookup, span)
+            hired = sorted(compress(range(len(counts)), counts), key=lambda tau: (-lengths[tau], tau))
+            laid = by_span[span] = cost, [(tau, lengths[tau] * unit, counts[tau]) for tau in hired]
+        spent += laid[0]
+        i += q if i < anchor else 0   # blocks come mod q; the lap runs anchor..anchor + q - 1
+        pos = starts[i]
+        for tau, step, n in laid[1]:
+            robots += zip(repeat(tau, n), range(pos, pos + n * step, step), repeat(step, n))
+            pos += n * step
+        robots[-1] = (tau, pos - step, min(step, ends[i + k] - pos + step))
+    if spent != (want := table.range_cost(anchor, q - 1)):
         raise ReconstructionMismatch(f"blocks rebuilt to cost {spent}, table says {want}")
-    return [arc for arcs, _ in laid for arc in arcs]
+    lap = slice(anchor, anchor + q)
+    arcs = place_arcs(unit, starts[q], starts[lap], ends[lap], robots, perimeter_index)
+    if len(arcs) < len(robots):
+        raise ReconstructionMismatch(f"a robot on perimeter {perimeter_index} contributes nothing")
+    return arcs
 
 
 def solve_mc_multi(perimeters: Sequence[Perimeter] | Perimeter, types: TypesMC) -> McSolution:

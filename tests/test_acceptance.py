@@ -411,7 +411,7 @@ BENCHMARK_CELLS = (
     ("mc", 100, 20, 1, 10_000),
     ("mc", 30, 80, 1, 1_500),
 )
-BENCHMARK_CELL_DIGEST = "6e70cee71f059b9d7a2ba9bdbf996b444b180ff1d55ee43cd9254dd787d08568"
+BENCHMARK_CELL_DIGEST = "c2bf49de9c07c645d02e86850944605a257835273e4b1635e8a19abebd398998"
 
 
 def test_benchmark_cells_unchanged():

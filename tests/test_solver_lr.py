@@ -453,7 +453,7 @@ def test_solve_with_an_anchor_infeasible_at_the_upper_bound():
     assert sol.anchors == [1]
 
 
-@pytest.mark.parametrize("t, q, m, tables", [(2, 20, 1, 20), (4, 20, 1, 22), (2, 6, 3, 72)])
+@pytest.mark.parametrize("t, q, m, tables", [(2, 20, 1, 20), (4, 20, 1, 22), (2, 6, 3, 58)])
 def test_feasibility_calls_pinned(t, q, m, tables):
     """Reach tables the ratio search fills, on seeded instances: more means the
     search does more work than it did when these were pinned."""
@@ -478,8 +478,8 @@ def test_solve_scales_once_and_draws_no_layer_after_the_search():
 
     with mock.patch.multiple(solver_lr, **{name: spy(name) for name in calls}):
         sol = solve_lr(list(doc.perimeters), doc.fleet)
-    assert sol.feasibility_calls == 72      # 204, q = 6 a layer, without the slack stop
-    assert calls == {"integer_anchors": 1, "coverage_table": 0, "_pareto_layer": 34}
+    assert sol.feasibility_calls == 58      # 72 with lo the largest G_k/A, not their sum
+    assert calls == {"integer_anchors": 1, "coverage_table": 0, "_pareto_layer": 28}
 
 
 def test_solve_fills_only_the_search_tables_and_one_witness_tail():
@@ -1210,7 +1210,7 @@ def test_several_perimeters_list_no_anchors_lap():
     with mock.patch.object(solver_lr, "_lap_spans", wraps=solver_lr._lap_spans) as spy:
         sol = solve_lr(pers, build_fleet_lr([(1, 2)]))
     assert spy.call_count == 0
-    assert (sol.objective, sol.feasibility_calls, sol.anchors) == (10, 8, [1, 2])
+    assert (sol.objective, sol.feasibility_calls, sol.anchors) == (10, 5, [1, 2])
 
 
 # -- allocation sets as bitsets, against per-cell references -----------------------

@@ -2,7 +2,8 @@
 
 reference_interval_dp below is the split-pointer interval DP the solver
 used before it kept costs only; it stays here as the reference for
-interval_table and _direct_blocks.
+interval_table and _direct_blocks.  reference_layout is the per-block
+layout reconstruct_mc used before it laid a lap in one pass.
 """
 import inspect
 import sys
@@ -27,7 +28,7 @@ from perimeterguard.errors import (
 )
 from perimeterguard.generate import gen_random
 from perimeterguard.oracle import brute_solve_mc
-from perimeterguard.perimeter import build_perimeter, integer_anchors
+from perimeterguard.perimeter import build_perimeter, integer_anchors, place_arcs
 from perimeterguard.solver_mc import (
     _direct_blocks,
     build_types_mc,
@@ -320,6 +321,45 @@ def test_surplus_robot_is_a_reconstruction_mismatch(monkeypatch):
     monkeypatch.setattr(solver_mc, "sol", surplus)
     with pytest.raises(ReconstructionMismatch, match="contributes nothing"):
         solve_mc(build_perimeter([2, 3], [1, 2]), types_example())
+
+
+def _three_blocks():
+    # From anchor 0 each segment is a block of its own span, and bridging a
+    # gap of 3 costs more than covering the segments apart (2 + 2 + 3).
+    per, types = build_perimeter([4, 3, 5], [3, 3, 3]), build_types_mc([(4, 2), (1, 1)])
+    table = interval_table(per, presolve(types, ceil(per.circumference)))
+    assert _direct_blocks(table, 0, 2) == [(0, 0), (1, 0), (2, 0)]
+    return table
+
+
+@pytest.mark.parametrize("block", range(3))
+@pytest.mark.parametrize("tau", range(2))
+def test_one_extra_robot_in_any_block_is_a_reconstruction_mismatch(block, tau):
+    # The extra robot passes its block's end: it is dropped past the last
+    # block, or overlaps the next one; either way the lap refuses it.
+    table, real_sol, calls = _three_blocks(), solver_mc.sol, []
+
+    def extra(lookup, length):
+        cost, counts = real_sol(lookup, length)
+        calls.append(length)
+        if len(calls) - 1 == block:
+            counts = tuple(n + (k == tau) for k, n in enumerate(counts))
+        return cost, counts
+
+    with patch.object(solver_mc, "sol", extra), pytest.raises(ReconstructionMismatch):
+        reconstruct_mc(table, 0)
+
+
+def test_block_costs_off_by_one_are_a_reconstruction_mismatch():
+    table, real_sol = _three_blocks(), solver_mc.sol
+
+    def dearer(lookup, length):
+        cost, counts = real_sol(lookup, length)
+        return cost + 1, counts
+
+    with patch.object(solver_mc, "sol", dearer), \
+            pytest.raises(ReconstructionMismatch, match=r"^blocks rebuilt to cost 10, table says 7$"):
+        reconstruct_mc(table, 0)
 
 
 def test_counts_match_total_cost():
@@ -665,3 +705,75 @@ def test_wrong_class_argument_is_refused_by_name(call, message):
     lookup = presolve(types, ceil(per.circumference))
     with pytest.raises(ValidationError, match=f"^{message}$"):
         call(per, lookup, interval_table(per, lookup))
+
+
+# -- the one-pass layout against the per-block reference ---------------------------
+
+
+def reference_layout(table, anchor, perimeter_index):
+    """Each block on its own: sol() of its ceiled span, robots longest first
+    (ties by type) from the block's start, one place_arcs over the block."""
+    q, unit, lengths = len(table.cost), table.unit, table.lookup.types.lengths
+    arcs = []
+    for i, k in _direct_blocks(table, anchor, q - 1):
+        _, counts = sol(table.lookup, table.span(i, k))
+        robots, pos = [], table.starts[i]
+        for tau in sorted(range(len(counts)), key=lambda tau: (-lengths[tau], tau)):
+            for _ in range(counts[tau]):
+                robots.append((tau, pos, lengths[tau] * unit))
+                pos += lengths[tau] * unit
+        bounds = slice(i, i + k + 1)
+        arcs += place_arcs(unit, table.starts[q], table.starts[bounds], table.ends[bounds],
+                           robots, perimeter_index)
+    return arcs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(mc_instances(), wide_gap_instances(), tie_instances()))
+@example((build_perimeter([F(13, 3)], []), build_types_mc([(2, 1), (3, 2)])))           # gapless
+@example((build_perimeter([1] * 5, [F(7, 2)] * 5), build_types_mc([(2, 1), (9, 4)])))  # none wide
+@example((build_perimeter([2, 2, 2], [1, 1, 1]), build_types_mc([(8, 3), (1, 1)])))   # one block per lap
+def test_one_pass_layout_matches_the_per_block_reference(inst):
+    per, types = inst
+    table = interval_table(per, presolve(types, ceil(per.circumference)))
+    for anchor in range(per.q):
+        assert reconstruct_mc(table, anchor, 1) == reference_layout(table, anchor, 1)
+
+
+def test_blocks_past_the_last_segment_lay_from_their_own_start():
+    # One robot of 8 covers the whole lap 2 + 1 + 2 + 1 + 2; from anchor 1 or
+    # 2 its one block runs past segment 2 into the next lap.
+    per, types = build_perimeter([2, 2, 2], [1, 1, 1]), build_types_mc([(8, 3), (1, 1)])
+    table = interval_table(per, presolve(types, ceil(per.circumference)))
+    for anchor in range(3):
+        assert _direct_blocks(table, anchor, 2) == [(anchor, 2)]
+        arcs = reconstruct_mc(table, anchor)
+        assert [(a.robot_type, a.start, a.length) for a in arcs] == [(0, F(3 * anchor), F(8))]
+        assert arcs == reference_layout(table, anchor, 0)
+    # Blocks come mod q: from anchor 2, blocks 0 and 1 lie in the next lap.
+    table = _three_blocks()
+    assert _direct_blocks(table, 2, 2) == [(2, 0), (0, 0), (1, 0)]
+    arcs = reconstruct_mc(table, 2)
+    assert [(a.robot_type, a.start, a.length) for a in arcs] == [
+        (0, F(13), F(4)), (1, F(17), F(1)), (0, F(0), F(4)), (0, F(7), F(3))]
+    assert arcs == reference_layout(table, 2, 0)
+
+
+def test_sol_runs_once_per_distinct_span_and_place_arcs_once_per_perimeter():
+    doc = gen_random("mc", 30, 80, 1, seed=100_000, target_length=1500)
+    with patch.object(solver_mc, "sol", wraps=solver_mc.sol) as sols, \
+            patch.object(solver_mc, "place_arcs", wraps=solver_mc.place_arcs) as places, \
+            patch.object(solver_mc, "reconstruct_mc", wraps=solver_mc.reconstruct_mc) as spy:
+        solve_mc_multi(doc.perimeters, doc.types)
+    ((table, anchor, _),) = [call.args for call in spy.call_args_list]
+    blocks = _direct_blocks(table, anchor, len(table.cost) - 1)
+    spans = [call.args[1] for call in sols.call_args_list]
+    assert sorted(spans) == sorted({table.span(i, k) for i, k in blocks})
+    assert (len(blocks), sols.call_count, places.call_count) == (79, 37, 1)
+
+
+def test_one_place_arcs_call_per_perimeter():
+    pers = [build_perimeter([2, 3], [1, 2]), build_perimeter([7], [3]), build_perimeter([4, 3, 5], [3, 3, 3])]
+    with patch.object(solver_mc, "place_arcs", wraps=solver_mc.place_arcs) as places:
+        solve_mc_multi(pers, types_example())
+    assert [call.args[-1] for call in places.call_args_list] == [0, 1, 2]
