@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import GuardingError, ParseError, ValidationError
 from .perimeter import Arc, Perimeter, build_polygon_spec, from_polygon
-from .rationals import check_ints, to_fraction, to_threshold
+from .rationals import check_class, check_ints, to_fraction, to_threshold
 from .solver_lr import FleetLR, LrSolution, build_fleet_lr
 from .solver_mc import McSolution, TypesMC, build_types_mc
 
@@ -77,8 +77,10 @@ def _as_list(value, path: str) -> list:
 
 
 def _load_json(data: bytes | str, what: str) -> dict:
+    if not isinstance(data, (str, bytes, bytearray)):
+        raise ParseError(f"{what}: expected JSON text (str or bytes), got {type(data).__name__}")
     try:
-        if isinstance(data, bytes):
+        if not isinstance(data, str):
             data = data.decode("utf-8")
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
@@ -225,7 +227,7 @@ def write_instance(doc: InstanceDocument) -> str:
     perimeters = [
         f'{{\n      "segments": {_json_list([_json_rational(s) for s in per.segments], "      ")},'
         f'\n      "gaps": {_json_list([_json_rational(g) for g in per.gaps], "      ")}\n    }}'
-        for per in doc.perimeters
+        for per in check_class(doc, InstanceDocument, "doc").perimeters
     ]
     (_, firsts), (_, seconds) = doc.catalog
     types = [_TYPE_TEXT[doc.problem] % pair for pair in zip(firsts, seconds)]
@@ -291,7 +293,7 @@ def write_solution(doc: SolutionDocument) -> str:
         f'{{\n      "perimeter": {a.perimeter},\n      "type": {a.robot_type},'
         f'\n      "start": {_json_rational(a.start)},'
         f'\n      "length": {_json_rational(a.length)}\n    }}'
-        for a in doc.arcs
+        for a in check_class(doc, SolutionDocument, "doc").arcs
     ]
     fields = [
         f'"problem": {_json_value(doc.problem, "  ")}',
@@ -306,7 +308,7 @@ def write_solution(doc: SolutionDocument) -> str:
 
 def solution_from_lr(sol: LrSolution) -> SolutionDocument:
     """Package a ratio-minimizing deployment as a document."""
-    t = len(sol.unused)
+    t = len(check_class(sol, LrSolution, "sol").unused)
     counts = [0] * t
     for alloc in sol.allocations:
         for tau, n in enumerate(alloc):
@@ -324,7 +326,7 @@ def solution_from_mc(sol: McSolution) -> SolutionDocument:
     """Package a minimum-cost deployment as a document."""
     return SolutionDocument(
         problem="mc",
-        objective=Fraction(sol.total_cost),
+        objective=Fraction(check_class(sol, McSolution, "sol").total_cost),
         arcs=tuple(sol.arcs),
         counts=sol.counts,
     )

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .errors import InstanceTooLarge, InvalidSpec, ValidationError
 from .perimeter import Perimeter, build_perimeter, perimeter_list
-from .rationals import RationalLike, check_ints, to_threshold
+from .rationals import RationalLike, check_class, check_ints, to_threshold
 from .solver_lr import FleetLR, build_fleet_lr
 from .solver_mc import TypesMC, build_types_mc
 
@@ -62,7 +62,7 @@ def _brute_reachable(per: Perimeter, arc_lengths: Sequence[Fraction], counts) ->
 def _capped_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> list[Perimeter]:
     """perimeter_list(perimeters), refused above the lr robot and segment caps."""
     perimeters = perimeter_list(perimeters)
-    if fleet.total_count > MAX_LR_ROBOTS:
+    if check_class(fleet, FleetLR, "fleet").total_count > MAX_LR_ROBOTS:
         raise InstanceTooLarge(f"brute force capped at {MAX_LR_ROBOTS} robots")
     if any(per.q > MAX_LR_SEGMENTS for per in perimeters):
         raise InstanceTooLarge(f"brute force capped at {MAX_LR_SEGMENTS} segments")
@@ -192,9 +192,9 @@ def brute_solve_mc(per: Perimeter, types: TypesMC) -> int:
     (one wrapped block when a single gap is uncovered; the whole circle
     for the empty subset); block costs come from raw count enumeration.
     """
-    if per.q > MAX_MC_SEGMENTS:
+    if check_class(per, Perimeter, "per").q > MAX_MC_SEGMENTS:
         raise InstanceTooLarge(f"brute force capped at {MAX_MC_SEGMENTS} segments")
-    if types.t > MAX_MC_TYPES:
+    if check_class(types, TypesMC, "types").t > MAX_MC_TYPES:
         raise InstanceTooLarge(f"brute force capped at {MAX_MC_TYPES} types")
     circ = math.ceil(per.circumference)
     if circ > MAX_MC_LENGTH:
@@ -273,9 +273,8 @@ def gen_3partition_instance(
     With total capability m*B that forces sum exactly B per perimeter,
     and the interval bounds force triples.
     """
-    perimeters = [
-        build_perimeter([spec.B], [spec.B + 1]) for _ in range(spec.m)
-    ]
+    check_class(spec, ThreePartitionSpec, "spec")
+    perimeters = [build_perimeter([spec.B], [spec.B + 1]) for _ in range(spec.m)]
     fleet = build_fleet_lr((s, 1) for s in spec.sizes)
     return perimeters, fleet
 
@@ -323,7 +322,7 @@ def gen_subsetsum_instance(
     of total length near L to take exactly one variant per pair, so reaching
     L exactly means the chosen weighted variants sum to W.
     """
-    n = len(spec.weights)
+    n = len(check_class(spec, SubsetSumSpec, "spec").weights)
     big = 1 << (n + 1)
     pairs = []
     for i, w in enumerate(spec.weights, start=1):

@@ -19,7 +19,7 @@ The solvers instead work on an integer line, and this module owns both of
 its edges.  integer_anchors scales in: every perimeter's bounds times
 the lcm of their units over its own, laid out over two laps, so anchor
 a's view is a plain slice and the dynamic programs run on ints.
-place_arcs scales out: it lays robots on a slice of the line, re-checks
+place_arcs scales out: it lays robots on an anchor's lap, re-checks
 the deployment and wraps each arc's start back into the first lap.
 """
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .errors import (
     ReconstructionMismatch,
     ValidationError,
 )
-from .rationals import RationalLike, check_ints, to_fraction
+from .rationals import RationalLike, check_class, check_ints, to_fraction
 
 QUANTIZATION_DENOMINATOR = 10**6
 
@@ -190,12 +190,11 @@ def perimeter_list(perimeters: Sequence[Perimeter] | Perimeter) -> list[Perimete
     if not isinstance(perimeters, (Perimeter, Iterable)):
         raise ValidationError("perimeters: expected a Perimeter or a sequence of them, "
                               f"got {type(perimeters).__name__}")
-    perimeters = [perimeters] if isinstance(perimeters, Perimeter) else list(perimeters)
+    if isinstance(perimeters, Perimeter):
+        return [perimeters]
+    perimeters = [check_class(per, Perimeter, f"perimeters[{k}]") for k, per in enumerate(perimeters)]
     if not perimeters:
         raise ValidationError("need at least one perimeter")
-    for k, per in enumerate(perimeters):
-        if not isinstance(per, Perimeter):
-            raise ValidationError(f"perimeters[{k}]: expected a Perimeter, got {type(per).__name__}")
     return perimeters
 
 
@@ -220,15 +219,15 @@ def integer_anchors(perimeters: Sequence[Perimeter]):
 
 def place_arcs(unit: int, circ: int, starts: Sequence[int], ends: Sequence[int],
                robots: Iterable[tuple[int, int, int]], perimeter_index: int) -> list[Arc]:
-    """Lay robots out on a slice of an integer line and emit their Arcs.
+    """Lay robots out on an anchor's lap of an integer line and emit their Arcs.
 
-    starts/ends are consecutive segment bounds from integer_anchors' line
-    (an anchor's lap or a block of it), circ its circumference; robots
-    holds (type, start, reach) in placement order, on the same grid.  Each
-    arc ends at min(start + reach, ends[-1]); a tail ending in a gap pulls
-    back to the gap's start, an arc left empty is dropped, and an arc
-    starts at start % circ.  Raises ReconstructionMismatch if the arcs
-    overlap, exceed a reach or leave a segment uncovered.
+    starts/ends are the lap's q segment bounds from integer_anchors' line,
+    circ its circumference; robots holds (type, start, reach) in placement
+    order, on the same grid.  Each arc ends at min(start + reach, ends[-1]);
+    a tail ending in a gap pulls back to the gap's start, an arc left empty
+    is dropped, and an arc starts at start % circ.  Raises
+    ReconstructionMismatch if the arcs overlap, exceed a reach or leave a
+    segment uncovered.
     """
     required = ends[-1]
     scale = Fraction if unit == 1 else lambda x: Fraction(x, unit)   # Fraction(int) skips the gcd
@@ -314,7 +313,7 @@ def _exact_or_quantized_sqrt(squared: Fraction) -> tuple[Fraction, bool]:
 
 def edge_lengths(spec: PolygonSpec) -> tuple[list[Fraction], list[str]]:
     """Lengths of every edge, with human-readable notes for quantized ones."""
-    n = len(spec.vertices)
+    n = len(check_class(spec, PolygonSpec, "spec").vertices)
     lengths: list[Fraction] = []
     notes: list[str] = []
     for k in range(n):

@@ -1,4 +1,4 @@
-"""The rational and integer literals that documents and the API accept.
+"""The rational and integer literals and the argument classes the API accepts.
 
 An int, a Fraction, or a string in a narrow ASCII syntax (to_fraction);
 never a float.  Arithmetic on them is Fraction's and the math module's.
@@ -9,6 +9,9 @@ ratio, which must be positive: documents' ell, the lr decision
 functions, coverage_table and the oracles.  check_ints is the integer
 rule of FleetLR, TypesMC, gen_random, the reduction specs, documents,
 presolve, sol, the segment, allocation and perimeter indices, run_suite.
+check_class is the class rule of the solvers' and oracles' fleet, types,
+per, lookup and table, the reduction generators' and edge_lengths' spec,
+documents' and validate's documents and solutions, and perimeter_list.
 """
 from __future__ import annotations
 
@@ -74,3 +77,11 @@ def check_ints(values, where: str, least: int | None, error: type[GuardingError]
                 raise error(f"{where.format(k=k)} {v} outside {least}..{most}")
             bound = "" if least is None else f" >= {least}"
             raise error(f"{where.format(k=k)} must be an integer{bound}, got {v!r}")
+
+
+def check_class(value, cls: type, where: str):
+    """Return value if it is a cls, else raise ValidationError naming `where`."""
+    if not isinstance(value, cls):
+        a = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise ValidationError(f"{where}: expected {a} {cls.__name__}, got {type(value).__name__}")
+    return value

@@ -85,7 +85,7 @@ from typing import Iterable, Sequence
 
 from .errors import IndexOutOfRange, InstanceTooLarge, ReconstructionMismatch, ValidationError
 from .perimeter import Arc, Perimeter, integer_anchors, perimeter_list, place_arcs
-from .rationals import RationalLike, check_ints, to_fraction, to_threshold
+from .rationals import RationalLike, check_class, check_ints, to_fraction, to_threshold
 
 # The most cells an allocation grid may hold: every table and fold is one
 # grid, so this refuses an instance before any of them is allocated.
@@ -131,13 +131,6 @@ def build_fleet_lr(pairs: Iterable[tuple[int, int]]) -> FleetLR:
     return FleetLR(tuple(a for a, _ in pairs), tuple(n for _, n in pairs))
 
 
-def _fleet(fleet) -> FleetLR:
-    """A public function's fleet argument, refused unless a FleetLR."""
-    if not isinstance(fleet, FleetLR):
-        raise ValidationError(f"fleet: expected a FleetLR, got {type(fleet).__name__}")
-    return fleet
-
-
 AllocationVector = tuple[int, ...]
 
 
@@ -161,7 +154,7 @@ def _at(scaled, capabilities: Sequence[int], ratio: Fraction):
 def _at_ell(perimeters: Sequence[Perimeter], fleet: FleetLR, ell: RationalLike):
     """_at for an unscaled ratio ell, a rational literal as documents take it."""
     unit, scaled = integer_anchors(perimeters)
-    return _at(scaled, _fleet(fleet).capabilities, to_threshold(ell, "ell") * unit)
+    return _at(scaled, check_class(fleet, FleetLR, "fleet").capabilities, to_threshold(ell, "ell") * unit)
 
 
 # -- the reach DP -----------------------------------------------------------------
@@ -393,11 +386,11 @@ class CoverageTable:
 def coverage_table(per: Perimeter, anchor: int, fleet: FleetLR,
                    ell: RationalLike) -> CoverageTable:
     """Build the full reach table for one anchor at ratio ell."""
-    per._check_index(anchor)
+    check_class(per, Perimeter, "per")._check_index(anchor)
     ell = to_threshold(ell, "ell")
     unit, lines = integer_anchors([per])
     ratio = ell * unit
-    (line,), steps = _at(lines, _fleet(fleet).capabilities, ratio)
+    (line,), steps = _at(lines, check_class(fleet, FleetLR, "fleet").capabilities, ratio)
     return CoverageTable(line, anchor, steps, fleet.counts, unit * ratio.denominator, ell)
 
 
@@ -408,7 +401,7 @@ def feasible(per: Perimeter, fleet: FleetLR, ell: RationalLike) -> tuple[bool, i
     early-exit table covers, else (False, None).  Needs ascend, and no
     anchor past the first above the whole fleet's arc covers first.
     """
-    (line,), steps = _at_ell([per], fleet, ell)
+    (line,), steps = _at_ell([check_class(per, Perimeter, "per")], fleet, ell)
     (starts, ends), grid, q = line, _Grid(fleet.counts), per.q
     arc = sum(map(mul, fleet.counts, steps))
     anchor = next((a for need, a in _by_gap(line) if need <= arc
@@ -419,7 +412,7 @@ def feasible(per: Perimeter, fleet: FleetLR, ell: RationalLike) -> tuple[bool, i
 def pareto_feasible_vectors(per: Perimeter, fleet: FleetLR,
                             ell: RationalLike) -> list[AllocationVector]:
     """All minimal allocation vectors that cover the perimeter at ratio ell."""
-    (line,), steps = _at_ell([per], fleet, ell)
+    (line,), steps = _at_ell([check_class(per, Perimeter, "per")], fleet, ell)
     grid = _Grid(fleet.counts)
     layer, _ = _pareto_layer(line, grid, steps, grid.by_capacity(fleet.capabilities))
     return [grid.vector(i) for i in _bits(grid.minimal(layer))]
@@ -475,7 +468,7 @@ def reconstruct_lr(
     re-check fails.
     """
     check_ints((perimeter_index,), "perimeter_index", 0, ValidationError)
-    if not table.feasible_at(allocation):
+    if not check_class(table, CoverageTable, "table").feasible_at(allocation):
         raise ReconstructionMismatch(
             f"allocation {allocation} does not reach the working range at ell={table.ell}"
         )
@@ -616,7 +609,7 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
     counts the reach tables the search filled.
     """
     perimeters = perimeter_list(perimeters)
-    if _fleet(fleet).total_count < len(perimeters):
+    if check_class(fleet, FleetLR, "fleet").total_count < len(perimeters):
         raise ValidationError(
             f"{fleet.total_count} robots cannot guard {len(perimeters)} perimeters"
         )
@@ -698,7 +691,7 @@ def solve_lr(perimeters: Sequence[Perimeter] | Perimeter, fleet: FleetLR) -> LrS
 def capability_sums(fleet: FleetLR) -> list[int]:
     """The sums a_1*x_1+...+a_t*x_t > 0 over sub-multisets, ascending.  Each
     type's pass costs its output's size, at most the allocation cells."""
-    _Grid(_fleet(fleet).counts)   # refuses an oversized fleet
+    _Grid(check_class(fleet, FleetLR, "fleet").counts)   # refuses an oversized fleet
     sums = {0}
     for a, n in zip(fleet.capabilities, fleet.counts):
         sums = {x + a * c for x in sums for c in range(n + 1)}

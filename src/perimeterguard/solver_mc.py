@@ -36,7 +36,7 @@ from operator import add
 from .errors import (IndexOutOfRange, InstanceTooLarge, OutOfTableRange, ReconstructionMismatch,
                      ValidationError)
 from .perimeter import Arc, Perimeter, integer_anchors, perimeter_list, place_arcs
-from .rationals import check_ints
+from .rationals import check_class, check_ints
 
 # The longest length presolve accepts.  Its table stops at the periodic
 # window whatever the length, but a solution lays its O(L/l_min) arcs one
@@ -69,13 +69,6 @@ class TypesMC:
 def build_types_mc(pairs: Iterable[tuple[int, int]]) -> TypesMC:
     pairs = list(pairs)
     return TypesMC(tuple(l for l, _ in pairs), tuple(c for _, c in pairs))
-
-
-def _of(value, cls: type, name: str):
-    """A public function's argument `name`, refused unless a `cls`."""
-    if not isinstance(value, cls):
-        raise ValidationError(f"{name}: expected a {cls.__name__}, got {type(value).__name__}")
-    return value
 
 
 # -- presolve: cheapest cover of every integer length --------------------------
@@ -143,8 +136,9 @@ def presolve(types: TypesMC, max_len: int) -> CostLookup:
     check_ints((max_len,), "max_len", 0, ValidationError)
     if max_len > MAX_COVER_LENGTH:
         raise InstanceTooLarge(f"cover length {max_len} exceeds the cap {MAX_COVER_LENGTH}")
+    check_class(types, TypesMC, "types")
     kept: list[tuple[int, int]] = []   # longest first, each strictly cheaper
-    for l, c in sorted(zip(_of(types, TypesMC, "types").lengths, types.costs), key=lambda lc: (-lc[0], lc[1])):
+    for l, c in sorted(zip(types.lengths, types.costs), key=lambda lc: (-lc[0], lc[1])):
         if not kept or c < kept[-1][1]:
             kept.append((l, c))
     lb, cb = kept[-1]
@@ -175,7 +169,7 @@ def sol(lookup: CostLookup, length: int) -> tuple[int, tuple[int, ...]]:
     ones included.  So a choice is found once per length below periodic_from,
     reading only the lookup's head.
     """
-    _check_covers(lookup, length)
+    _check_covers(check_class(lookup, CostLookup, "lookup"), length)
     lengths, tcosts, head = lookup.types.lengths, lookup.types.costs, lookup.head
     lb, top, choice = lookup.lb, len(head), lookup.choice
     counts = [0] * len(lengths)
@@ -201,14 +195,13 @@ class IntervalCostTable:
     block or split into two sub-ranges; _direct_blocks re-derives which.
     Row i stops before a wide gap (interval_table); range_cost reads any
     range.  lookup, unit, starts and ends are the presolve and the
-    integer_anchors line it was built on; scanned counts the stored k >= 1."""
+    integer_anchors line it was built on."""
 
     cost: list[list[int]]
     lookup: CostLookup
     unit: int
     starts: list[int]
     ends: list[int]
-    scanned: int = 0
 
     def span(self, i: int, k: int) -> int:
         """Range i..i+k's span, ceiled to a whole length (robot lengths are integers)."""
@@ -256,9 +249,9 @@ def interval_table(per: Perimeter, lookup: CostLookup) -> IntervalCostTable:
     lap with none q*q, at most the sum of c*c over pieces.
     Raises OutOfTableRange if lookup is too short for a whole lap's span.
     """
-    q = _of(per, Perimeter, "per").q
+    q = check_class(per, Perimeter, "per").q
     unit, ((starts, ends),) = integer_anchors([per])
-    table = IntervalCostTable([], _of(lookup, CostLookup, "lookup"), unit, starts, ends)
+    table = IntervalCostTable([], check_class(lookup, CostLookup, "lookup"), unit, starts, ends)
     cost, cover, span = table.cost, lookup._cost, table.span
     _check_covers(lookup, max(span(i, q - 1) for i in range(q)))
     cost.extend([cover(span(i, 0))] for i in range(q))
@@ -267,7 +260,7 @@ def interval_table(per: Perimeter, lookup: CostLookup) -> IntervalCostTable:
     for j in range(2 * q - 2, -1, -1):
         nxt[j] = j if starts[j + 1] - ends[j] >= wide else nxt[j + 1]
     reach = [min(nxt[i] - i, q - 1) for i in range(q)]
-    rows, table.scanned = range(q), sum(reach)
+    rows = range(q)
     for k in range(1, max(reach) + 1):
         rows = [i for i in rows if reach[i] >= k]
         for i in rows:
@@ -324,7 +317,7 @@ def reconstruct_mc(table: IntervalCostTable, anchor: int, perimeter_index: int =
     out of gaps and re-checks overlap and coverage across blocks; the blocks'
     cost must equal the table's.
     """
-    q = len(_of(table, IntervalCostTable, "table").cost)
+    q = len(check_class(table, IntervalCostTable, "table").cost)
     check_ints((anchor,), "segment index", 0, IndexOutOfRange, q - 1)
     check_ints((perimeter_index,), "perimeter_index", 0, ValidationError)
     unit, starts, ends, lookup = table.unit, table.starts, table.ends, table.lookup

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .documents import InstanceDocument, SolutionDocument
 from .errors import ValidationError
+from .rationals import check_class
 
 # Bits the arcs' denominators may add to the scale beyond the instance's
 # and the objective's.  Solver output adds none (mc arcs sit on the
@@ -75,7 +76,8 @@ def validate_solution(instance: InstanceDocument, solution: SolutionDocument) ->
     disjoint arc interiors, count consistency, and that the claimed
     objective is recomputable from the arcs.
     """
-    if solution.problem != instance.problem:
+    check_class(instance, InstanceDocument, "instance")
+    if check_class(solution, SolutionDocument, "solution").problem != instance.problem:
         raise ValidationError(
             f"solution solves {solution.problem!r} but instance is {instance.problem!r}"
         )

@@ -238,6 +238,16 @@ def test_non_utf8_bytes_are_a_parse_error():
         parse_instance(b"\xff\xfe{}")
 
 
+@pytest.mark.parametrize("parse, what", [(parse_instance, "instance"), (parse_solution, "solution")])
+@pytest.mark.parametrize("data", [5, None, ["{}"], {"problem": "mc"}],
+                         ids=["int", "None", "list", "dict"])
+def test_data_that_is_not_text_is_a_parse_error(parse, what, data):
+    # json.loads used to raise a bare TypeError.
+    got = type(data).__name__
+    with pytest.raises(ParseError, match=rf"^{what}: expected JSON text \(str or bytes\), got {got}$"):
+        parse(data)
+
+
 def test_exponent_strings_are_rejected():
     for text in ("1e5000", "2E3", "1.5e-2"):
         doc = json.loads(MC_DOC)

@@ -60,8 +60,9 @@ from perimeterguard.solver_lr import (
     reconstruct_lr,
     solve_lr,
 )
-from perimeterguard.solver_mc import build_types_mc, presolve, solve_mc_multi
+from perimeterguard.solver_mc import build_types_mc, solve_mc_multi
 from perimeterguard.validate import validate_solution
+from test_integer_rule import check_refused_by_class, class_cases
 
 F = Fraction
 
@@ -273,32 +274,9 @@ def test_perimeters_argument_refuses_an_element_that_is_not_a_perimeter(call):
             call(perimeters)
 
 
-# Each public solver entry and a fleet (lr) or catalog (mc) it takes.
-LR_FLEET, MC_TYPES = build_fleet_lr([(1, 2)]), build_types_mc([(3, 2), (5, 3)])
-FLEET_ARGUMENT = {
-    "solve_lr": (lambda f: solve_lr(per_2seg(), f), LR_FLEET),
-    "feasible": (lambda f: feasible(per_2seg(), f, 3), LR_FLEET),
-    "partition_feasible": (lambda f: partition_feasible([per_2seg()] * 2, f, 3), LR_FLEET),
-    "coverage_table": (lambda f: coverage_table(per_2seg(), 0, f, 3), LR_FLEET),
-    "capability_sums": (capability_sums, LR_FLEET),
-    "pareto_feasible_vectors": (lambda f: pareto_feasible_vectors(per_2seg(), f, 3), LR_FLEET),
-    "ratio_certificate": (lambda f: ratio_certificate(per_2seg(), f, 3), LR_FLEET),
-    "ratio_certificate-at-0": (lambda f: ratio_certificate(per_2seg(), f, 0), LR_FLEET),
-    "solve_mc_multi": (lambda f: solve_mc_multi(per_2seg(), f), MC_TYPES),
-    "presolve": (lambda f: presolve(f, 10), MC_TYPES),
-}
-
-
-@pytest.mark.parametrize("call, good", FLEET_ARGUMENT.values(), ids=FLEET_ARGUMENT)
-def test_fleet_argument_is_refused_unless_a_fleet(call, good):
-    # Each used to raise a bare AttributeError, such as "'list' object has no
-    # attribute 'total_count'" from solve_lr, or answer None at objective 0.
-    call(good)
-    name, other = ("fleet", MC_TYPES) if good is LR_FLEET else ("types", LR_FLEET)
-    for fleet in [[(1, 2)], None, {"1": 2}, other]:
-        what = f"expected a {type(good).__name__}, got {type(fleet).__name__}"
-        with pytest.raises(ValidationError, match=f"^{name}: {what}$"):
-            call(fleet)
+@pytest.mark.parametrize("case", class_cases("test_solver_lr"))
+def test_fleet_argument_is_refused_unless_a_fleet(case):
+    check_refused_by_class(case)   # the cases are in test_integer_rule.CLASS_ARGUMENTS
 
 
 @pytest.mark.parametrize("ell", [0, -1, "-1/2"])

@@ -24,7 +24,6 @@ from perimeterguard.errors import (
     InstanceTooLarge,
     OutOfTableRange,
     ReconstructionMismatch,
-    ValidationError,
 )
 from perimeterguard.generate import gen_random
 from perimeterguard.oracle import brute_solve_mc
@@ -39,6 +38,7 @@ from perimeterguard.solver_mc import (
     solve_mc,
     solve_mc_multi,
 )
+from test_integer_rule import check_refused_by_class, class_cases
 
 F = Fraction
 
@@ -213,7 +213,11 @@ def test_presolve_stores_the_head_only(target_length):
     (per,) = doc.perimeters
     lookup = presolve(doc.types, ceil(per.circumference))
     assert lookup.max_len == ceil(per.circumference)
-    assert len(lookup.head) <= lookup.periodic_from + lookup.lb
+    # The head ends on the closed window: its last lmax entries each repeat
+    # the best type's step.  The longest type is never dominated.
+    head, lb, cb, lmax = lookup.head, lookup.lb, lookup.cb, max(doc.types.lengths)
+    assert len(head) >= lb + lmax
+    assert all(head[n] == head[n - lb] + cb for n in range(len(head) - lmax, len(head)))
     assert len(lookup.head) < 200   # 114 on seed 0, whatever the length
 
 
@@ -619,7 +623,7 @@ def test_wide_gap_cut_matches_the_split_pointer_reference(inst):
     for i, k in product(range(q), range(q)):
         assert _direct_blocks(table, i, k) == reference_blocks(split, i, k, q)
     wide = [g >= 2 * lookup.lb for g in per.gaps]
-    assert table.scanned == sum(
+    assert sum(map(len, table.cost)) - q == sum(
         not any(wide[(i + j) % q] for j in range(k)) for i in range(q) for k in range(1, q))
 
 
@@ -636,8 +640,9 @@ def _mc_wide(seed):
     (*_mc_wide(2), 22),
 ], ids=["all-wide", "all-narrow", "mc-wide-0", "mc-wide-1", "mc-wide-2"])
 def test_scanned_pinned(per, types, scanned):
-    lookup = presolve(types, ceil(per.circumference))
-    assert interval_table(per, lookup).scanned == scanned
+    # The ranges of k >= 1 that the DP scanned: the stored ones less a row's k = 0.
+    table = interval_table(per, presolve(types, ceil(per.circumference)))
+    assert sum(map(len, table.cost)) - per.q == scanned
 
 
 @pytest.mark.parametrize("per, types, stored", [
@@ -683,28 +688,9 @@ def test_range_cost_refuses_a_range_outside_the_perimeter():
             table.range_cost(i, k)
 
 
-WRONG_CLASS = {   # call on (per, lookup, table), message; each used to raise a bare AttributeError
-    "interval_table per, a str": (lambda p, l, t: interval_table("x", l),
-                                  "per: expected a Perimeter, got str"),
-    "interval_table per, a list": (lambda p, l, t: interval_table([p], l),
-                                   "per: expected a Perimeter, got list"),
-    "interval_table lookup": (lambda p, l, t: interval_table(p, None),
-                              "lookup: expected a CostLookup, got NoneType"),
-    "interval_table lookup, a table": (lambda p, l, t: interval_table(p, t),
-                                       "lookup: expected a CostLookup, got IntervalCostTable"),
-    "reconstruct_mc table": (lambda p, l, t: reconstruct_mc(None, 0),
-                             "table: expected a IntervalCostTable, got NoneType"),
-    "reconstruct_mc table, a lookup": (lambda p, l, t: reconstruct_mc(l, 0),
-                                       "table: expected a IntervalCostTable, got CostLookup"),
-}
-
-
-@pytest.mark.parametrize("call, message", WRONG_CLASS.values(), ids=WRONG_CLASS)
-def test_wrong_class_argument_is_refused_by_name(call, message):
-    per, types = build_perimeter([2, 3], [1, 2]), types_example()
-    lookup = presolve(types, ceil(per.circumference))
-    with pytest.raises(ValidationError, match=f"^{message}$"):
-        call(per, lookup, interval_table(per, lookup))
+@pytest.mark.parametrize("case", class_cases("test_solver_mc"))
+def test_wrong_class_argument_is_refused_by_name(case):
+    check_refused_by_class(case)   # the cases are in test_integer_rule.CLASS_ARGUMENTS
 
 
 # -- the one-pass layout against the per-block reference ---------------------------
