@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .errors import ValidationError
 from .generate import gen_random
-from .rationals import check_ints
+from .rationals import check_ints, check_seq
 from .solver_lr import solve_lr
 from .solver_mc import solve_mc_multi
 
@@ -67,7 +67,7 @@ def time_cell(
     suite: str, problem: str, t: int, q: int, m: int, L: int | None, seeds: Sequence[int]
 ) -> list[BenchRow]:
     """Time one parameter cell over the given seeds; appends the mean row."""
-    if not seeds:
+    if not (seeds := check_seq(seeds, "seeds")):
         raise ValidationError("need at least one seed")
     rows = []
     for seed in seeds:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .errors import InstanceTooLarge, InvalidSpec, ValidationError
 from .perimeter import Perimeter, build_perimeter, perimeter_list
-from .rationals import RationalLike, check_class, check_ints, to_threshold
+from .rationals import RationalLike, check_class, check_ints, check_seq, to_threshold
 from .solver_lr import FleetLR, build_fleet_lr
 from .solver_mc import TypesMC, build_types_mc
 
@@ -248,8 +248,7 @@ class ThreePartitionSpec:
     def __post_init__(self):
         check_ints((self.m,), "m", 1, InvalidSpec)
         check_ints((self.B,), "B", 1, InvalidSpec)
-        if len(self.sizes) != 3 * self.m:
-            raise InvalidSpec(f"need {3 * self.m} sizes, got {len(self.sizes)}")
+        object.__setattr__(self, "sizes", check_seq(self.sizes, "sizes", InvalidSpec, 3 * self.m))
         check_ints(self.sizes, "sizes[{k}]", 1, InvalidSpec)
         for s in self.sizes:
             if not 4 * s > self.B or not 2 * s < self.B:
@@ -296,6 +295,7 @@ class SubsetSumSpec:
     Wp: int
 
     def __post_init__(self):
+        object.__setattr__(self, "weights", check_seq(self.weights, "weights", InvalidSpec))
         n = len(self.weights)
         if n == 0:
             raise InvalidSpec("need at least one weight")

@@ -41,7 +41,7 @@ from .errors import (
     ReconstructionMismatch,
     ValidationError,
 )
-from .rationals import RationalLike, check_class, check_ints, to_fraction
+from .rationals import RationalLike, check_class, check_ints, check_seq, to_fraction
 
 QUANTIZATION_DENOMINATOR = 10**6
 
@@ -71,8 +71,9 @@ class Perimeter:
     __slots__ = ("segments", "gaps", "q", "_unit", "_bounds")
 
     def __init__(self, segments: Sequence[RationalLike], gaps: Sequence[RationalLike]):
-        self.segments = tuple(to_fraction(s, f"segments[{k}]") for k, s in enumerate(segments))
-        self.gaps = tuple(to_fraction(g, f"gaps[{k}]") for k, g in enumerate(gaps))
+        self.segments = tuple(to_fraction(s, f"segments[{k}]")
+                              for k, s in enumerate(check_seq(segments, "segments")))
+        self.gaps = tuple(to_fraction(g, f"gaps[{k}]") for k, g in enumerate(check_seq(gaps, "gaps")))
         q = self.q = len(self.segments)
         if q == 0:
             raise EmptySegments("at least one guarded segment is required")
@@ -187,12 +188,10 @@ class Perimeter:
 
 def perimeter_list(perimeters: Sequence[Perimeter] | Perimeter) -> list[Perimeter]:
     """One perimeter or a sequence of them, as a non-empty list."""
-    if not isinstance(perimeters, (Perimeter, Iterable)):
-        raise ValidationError("perimeters: expected a Perimeter or a sequence of them, "
-                              f"got {type(perimeters).__name__}")
     if isinstance(perimeters, Perimeter):
         return [perimeters]
-    perimeters = [check_class(per, Perimeter, f"perimeters[{k}]") for k, per in enumerate(perimeters)]
+    perimeters = [check_class(per, Perimeter, f"perimeters[{k}]")
+                  for k, per in enumerate(check_seq(perimeters, "perimeters"))]
     if not perimeters:
         raise ValidationError("need at least one perimeter")
     return perimeters
@@ -282,6 +281,7 @@ class PolygonSpec:
 def build_polygon_spec(
     vertices: Sequence[Sequence[RationalLike]], guarded: Sequence[bool]
 ) -> PolygonSpec:
+    vertices, guarded = check_seq(vertices, "vertices"), check_seq(guarded, "guarded")
     if len(vertices) < 3:
         raise DegeneratePolygon(f"need at least 3 vertices, got {len(vertices)}")
     if len(guarded) != len(vertices):
@@ -289,11 +289,11 @@ def build_polygon_spec(
             f"{len(vertices)} edges need {len(vertices)} guarded flags, got {len(guarded)}"
         )
     vs = []
-    for k, v in enumerate(vertices):
-        if len(v) != 2:
-            raise DegeneratePolygon(f"vertex {k} is not an (x, y) pair")
-        vs.append((to_fraction(v[0], f"vertices[{k}][0]"), to_fraction(v[1], f"vertices[{k}][1]")))
-    return PolygonSpec(tuple(vs), tuple(bool(g) for g in guarded))
+    for k, (v, g) in enumerate(zip(vertices, guarded)):
+        x, y = check_seq(v, f"vertices[{k}]", DegeneratePolygon, 2)
+        vs.append((to_fraction(x, f"vertices[{k}][0]"), to_fraction(y, f"vertices[{k}][1]")))
+        check_class(g, bool, f"guarded[{k}]")
+    return PolygonSpec(tuple(vs), guarded)
 
 
 def _exact_or_quantized_sqrt(squared: Fraction) -> tuple[Fraction, bool]:

@@ -1,21 +1,21 @@
-"""The rational and integer literals and the argument classes the API accepts.
+"""The literals, integers, argument classes and sequences the API accepts.
 
-An int, a Fraction, or a string in a narrow ASCII syntax (to_fraction);
-never a float.  Arithmetic on them is Fraction's and the math module's.
-to_fraction's callers: Perimeter (lengths), build_polygon_spec
-(coordinates), ratio_certificate (objective), and documents (budget, the
-objective, each arc's start and length).  to_threshold reads an lr
-ratio, which must be positive: documents' ell, the lr decision
-functions, coverage_table and the oracles.  check_ints is the integer
-rule of FleetLR, TypesMC, gen_random, the reduction specs, documents,
-presolve, sol, the segment, allocation and perimeter indices, run_suite.
-check_class is the class rule of the solvers' and oracles' fleet, types,
-per, lookup and table, the reduction generators' and edge_lengths' spec,
-documents' and validate's documents and solutions, and perimeter_list.
-"""
+to_fraction reads an int, a Fraction or a string in a narrow ASCII syntax, never a float;
+arithmetic on them is Fraction's and the math module's.  Its callers: Perimeter (lengths),
+build_polygon_spec (coordinates), ratio_certificate (objective), and documents (budget, the
+objective, each arc's start and length).  to_threshold reads an lr ratio, which must be
+positive: documents' ell, the lr decision functions, coverage_table and the oracles.
+check_ints is the integer rule of FleetLR, TypesMC, gen_random, the reduction specs,
+documents, presolve, sol, the segment, allocation and perimeter indices, run_suite.
+check_class is the class rule of the solvers' and oracles' fleet, types, per, lookup and
+table, the reduction generators' and edge_lengths' spec, documents' and validate's documents
+and solutions, perimeter_list's elements and build_polygon_spec's flags.  check_seq is the
+sequence rule of Perimeter, build_polygon_spec, build_fleet_lr, build_types_mc, FleetLR,
+TypesMC, the reduction specs, the allocation index, perimeter_list and time_cell."""
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping, Set
 from fractions import Fraction
 
 from .errors import GuardingError, ParseError, ValidationError
@@ -84,4 +84,18 @@ def check_class(value, cls: type, where: str):
     if not isinstance(value, cls):
         a = "an" if cls.__name__[0] in "AEIOU" else "a"
         raise ValidationError(f"{where}: expected {a} {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
+def check_seq(value, where: str, error=ValidationError, size: int | None = None, k=None) -> tuple:
+    """Return value as a tuple of `size` items (None: any) if it is any iterable but a str,
+    bytes, bytearray, mapping or set, else raise `error`.  A tuple or list skips the ABC tests,
+    and "{k}" in `where` becomes k only on failure, as in check_ints, so a column of pairs is cheap."""
+    if type(value) is not tuple:
+        if type(value) is not list and (isinstance(value, (str, bytes, bytearray, Mapping, Set))
+                                        or not isinstance(value, Iterable)):
+            raise error(f"{where.format(k=k)}: expected a sequence, got {type(value).__name__}")
+        value = tuple(value)
+    if size is not None and len(value) != size:
+        raise error(f"{where.format(k=k)}: expected {size} items, got {len(value)}")
     return value

@@ -85,7 +85,7 @@ from typing import Iterable, Sequence
 
 from .errors import IndexOutOfRange, InstanceTooLarge, ReconstructionMismatch, ValidationError
 from .perimeter import Arc, Perimeter, integer_anchors, perimeter_list, place_arcs
-from .rationals import RationalLike, check_class, check_ints, to_fraction, to_threshold
+from .rationals import RationalLike, check_class, check_ints, check_seq, to_fraction, to_threshold
 
 # The most cells an allocation grid may hold: every table and fold is one
 # grid, so this refuses an instance before any of them is allocated.
@@ -103,12 +103,10 @@ class FleetLR:
     counts: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "capabilities", check_seq(self.capabilities, "capabilities"))
+        object.__setattr__(self, "counts", check_seq(self.counts, "counts", size=self.t))
         if not self.capabilities:
             raise ValidationError("fleet needs at least one robot type")
-        if len(self.counts) != len(self.capabilities):
-            raise ValidationError(
-                f"{len(self.capabilities)} capabilities but {len(self.counts)} counts"
-            )
         check_ints(self.capabilities, "type {k}: capability", 1, ValidationError)
         check_ints(self.counts, "type {k}: count", 1, ValidationError)
 
@@ -127,7 +125,8 @@ class FleetLR:
 
 
 def build_fleet_lr(pairs: Iterable[tuple[int, int]]) -> FleetLR:
-    pairs = list(pairs)
+    pairs = [check_seq(p, "pairs[{k}]", ValidationError, 2, k)
+             for k, p in enumerate(check_seq(pairs, "pairs"))]
     return FleetLR(tuple(a for a, _ in pairs), tuple(n for _, n in pairs))
 
 
@@ -361,11 +360,9 @@ class CoverageTable:
                                                      self._grid, bytearray(self._grid.total))
 
     def _index(self, allocation: AllocationVector) -> int:
-        if not isinstance(allocation, (tuple, list)) or len(allocation) != len(self.bounds):
-            raise IndexOutOfRange(f"allocation {allocation!r}: expected one count per type, "
-                                  f"a tuple or list of length {len(self.bounds)}")
         idx = 0
-        for x, n, s in zip(allocation, self.bounds, self._grid.strides):
+        for x, n, s in zip(check_seq(allocation, "allocation", IndexOutOfRange, len(self.bounds)),
+                           self.bounds, self._grid.strides):
             check_ints((x,), "allocation entry", 0, IndexOutOfRange, n)
             idx += x * s
         return idx

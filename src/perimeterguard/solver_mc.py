@@ -36,7 +36,7 @@ from operator import add
 from .errors import (IndexOutOfRange, InstanceTooLarge, OutOfTableRange, ReconstructionMismatch,
                      ValidationError)
 from .perimeter import Arc, Perimeter, integer_anchors, perimeter_list, place_arcs
-from .rationals import check_class, check_ints
+from .rationals import check_class, check_ints, check_seq
 
 # The longest length presolve accepts.  Its table stops at the periodic
 # window whatever the length, but a solution lays its O(L/l_min) arcs one
@@ -54,10 +54,10 @@ class TypesMC:
     costs: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "lengths", check_seq(self.lengths, "lengths"))
+        object.__setattr__(self, "costs", check_seq(self.costs, "costs", size=self.t))
         if not self.lengths:
             raise ValidationError("need at least one robot type")
-        if len(self.costs) != len(self.lengths):
-            raise ValidationError(f"{len(self.lengths)} lengths but {len(self.costs)} costs")
         check_ints(self.lengths, "type {k}: length", 1, ValidationError)
         check_ints(self.costs, "type {k}: cost", 1, ValidationError)
 
@@ -67,7 +67,8 @@ class TypesMC:
 
 
 def build_types_mc(pairs: Iterable[tuple[int, int]]) -> TypesMC:
-    pairs = list(pairs)
+    pairs = [check_seq(p, "pairs[{k}]", ValidationError, 2, k)
+             for k, p in enumerate(check_seq(pairs, "pairs"))]
     return TypesMC(tuple(l for l, _ in pairs), tuple(c for _, c in pairs))
 
 

@@ -1,25 +1,31 @@
 """The integer rule (an int, not a bool, within a bound), the class rule
-(an instance of the package class an argument names) and their one home."""
+(an instance of the package class an argument names), the sequence rule
+(an ordered collection, of a given size) and their one home."""
 import ast
 import builtins
+import contextlib
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import perimeterguard
-from perimeterguard.bench import run_suite
+from perimeterguard.bench import run_suite, time_cell
 from perimeterguard.documents import (InstanceDocument, solution_from_lr, solution_from_mc,
                                       write_instance, write_solution)
-from perimeterguard.errors import IndexOutOfRange, OutOfTableRange, ValidationError
+from perimeterguard.errors import (DegeneratePolygon, GuardingError, IndexOutOfRange, InvalidSpec,
+                                   OutOfTableRange, ValidationError)
 from perimeterguard.oracle import (SubsetSumSpec, ThreePartitionSpec, brute_feasible_lr,
                                    brute_feasible_lr_multi, brute_solve_lr, brute_solve_mc,
                                    gen_3partition_instance, gen_subsetsum_instance)
-from perimeterguard.perimeter import build_perimeter, build_polygon_spec, from_polygon
+from perimeterguard.perimeter import Perimeter, build_perimeter, build_polygon_spec, from_polygon
 from perimeterguard.render import render_svg
-from perimeterguard.solver_lr import (build_fleet_lr, capability_sums, coverage_table, feasible,
+from perimeterguard.solver_lr import (FleetLR, build_fleet_lr, capability_sums, coverage_table, feasible,
                                       pareto_feasible_vectors, partition_feasible,
                                       ratio_certificate, reconstruct_lr, solve_lr)
-from perimeterguard.solver_mc import (build_types_mc, interval_table, presolve, reconstruct_mc,
+from perimeterguard.solver_mc import (TypesMC, build_types_mc, interval_table, presolve, reconstruct_mc,
                                       sol, solve_mc_multi)
 from perimeterguard.validate import validate_solution
 
@@ -236,3 +242,127 @@ def test_only_rationals_refuses_an_argument_by_class():
                     for comparator in node.comparators for part in parts(comparator)):
                 copies.append(f"{name}:{node.lineno}")
     assert not copies, f"class checks outside rationals.check_class: {copies}"
+
+
+TRIANGLE = [(0, 0), (3, 0), (0, 3)]
+
+# id: (call, the arguments it takes, argument tuples it refuses, the error
+# and its whole message).  Each refused call used to raise a bare TypeError
+# or ValueError, or to succeed: Perimeter("35", "12") built segments (3, 5)
+# and gaps (1, 2) from the digits, ["00", "30", "03"] the triangle (0, 0),
+# (3, 0), (0, 3), and build_fleet_lr(["12"]) blamed capability '1'.
+SEQUENCE_ARGUMENTS = {
+    "Perimeter, two strings": (Perimeter, ([3, 5], [1, 2]), [("35", "12"), ("5", [])],
+                               ValidationError, "segments: expected a sequence, got str"),
+    "Perimeter segments": (Perimeter, ([5], []), [(5, [])], ValidationError,
+                           "segments: expected a sequence, got int"),
+    "Perimeter gaps": (Perimeter, ([1], []), [([1], None)], ValidationError,
+                       "gaps: expected a sequence, got NoneType"),
+    "build_polygon_spec vertices": (build_polygon_spec, (TRIANGLE, [True] * 3), [(5, [True])],
+                                    ValidationError, "vertices: expected a sequence, got int"),
+    "build_polygon_spec vertex": (build_polygon_spec, (TRIANGLE, [True] * 3),
+                                  [(["00", "30", "03"], [True] * 3)], DegeneratePolygon,
+                                  "vertices[0]: expected a sequence, got str"),
+    "build_polygon_spec guarded": (build_polygon_spec, (TRIANGLE, (True, False, True)),
+                                   [(TRIANGLE, [True, "no", True])], ValidationError,
+                                   "guarded[1]: expected a bool, got str"),
+    "build_polygon_spec guarded, ints": (build_polygon_spec, (TRIANGLE, [True, False, True]),
+                                         [(TRIANGLE, [1, 0, 1])], ValidationError,
+                                         "guarded[0]: expected a bool, got int"),
+    "build_fleet_lr, a str": (build_fleet_lr, ([(1, 2)],), [("ab",)], ValidationError,
+                              "pairs: expected a sequence, got str"),
+    "build_fleet_lr, an int": (build_fleet_lr, ([(1, 2)],), [(5,)], ValidationError,
+                               "pairs: expected a sequence, got int"),
+    "build_fleet_lr pair": (build_fleet_lr, ([[1, 2]],), [(["12"],)], ValidationError,
+                            "pairs[0]: expected a sequence, got str"),
+    "build_fleet_lr pair size": (build_fleet_lr, ([(1, 2)],), [([(1, 2, 3)],)], ValidationError,
+                                 "pairs[0]: expected 2 items, got 3"),
+    "build_types_mc pair": (build_types_mc, ([(3, 2)],), [([1],)], ValidationError,
+                            "pairs[0]: expected a sequence, got int"),
+    "FleetLR counts": (FleetLR, ([3], [2]), [([3, 4], [2])], ValidationError,
+                       "counts: expected 2 items, got 1"),
+    "TypesMC lengths": (TypesMC, ([3], [2]), [({3: 1}, [2])], ValidationError,
+                        "lengths: expected a sequence, got dict"),
+    "ThreePartitionSpec sizes": (ThreePartitionSpec, (1, 12, [4, 4, 4]), [(1, 12, [4, 4])],
+                                 InvalidSpec, "sizes: expected 3 items, got 2"),
+    "SubsetSumSpec weights": (SubsetSumSpec, ([1, 2], 2, 3), [(5, 1, 5)], InvalidSpec,
+                              "weights: expected a sequence, got int"),
+    "time_cell seeds": (time_cell, ("table1", "lr", 2, 3, 1, None, [0]),
+                        [("table1", "lr", 2, 3, 1, None, 5)], ValidationError,
+                        "seeds: expected a sequence, got int"),
+    "CoverageTable allocation": (lambda v: _lr_table().value(v), ([1],), [((1, 1),)],
+                                 IndexOutOfRange, "allocation: expected 1 items, got 2"),
+    "solve_lr perimeters": (lambda p: solve_lr(p, LR_FLEET), ([PER],), [({PER},)],
+                            ValidationError, "perimeters: expected a sequence, got set"),
+}
+
+
+@pytest.mark.parametrize("case", SEQUENCE_ARGUMENTS)
+def test_sequence_arguments_are_refused_by_shape(case):
+    call, good, refused, error, refusal = SEQUENCE_ARGUMENTS[case]
+    call(*good)
+    for args in refused:
+        with pytest.raises(error, match=f"^{re.escape(refusal)}$"):
+            call(*args)
+
+
+def test_model_classes_hold_tuples():
+    # A frozen class given lists used to keep them, so hashing it raised
+    # "TypeError: unhashable type: 'list'".
+    assert hash(FleetLR([3], [2])) == hash(FleetLR((3,), (2,)))
+    assert hash(TypesMC([3], [2])) == hash(TypesMC((3,), (2,)))
+    assert hash(ThreePartitionSpec(1, 12, [4, 4, 4])) == hash(ThreePartitionSpec(1, 12, (4, 4, 4)))
+    assert hash(SubsetSumSpec([1, 2], 2, 3)) == hash(SubsetSumSpec((1, 2), 2, 3))
+
+
+scalars = st.integers() | st.booleans() | st.none() | st.text(max_size=4) | st.binary(max_size=4)
+shapes = st.recursive(scalars | st.sets(st.integers() | st.text(max_size=2), max_size=3),
+                      lambda inner: st.lists(inner, max_size=4)
+                      | st.dictionaries(st.text(max_size=2), inner, max_size=3), max_leaves=12)
+BUILDERS = {"Perimeter": (Perimeter, 2), "build_polygon_spec": (build_polygon_spec, 2),
+            "build_fleet_lr": (build_fleet_lr, 1), "build_types_mc": (build_types_mc, 1),
+            "FleetLR": (FleetLR, 2), "TypesMC": (TypesMC, 2),
+            "ThreePartitionSpec": (ThreePartitionSpec, 3), "SubsetSumSpec": (SubsetSumSpec, 3),
+            "solve_lr perimeters": (lambda p: solve_lr(p, LR_FLEET), 1)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_builders_raise_only_guarding_errors(data):
+    """Ints, None, text, bytes, dicts, sets and nested lists of them, given
+    to each public builder: it either returns or raises GuardingError."""
+    call, arity = BUILDERS[data.draw(st.sampled_from(sorted(BUILDERS)))]
+    with contextlib.suppress(GuardingError):
+        call(*(data.draw(shapes) for _ in range(arity)))
+
+
+def test_only_rationals_decides_what_a_sequence_is():
+    # rationals.check_seq is the sequence rule; its copies answered in four
+    # ways, and two let a string through as a sequence of its characters.
+    # documents' JSON-shape helpers ask another question: is this JSON
+    # value an array (or an object, or JSON text).
+    names = {"str", "bytes", "bytearray", "list", "tuple", "Iterable", "Sequence", "Mapping", "Set"}
+    allowed = {("documents.py", name) for name in ("_as_dict", "_as_list", "_load_json")}
+
+    def names_shape(node):
+        parts = node.elts if isinstance(node, ast.Tuple) else [node]
+        return any(isinstance(part, ast.Name) and part.id in names for part in parts)
+
+    copies = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "rationals.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = {id(node) for func in ast.walk(tree)
+                  if isinstance(func, ast.FunctionDef) and (path.name, func.name) in allowed
+                  for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if id(node) in exempt:
+                continue
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2
+                    and names_shape(node.args[1])):
+                copies.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Compare) and any(map(names_shape, node.comparators)):
+                copies.append(f"{path.name}:{node.lineno}")
+    assert not copies, f"sequence checks outside rationals.check_seq: {copies}"

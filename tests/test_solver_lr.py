@@ -159,7 +159,7 @@ def test_coverage_table_single_type():
     assert table.value([2]) == 6 and table.feasible_at([2])
     for call in (table.value, table.feasible_at, table.backpointer,
                  lambda x: reconstruct_lr(table, x)):
-        with pytest.raises(IndexOutOfRange, match="^allocation 3: expected one count per type"):
+        with pytest.raises(IndexOutOfRange, match="^allocation: expected a sequence, got int$"):
             call(3)
 
     weak = coverage_table(per, 0, build_fleet_lr([(2, 2)]), F(1))
@@ -263,12 +263,13 @@ def test_perimeters_argument_is_one_perimeter_or_a_nonempty_sequence(call):
 @pytest.mark.parametrize("call", PERIMETERS_ARGUMENT.values(), ids=PERIMETERS_ARGUMENT)
 def test_perimeters_argument_refuses_an_element_that_is_not_a_perimeter(call):
     # Each used to raise a bare AttributeError, a string included, and a bare
-    # TypeError on an argument that is not iterable at all (5, None).
-    cases = [(["x"], "[0]", "a Perimeter, got str"), ("ab", "[0]", "a Perimeter, got str"),
+    # TypeError on an argument that is not iterable at all (5, None).  A
+    # string is not a sequence of perimeters, so it is refused whole.
+    cases = [(["x"], "[0]", "a Perimeter, got str"), ("ab", "", "a sequence, got str"),
              ([per_2seg(), None], "[1]", "a Perimeter, got NoneType"),
              ([3], "[0]", "a Perimeter, got int"),
-             (5, "", "a Perimeter or a sequence of them, got int"),
-             (None, "", "a Perimeter or a sequence of them, got NoneType")]
+             (5, "", "a sequence, got int"),
+             (None, "", "a sequence, got NoneType")]
     for perimeters, where, what in cases:
         with pytest.raises(ValidationError, match=f"^perimeters{re.escape(where)}: expected {what}$"):
             call(perimeters)
