@@ -24,17 +24,19 @@ from .errors import (
 )
 from .perimeter import (
     Arc,
+    FleetLR,
     Perimeter,
     PolygonSpec,
+    TypesMC,
+    build_fleet_lr,
     build_perimeter,
     build_polygon_spec,
+    build_types_mc,
     from_polygon,
 )
 from .solver_lr import (
     CoverageTable,
-    FleetLR,
     LrSolution,
-    build_fleet_lr,
     coverage_table,
     feasible,
     capability_sums,
@@ -48,8 +50,6 @@ from .solver_mc import (
     CostLookup,
     IntervalCostTable,
     McSolution,
-    TypesMC,
-    build_types_mc,
     interval_table,
     presolve,
     reconstruct_mc,

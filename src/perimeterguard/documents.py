@@ -13,16 +13,17 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import GuardingError, ParseError, ValidationError
-from .perimeter import Arc, Perimeter, build_polygon_spec, from_polygon
-from .rationals import check_class, check_ints, to_fraction, to_threshold
-from .solver_lr import FleetLR, LrSolution, build_fleet_lr
-from .solver_mc import McSolution, TypesMC, build_types_mc
+from .perimeter import (Arc, FleetLR, Perimeter, TypesMC, build_polygon_spec, from_polygon,
+                        perimeter_list)
+from .rationals import check_class, check_ints, check_seq, to_fraction, to_threshold
+from .solver_lr import LrSolution
+from .solver_mc import McSolution
 
-# The two integer fields a document gives each robot type, per problem, and
-# the JSON text write_instance writes for one type, those names baked in.
-CATALOG_FIELDS = {"lr": ("capability", "count"), "mc": ("length", "cost")}
-_TYPE_TEXT = {p: '{\n      "%s": %%s,\n      "%s": %%s\n    }' % f for p, f in CATALOG_FIELDS.items()}
-PROBLEMS = tuple(CATALOG_FIELDS)
+# Each problem's robot catalog, and the JSON text write_instance writes for
+# one type, the catalog's two field names baked in.
+CATALOGS = {"lr": FleetLR, "mc": TypesMC}
+_TYPE_TEXT = {p: '{\n      "%s": %%s,\n      "%s": %%s\n    }' % c.FIELDS for p, c in CATALOGS.items()}
+PROBLEMS = tuple(CATALOGS)
 
 
 @dataclass
@@ -39,12 +40,18 @@ class InstanceDocument:
     metadata: dict | None = None
     notes: tuple[str, ...] = field(default=(), compare=False)  # quantization remarks
 
+    def __post_init__(self):
+        _check_problem(self.problem, "instance.problem")
+        name = "fleet" if self.problem == "lr" else "types"
+        check_class(getattr(self, name), CATALOGS[self.problem], f"instance.{name}")
+        self.perimeters = tuple(perimeter_list(self.perimeters))
+
     @property
     def catalog(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
         """The robot catalog's two (field name, column) pairs, one entry per type."""
         columns = ((self.fleet.capabilities, self.fleet.counts) if self.problem == "lr"
                    else (self.types.lengths, self.types.costs))
-        return tuple(zip(CATALOG_FIELDS[self.problem], columns))
+        return tuple(zip(CATALOGS[self.problem].FIELDS, columns))
 
 
 @dataclass
@@ -56,6 +63,16 @@ class SolutionDocument:
     arcs: tuple[Arc, ...]
     counts: tuple[int, ...]
     stats: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.objective = to_fraction(self.objective, "solution.objective")
+        self.arcs = check_seq(self.arcs, "solution.arcs")
+        self.counts = check_seq(self.counts, "solution.counts")
+
+
+def _check_problem(problem, where: str) -> None:
+    if problem not in PROBLEMS:
+        raise ValidationError(f"{where}: expected one of {PROBLEMS}, got {problem!r}")
 
 
 def _require(obj: dict, key: str, path: str):
@@ -130,8 +147,7 @@ def parse_instance(data: bytes | str) -> InstanceDocument:
     """
     doc = _load_json(data, "instance")
     problem = _require(doc, "problem", "instance")
-    if problem not in PROBLEMS:
-        raise ValidationError(f"instance.problem: expected one of {PROBLEMS}, got {problem!r}")
+    _check_problem(problem, "instance.problem")
 
     entries = _as_list(_require(doc, "perimeters", "instance"), "instance.perimeters")
     if not entries:
@@ -146,15 +162,16 @@ def parse_instance(data: bytes | str) -> InstanceDocument:
     raw_types = _as_list(_require(doc, "types", "instance"), "instance.types")
     if not raw_types:
         raise ValidationError("instance.types: need at least one robot type")
-    names = CATALOG_FIELDS[problem]
+    catalog = CATALOGS[problem]
     pairs = []
     for k, entry in enumerate(raw_types):
         entry = _as_dict(entry, f"types[{k}]")
-        pairs.append(tuple(_require(entry, name, f"types[{k}]") for name in names))
-    for name, column in zip(names, zip(*pairs)):
+        pairs.append(tuple(_require(entry, name, f"types[{k}]") for name in catalog.FIELDS))
+    columns = tuple(zip(*pairs))
+    for name, column in zip(catalog.FIELDS, columns):
         check_ints(column, f"types[{{k}}].{name}", None, ParseError)
-    fleet = build_fleet_lr(pairs) if problem == "lr" else None
-    types = build_types_mc(pairs) if problem == "mc" else None
+    fleet = catalog(*columns) if problem == "lr" else None
+    types = catalog(*columns) if problem == "mc" else None
 
     ell = budget = None
     if "ell" in doc:
@@ -179,7 +196,7 @@ def parse_instance(data: bytes | str) -> InstanceDocument:
 
     return InstanceDocument(
         problem=problem,
-        perimeters=tuple(perimeters),
+        perimeters=perimeters,
         fleet=fleet,
         types=types,
         ell=ell,
@@ -255,8 +272,7 @@ def parse_solution(data: bytes | str) -> SolutionDocument:
     """
     doc = _load_json(data, "solution")
     problem = _require(doc, "problem", "solution")
-    if problem not in PROBLEMS:
-        raise ValidationError(f"solution.problem: expected one of {PROBLEMS}, got {problem!r}")
+    _check_problem(problem, "solution.problem")
     objective = to_fraction(_require(doc, "objective", "solution"), "solution.objective")
     arcs = []
     for k, entry in enumerate(_as_list(_require(doc, "arcs", "solution"), "solution.arcs")):
@@ -275,7 +291,7 @@ def parse_solution(data: bytes | str) -> SolutionDocument:
     return SolutionDocument(
         problem=problem,
         objective=objective,
-        arcs=tuple(arcs),
+        arcs=arcs,
         counts=counts,
         stats=stats,
     )
@@ -316,8 +332,8 @@ def solution_from_lr(sol: LrSolution) -> SolutionDocument:
     return SolutionDocument(
         problem="lr",
         objective=sol.objective,
-        arcs=tuple(sol.arcs),
-        counts=tuple(counts),
+        arcs=sol.arcs,
+        counts=counts,
         stats={"feasibility_calls": sol.feasibility_calls},
     )
 
@@ -327,6 +343,6 @@ def solution_from_mc(sol: McSolution) -> SolutionDocument:
     return SolutionDocument(
         problem="mc",
         objective=Fraction(check_class(sol, McSolution, "sol").total_cost),
-        arcs=tuple(sol.arcs),
+        arcs=sol.arcs,
         counts=sol.counts,
     )

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 from .documents import InstanceDocument
 from .errors import ValidationError
-from .perimeter import build_perimeter
+from .perimeter import FleetLR, TypesMC, build_perimeter
 from .rationals import check_ints
-from .solver_lr import build_fleet_lr
-from .solver_mc import build_types_mc
 
 _MASK64 = (1 << 64) - 1
 
@@ -94,9 +92,7 @@ def gen_random(
             segments = [rng.randint(50, 500) for _ in range(q)]
             gaps = [rng.randint(10, 100) for _ in range(q)]
             perimeters.append(build_perimeter(segments, gaps))
-        fleet = build_fleet_lr(
-            (rng.randint(1, 100), rng.randint(5, 15)) for _ in range(t)
-        )
+        fleet = FleetLR(*zip(*((rng.randint(1, 100), rng.randint(5, 15)) for _ in range(t))))
         return InstanceDocument(
             problem="lr", perimeters=tuple(perimeters), fleet=fleet, seed=seed
         )
@@ -111,5 +107,5 @@ def gen_random(
         cost = rng.randint(1, 20)
         pairs.append((5 * cost + rng.randint(1, 20), cost))
     return InstanceDocument(
-        problem="mc", perimeters=tuple(perimeters), types=build_types_mc(pairs), seed=seed
+        problem="mc", perimeters=tuple(perimeters), types=TypesMC(*zip(*pairs)), seed=seed
     )

@@ -17,10 +17,9 @@ from itertools import product
 from typing import Sequence
 
 from .errors import InstanceTooLarge, InvalidSpec, ValidationError
-from .perimeter import Perimeter, build_perimeter, perimeter_list
+from .perimeter import (FleetLR, Perimeter, TypesMC, build_fleet_lr, build_perimeter,
+                        build_types_mc, perimeter_list)
 from .rationals import RationalLike, check_class, check_ints, check_seq, to_threshold
-from .solver_lr import FleetLR, build_fleet_lr
-from .solver_mc import TypesMC, build_types_mc
 
 MAX_LR_ROBOTS = 7
 MAX_LR_SEGMENTS = 5

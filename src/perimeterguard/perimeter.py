@@ -21,12 +21,19 @@ the lcm of their units over its own, laid out over two laps, so anchor
 a's view is a plain slice and the dynamic programs run on ints.
 place_arcs scales out: it lays robots on an anchor's lap, re-checks
 the deployment and wraps each arc's start back into the first lap.
+
+The robot catalogs live here too, so this module is the whole instance
+model and imports no solver: FleetLR (capability, count) and TypesMC
+(length, cost) share one column rule, two tuples of one length >= 1
+holding ints >= 1, and one pair reader for build_fleet_lr and
+build_types_mc.  Polygon outlines come in through build_polygon_spec,
+which refuses one that is not simple.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import accumulate, groupby
 from math import isqrt, lcm
@@ -263,6 +270,76 @@ def place_arcs(unit: int, circ: int, starts: Sequence[int], ends: Sequence[int],
 build_perimeter = Perimeter
 
 
+# -- robot catalogs ---------------------------------------------------------
+
+
+class _Catalog:
+    """A table of robot types by column: a subclass's two fields are tuples
+    of one length t >= 1, of ints >= 1, and FIELDS names each one's
+    field in a document."""
+
+    FIELDS: tuple[str, str]
+
+    def __post_init__(self):
+        names = [f.name for f in fields(self)]
+        first = check_seq(getattr(self, names[0]), names[0])
+        columns = first, check_seq(getattr(self, names[1]), names[1], size=len(first))
+        if not first:
+            raise ValidationError("need at least one robot type")
+        for name, label, column in zip(names, self.FIELDS, columns):
+            check_ints(column, f"type {{k}}: {label}", 1, ValidationError)
+            object.__setattr__(self, name, column)
+
+    @property
+    def t(self) -> int:
+        return len(getattr(self, fields(self)[0].name))
+
+
+@dataclass(frozen=True)
+class FleetLR(_Catalog):
+    """Robot models by column: type k covers at most `capabilities[k] * ell`
+    at ratio ell, and `counts[k]` robots of it are available."""
+
+    FIELDS = ("capability", "count")
+    capabilities: tuple[int, ...]
+    counts: tuple[int, ...]
+
+    @property
+    def total_capability(self) -> int:
+        """Sum of capability * count: bounds the objective's denominator."""
+        return sum(a * n for a, n in zip(self.capabilities, self.counts))
+
+    @property
+    def total_count(self) -> int:
+        return sum(self.counts)
+
+
+@dataclass(frozen=True)
+class TypesMC(_Catalog):
+    """Robot catalog by column: type k covers an arc of `lengths[k]` for `costs[k]`."""
+
+    FIELDS = ("length", "cost")
+    lengths: tuple[int, ...]
+    costs: tuple[int, ...]
+
+
+def _columns(pairs: Iterable[tuple[int, int]]) -> tuple[tuple, tuple]:
+    """A catalog's two columns from its types' pairs, each pair checked for shape."""
+    pairs = [check_seq(p, "pairs[{k}]", ValidationError, 2, k)
+             for k, p in enumerate(check_seq(pairs, "pairs"))]
+    return tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
+
+
+def build_fleet_lr(pairs: Iterable[tuple[int, int]]) -> FleetLR:
+    """The fleet of (capability, count) pairs, one per robot type."""
+    return FleetLR(*_columns(pairs))
+
+
+def build_types_mc(pairs: Iterable[tuple[int, int]]) -> TypesMC:
+    """The catalog of (length, cost) pairs, one per robot type."""
+    return TypesMC(*_columns(pairs))
+
+
 # -- polygon ingestion ----------------------------------------------------
 
 
@@ -281,6 +358,15 @@ class PolygonSpec:
 def build_polygon_spec(
     vertices: Sequence[Sequence[RationalLike]], guarded: Sequence[bool]
 ) -> PolygonSpec:
+    """Check an outline and its flags; refuse an outline that is not simple.
+
+    Two edges that are not adjacent may share no point, and two adjacent
+    ones no more than their shared vertex, so a vertex may split one
+    straight wall into parts.  The tests are exact integer orientation
+    signs over the coordinates times the lcm of their denominators, over
+    all O(n^2) pairs of the n edges.  An outline with a zero-length edge
+    is left to edge_lengths, which names that edge.
+    """
     vertices, guarded = check_seq(vertices, "vertices"), check_seq(guarded, "guarded")
     if len(vertices) < 3:
         raise DegeneratePolygon(f"need at least 3 vertices, got {len(vertices)}")
@@ -293,7 +379,43 @@ def build_polygon_spec(
         x, y = check_seq(v, f"vertices[{k}]", DegeneratePolygon, 2)
         vs.append((to_fraction(x, f"vertices[{k}][0]"), to_fraction(y, f"vertices[{k}][1]")))
         check_class(g, bool, f"guarded[{k}]")
+    _check_simple(vs)
     return PolygonSpec(tuple(vs), guarded)
+
+
+def _check_simple(vertices: list[tuple[Fraction, Fraction]]) -> None:
+    """Raise DegeneratePolygon naming the first two edges that meet where they may not."""
+    unit = lcm(*(c.denominator for v in vertices for c in v))
+    points = [(x.numerator * (unit // x.denominator), y.numerator * (unit // y.denominator))
+              for x, y in vertices]
+    n = len(points)
+    edges = [(points[k], points[(k + 1) % n]) for k in range(n)]
+    if any(a == b for a, b in edges):
+        return
+    for i, (a, b) in enumerate(edges):
+        for j in range(i + 1, n):
+            c, d = edges[j]
+            if j == i + 1:                   # b == c: the far ends point the same way
+                meet = _cross(b, a, d) == 0 and _dot(b, a, d) > 0
+            elif i == 0 and j == n - 1:      # d == a
+                meet = _cross(a, b, c) == 0 and _dot(a, b, c) > 0
+            else:
+                s1, s2, s3, s4 = _cross(a, b, c), _cross(a, b, d), _cross(c, d, a), _cross(c, d, b)
+                meet = (s1 * s2 < 0 and s3 * s4 < 0
+                        or s1 == 0 and _dot(c, a, b) <= 0 or s2 == 0 and _dot(d, a, b) <= 0
+                        or s3 == 0 and _dot(a, c, d) <= 0 or s4 == 0 and _dot(b, c, d) <= 0)
+            if meet:
+                raise DegeneratePolygon(f"edges {i} and {j} intersect: the outline is not simple")
+
+
+def _cross(o, p, q) -> int:
+    """(p - o) x (q - o): its sign is the side of line op that q lies on, 0 on the line."""
+    return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
+
+
+def _dot(o, p, q) -> int:
+    """(p - o) . (q - o): for o on line pq, <= 0 iff o lies between p and q."""
+    return (p[0] - o[0]) * (q[0] - o[0]) + (p[1] - o[1]) * (q[1] - o[1])
 
 
 def _exact_or_quantized_sqrt(squared: Fraction) -> tuple[Fraction, bool]:

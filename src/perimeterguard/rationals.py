@@ -5,13 +5,15 @@ arithmetic on them is Fraction's and the math module's.  Its callers: Perimeter 
 build_polygon_spec (coordinates), ratio_certificate (objective), and documents (budget, the
 objective, each arc's start and length).  to_threshold reads an lr ratio, which must be
 positive: documents' ell, the lr decision functions, coverage_table and the oracles.
-check_ints is the integer rule of FleetLR, TypesMC, gen_random, the reduction specs,
-documents, presolve, sol, the segment, allocation and perimeter indices, run_suite.
-check_class is the class rule of the solvers' and oracles' fleet, types, per, lookup and
-table, the reduction generators' and edge_lengths' spec, documents' and validate's documents
-and solutions, perimeter_list's elements and build_polygon_spec's flags.  check_seq is the
-sequence rule of Perimeter, build_polygon_spec, build_fleet_lr, build_types_mc, FleetLR,
-TypesMC, the reduction specs, the allocation index, perimeter_list and time_cell."""
+check_ints is the integer rule of the robot catalogs' one column rule (perimeter's FleetLR
+and TypesMC), gen_random, the reduction specs, documents, presolve, sol, the segment,
+allocation and perimeter indices, run_suite.  check_class is the class rule of the solvers'
+and oracles' fleet, types, per, lookup and table, the reduction generators' and
+edge_lengths' spec, documents' and validate's documents and solutions, an instance
+document's catalog, perimeter_list's elements and build_polygon_spec's flags.  check_seq is
+the sequence rule of Perimeter, build_polygon_spec, the catalogs' columns and pairs, the
+reduction specs, the allocation index, perimeter_list, a solution document's arcs and
+counts, and time_cell."""
 from __future__ import annotations
 
 import re

@@ -81,54 +81,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, product
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import IndexOutOfRange, InstanceTooLarge, ReconstructionMismatch, ValidationError
-from .perimeter import Arc, Perimeter, integer_anchors, perimeter_list, place_arcs
+from .perimeter import (Arc, FleetLR, Perimeter, build_fleet_lr, integer_anchors, perimeter_list,
+                        place_arcs)
 from .rationals import RationalLike, check_class, check_ints, check_seq, to_fraction, to_threshold
 
 # The most cells an allocation grid may hold: every table and fold is one
 # grid, so this refuses an instance before any of them is allocated.
 MAX_GRID_CELLS = 1 << 24
-
-# -- fleet ------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FleetLR:
-    """Robot models by column: type k covers at most `capabilities[k] * ell`
-    at ratio ell, and `counts[k]` robots of it are available."""
-
-    capabilities: tuple[int, ...]
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "capabilities", check_seq(self.capabilities, "capabilities"))
-        object.__setattr__(self, "counts", check_seq(self.counts, "counts", size=self.t))
-        if not self.capabilities:
-            raise ValidationError("fleet needs at least one robot type")
-        check_ints(self.capabilities, "type {k}: capability", 1, ValidationError)
-        check_ints(self.counts, "type {k}: count", 1, ValidationError)
-
-    @property
-    def t(self) -> int:
-        return len(self.capabilities)
-
-    @property
-    def total_capability(self) -> int:
-        """Sum of capability * count: bounds the objective's denominator."""
-        return sum(a * n for a, n in zip(self.capabilities, self.counts))
-
-    @property
-    def total_count(self) -> int:
-        return sum(self.counts)
-
-
-def build_fleet_lr(pairs: Iterable[tuple[int, int]]) -> FleetLR:
-    pairs = [check_seq(p, "pairs[{k}]", ValidationError, 2, k)
-             for k, p in enumerate(check_seq(pairs, "pairs"))]
-    return FleetLR(tuple(a for a, _ in pairs), tuple(n for _, n in pairs))
-
 
 AllocationVector = tuple[int, ...]
 

@@ -28,49 +28,21 @@ re-checks and emits them as Arcs.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import add
 
 from .errors import (IndexOutOfRange, InstanceTooLarge, OutOfTableRange, ReconstructionMismatch,
                      ValidationError)
-from .perimeter import Arc, Perimeter, integer_anchors, perimeter_list, place_arcs
-from .rationals import check_class, check_ints, check_seq
+from .perimeter import (Arc, Perimeter, TypesMC, build_types_mc, integer_anchors, perimeter_list,
+                        place_arcs)
+from .rationals import check_class, check_ints
 
 # The longest length presolve accepts.  Its table stops at the periodic
 # window whatever the length, but a solution lays its O(L/l_min) arcs one
 # by one, so this bounds them.
 MAX_COVER_LENGTH = 10**7
-
-# -- types --------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TypesMC:
-    """Robot catalog by column: type k covers an arc of `lengths[k]` for `costs[k]`."""
-
-    lengths: tuple[int, ...]
-    costs: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "lengths", check_seq(self.lengths, "lengths"))
-        object.__setattr__(self, "costs", check_seq(self.costs, "costs", size=self.t))
-        if not self.lengths:
-            raise ValidationError("need at least one robot type")
-        check_ints(self.lengths, "type {k}: length", 1, ValidationError)
-        check_ints(self.costs, "type {k}: cost", 1, ValidationError)
-
-    @property
-    def t(self) -> int:
-        return len(self.lengths)
-
-
-def build_types_mc(pairs: Iterable[tuple[int, int]]) -> TypesMC:
-    pairs = [check_seq(p, "pairs[{k}]", ValidationError, 2, k)
-             for k, p in enumerate(check_seq(pairs, "pairs"))]
-    return TypesMC(tuple(l for l, _ in pairs), tuple(c for _, c in pairs))
-
 
 # -- presolve: cheapest cover of every integer length --------------------------
 

@@ -128,6 +128,14 @@ def test_invalid_document_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_polygon_that_is_not_simple_exits_2(tmp_path, capsys):
+    bowtie = json.loads(TRIANGLE_TEXT)
+    bowtie["perimeters"][0]["polygon"] = {"vertices": [[0, 0], [2, 2], [2, 0], [0, 2]],
+                                          "guarded": [True] * 4}
+    assert main(["solve", "--input", put(tmp_path, "i.json", json.dumps(bowtie))]) == 2
+    assert "perimeters[0].polygon: edges 0 and 2 intersect" in capsys.readouterr().err
+
+
 def test_deeply_nested_document_exits_2(tmp_path, capsys):
     assert main(["solve", "--input", put(tmp_path, "i.json", "[" * 100_000)]) == 2
     assert "nested too deeply" in capsys.readouterr().err

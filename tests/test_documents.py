@@ -2,6 +2,8 @@
 import contextlib
 import copy
 import json
+import re
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -22,7 +24,7 @@ from perimeterguard.documents import (
 )
 from perimeterguard.errors import GuardingError, ParseError, ValidationError
 from perimeterguard.generate import gen_random
-from perimeterguard.perimeter import Arc, build_perimeter
+from perimeterguard.perimeter import Arc, FleetLR, TypesMC, build_perimeter
 from perimeterguard.rationals import to_fraction
 from perimeterguard.solver_lr import build_fleet_lr, solve_lr
 from perimeterguard.solver_mc import build_types_mc, solve_mc_multi
@@ -465,6 +467,63 @@ def test_validate_accepts_wrapping_arc():
         counts=(1,),
     )
     validate_solution(instance, wrapped)
+
+
+PER = build_perimeter([2, 3], [1, 2])
+FLEET, TYPES = build_fleet_lr([(1, 2)]), build_types_mc([(3, 2)])
+
+# id: (a document built by hand, its refusal).  Each used to build, and then
+# validate_solution, write_instance or render_svg raised a bare
+# AttributeError on it.
+HAND_BUILT = {
+    "lr without a fleet": (lambda: InstanceDocument("lr", (PER,), fleet=None), ValidationError,
+                           "instance.fleet: expected a FleetLR, got NoneType"),
+    "lr carrying types": (lambda: InstanceDocument("lr", (PER,), types=TYPES), ValidationError,
+                          "instance.fleet: expected a FleetLR, got NoneType"),
+    "mc carrying a fleet": (lambda: InstanceDocument("mc", (PER,), fleet=FLEET), ValidationError,
+                            "instance.types: expected a TypesMC, got NoneType"),
+    "a perimeter that is a str": (lambda: InstanceDocument("lr", ("x",), fleet=FLEET),
+                                  ValidationError, "perimeters[0]: expected a Perimeter, got str"),
+    "an unknown problem": (lambda: InstanceDocument("xx", (PER,), fleet=FLEET), ValidationError,
+                           "instance.problem: expected one of ('lr', 'mc'), got 'xx'"),
+    "a float objective": (lambda: SolutionDocument("lr", 2.0, (), (1,)), ParseError,
+                          'solution.objective: floats are inexact, write the value as a string '
+                          'like "5/2"'),
+}
+
+
+@pytest.mark.parametrize("case", HAND_BUILT)
+def test_documents_built_by_hand_are_checked(case):
+    build, error, refusal = HAND_BUILT[case]
+    with pytest.raises(error, match=f"^{re.escape(refusal)}$"):
+        build()
+
+
+def test_solution_built_with_lists_validates():
+    # The README quick start's fleet: counts given as a list used to read
+    # "arcs tally to (3, 4) but counts claim [3, 4]".
+    wall = build_perimeter([120, 80, 200], [30, 30, 40])
+    fleet = build_fleet_lr([(40, 3), (25, 4)])
+    sol = solution_from_lr(solve_lr([wall], fleet))
+    listed = SolutionDocument("lr", sol.objective, list(sol.arcs), list(sol.counts))
+    assert (listed.arcs, listed.counts) == (sol.arcs, sol.counts) and sol.counts == (3, 4)
+    validate_solution(InstanceDocument("lr", [wall], fleet=fleet), listed)
+
+
+def test_parse_and_generate_build_catalogs_from_columns(monkeypatch):
+    """parse_instance and gen_random hold well-formed columns, so neither
+    reads its catalog pair by pair through a pair builder."""
+    def refuse(pairs):
+        raise AssertionError("a pair builder was called")
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("perimeterguard")]:
+        for builder in ("build_fleet_lr", "build_types_mc", "_columns"):
+            if hasattr(module, builder):
+                monkeypatch.setattr(module, builder, refuse)
+    assert parse_instance(LR_DOC).fleet == FleetLR((1,), (2,))
+    assert parse_instance(MC_DOC).types == TypesMC((3, 5), (2, 3))
+    assert gen_random("lr", 3, 4).fleet.t == 3
+    assert gen_random("mc", 3, 4, target_length=40).types.t == 3
 
 
 # -- the writers: byte for byte what json.dumps(indent=2) writes ----------------

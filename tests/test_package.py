@@ -42,6 +42,45 @@ def test_references_share_no_solver_code():
                 assert node.attr not in banned, (name, node.attr)
 
 
+def test_references_import_no_solver_module():
+    # The catalogs live beside Perimeter, so the oracles and the validator
+    # build and read them without importing a solver.
+    solvers = {"solver_lr", "solver_mc"}
+    imports = []
+    for name in ("oracle.py", "validate.py"):
+        for node in ast.walk(ast.parse((PACKAGE / name).read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [alias.name for alias in node.names]
+                if isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""] + (modules if node.module is None else [])
+                if any(module.rpartition(".")[2] in solvers for module in modules):
+                    imports.append(f"{name}:{node.lineno}")
+    assert not imports, f"solver imports: {imports}"
+
+
+# The solvers import the catalogs again from perimeter, so that
+# `from perimeterguard.solver_lr import build_fleet_lr` keeps working.
+RE_EXPORTS = {("solver_lr.py", "FleetLR"), ("solver_lr.py", "build_fleet_lr"),
+              ("solver_mc.py", "TypesMC"), ("solver_mc.py", "build_types_mc")}
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in read and (path.name, name) not in RE_EXPORTS:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused, f"imported but never read: {unused}"
+
+
 def _loaded_by_import(modules):
     """Which of the named modules a fresh `import perimeterguard` loads."""
     code = f"import sys, perimeterguard; print(sorted(set({modules!r}) & set(sys.modules)))"

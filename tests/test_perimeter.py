@@ -445,3 +445,32 @@ def test_polygon_errors():
         )
     with pytest.raises(CountMismatch):
         build_polygon_spec([(0, 0), (1, 0), (0, 1)], [True, True])
+
+
+# id: (an outline that is not simple, the two edges named).  Each used to
+# be accepted: the three collinear points made a guarded circle of length 4.
+NOT_SIMPLE = {
+    "collinear": ([(0, 0), (1, 0), (2, 0)], "edges 0 and 2"),
+    "bowtie": ([(0, 0), (2, 2), (2, 0), (0, 2)], "edges 0 and 2"),
+    "bowtie in thirds": ([(0, 0), ("2/3", "2/3"), ("2/3", 0), (0, "2/3")], "edges 0 and 2"),
+    "spike": ([(0, 0), (4, 0), (4, 3), (6, 3), (4, 3)], "edges 1 and 3"),
+    "folded back": ([(0, 0), (2, 0), (1, 0), (1, 1)], "edges 0 and 1"),
+}
+
+
+@pytest.mark.parametrize("case", NOT_SIMPLE)
+def test_polygon_that_is_not_simple_is_refused(case):
+    vertices, edges = NOT_SIMPLE[case]
+    with pytest.raises(DegeneratePolygon, match=f"^{edges} intersect: the outline is not simple$"):
+        build_polygon_spec(vertices, [True] * len(vertices))
+
+
+def test_polygon_wall_split_by_a_vertex_and_the_demo_outlines_are_simple():
+    # Edges 0 and 1 are one straight wall, half of it guarded.
+    split = build_polygon_spec([(0, 0), (1, 0), (2, 0), (2, 1), (0, 1)],
+                               [False, True, True, True, True])
+    per, _ = from_polygon(split)
+    assert (per.segments, per.gaps) == ((F(5),), (F(1),))
+    for outline in ([(0, 0), (40, 0), (40, 30), (25, 30), (25, 18), (0, 18)],   # the demos'
+                    [(0, 0), (3, 1), (1, 4)]):
+        build_polygon_spec(outline, [True] * len(outline))
